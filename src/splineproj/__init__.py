@@ -26,14 +26,7 @@ from .analysis import (
     stability_constant,
     weak_type_report,
 )
-from .bspline import (
-    BasisBlock,
-    eval_basis_block,
-    eval_basis_many,
-    eval_spline,
-    eval_spline_many,
-    l1_factors,
-)
+from .bspline import eval_basis_many, eval_spline_many
 from .errors import (
     EmptyInterval,
     InvalidRatio,
@@ -66,9 +59,9 @@ from .knots import (
 )
 from .projection import (
     Projection,
-    dirichlet_kernel,
     galerkin_residual,
     kernel_constant_integral,
+    kernel_values,
     moments,
     project,
 )

@@ -21,10 +21,11 @@ Conventions shared by the fits:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .bspline import _blocks_at_spans
+from .bspline import span_gauss_blocks
 from .errors import OutOfDomain
 from .functions import TestFunction
 from .gram import InverseGram
@@ -112,9 +113,6 @@ class DecayReport:
     fitted: bool
     residual_factor: float | None
     fit_offsets: tuple[int, int] | None
-
-    def to_dict(self):
-        return _as_jsonable(self)
 
 
 def _fit_rate(offsets, profile, k):
@@ -206,9 +204,6 @@ class KernelBoundReport:
     c_hat: float
     samples_per_cell: int
 
-    def to_dict(self):
-        return _as_jsonable(self)
-
 
 def kernel_bound_report(A: InverseGram, K: KnotSequence,
                         samples_per_cell: int = 3) -> KernelBoundReport:
@@ -280,9 +275,6 @@ class InverseBoundConstants:
     k2: float | None
     k3: float | None
     skipped: tuple = ()
-
-    def to_dict(self):
-        return _as_jsonable(self)
 
 
 def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
@@ -463,9 +455,6 @@ class DominationReport:
     c_hat: float
     eval_grid: int
 
-    def to_dict(self):
-        return _as_jsonable(self)
-
 
 def domination_report(partitions, f: TestFunction, eval_grid: int = 512,
                       maximal_grid: int = 4096) -> DominationReport:
@@ -510,9 +499,6 @@ class WeakTypeReport:
     maximal_constant: float
     f_l1: float
     eval_grid: int
-
-    def to_dict(self):
-        return _as_jsonable(self)
 
 
 def weak_type_report(partitions, f: TestFunction, thresholds=None,
@@ -567,9 +553,6 @@ class ConvergenceReport:
     observed_order: float | None
     sup_grid: int
 
-    def to_dict(self):
-        return _as_jsonable(self)
-
 
 def convergence_report(ladder, f: TestFunction, probes,
                        sup_grid: int = 1024,
@@ -610,7 +593,7 @@ def modulus_of_smoothness(f: TestFunction, k: int, delta: float,
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     a, b = float(interval[0]), float(interval[1])
-    signs = np.array([(-1.0) ** r * _binom(k, r) for r in range(k + 1)])
+    signs = np.array([(-1.0) ** r * comb(k, r) for r in range(k + 1)])
     best = 0.0
     for h in delta * (np.arange(1, grid + 1) / grid):
         if a + k * h > b:
@@ -622,11 +605,6 @@ def modulus_of_smoothness(f: TestFunction, k: int, delta: float,
         if diffs.size:
             best = max(best, float(diffs.max()))
     return best
-
-
-def _binom(k, r):
-    from math import comb
-    return comb(k, r)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +626,6 @@ class StabilityReport:
     seed: int
     d_hat: float
 
-    def to_dict(self):
-        return _as_jsonable(self)
-
 
 def stability_constant(K: KnotSequence, trials: int = 64,
                        seed: int = 0) -> StabilityReport:
@@ -658,13 +633,7 @@ def stability_constant(K: KnotSequence, trials: int = 64,
         raise ValueError("trials must be >= 1")
     n, k = K.n, K.k
     spans = K.spans
-    t = K.t
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    half = 0.5 * K.h[spans]
-    pts = t[spans][:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    blocks = _blocks_at_spans(K, pts.ravel(),
-                              np.repeat(spans, k)).reshape(spans.size, k, k)
-    w = weights[None, :] * half[:, None]
+    _, w, blocks = span_gauss_blocks(K)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((trials, n))
     firsts = spans - (k - 1)
@@ -680,24 +649,3 @@ def stability_constant(K: KnotSequence, trials: int = 64,
         ratios = np.abs(coeffs[:, m]) * np.sqrt(K.kappa[m] / np.maximum(local, 1e-300))
         d_best = max(d_best, float(ratios.max()))
     return StabilityReport(k, n, trials, seed, d_best)
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-def _as_jsonable(obj):
-    from dataclasses import asdict
-
-    def conv(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, dict):
-            return {kk: conv(vv) for kk, vv in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [conv(x) for x in v]
-        return v
-
-    return {kk: conv(vv) for kk, vv in asdict(obj).items()}

@@ -15,27 +15,13 @@ function attains 1 and the partition of unity holds on the closed interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LengthMismatch
 from .knots import KnotSequence
+from .quadrature import gauss_rule
 
-__all__ = ["BasisBlock", "eval_basis_block", "eval_basis_many", "eval_spline",
-           "eval_spline_many", "l1_factors"]
-
-
-@dataclass(frozen=True)
-class BasisBlock:
-    """The ``k`` possibly nonzero basis values at one point.
-
-    ``values[j]`` is basis function ``first + j`` evaluated at the point;
-    every other basis function vanishes there.
-    """
-
-    first: int
-    values: np.ndarray
+__all__ = ["eval_basis_many", "eval_spline_many", "span_gauss_blocks"]
 
 
 def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -62,20 +48,30 @@ def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.nd
     return vals
 
 
+def span_gauss_blocks(K: KnotSequence):
+    """The k-point Gauss rule and the basis blocks on every span of ``K``.
+
+    Returns ``(x, w, blocks)`` with shapes ``(S, k)``, ``(S, k)`` and
+    ``(S, k, k)`` over the ``S`` nondegenerate spans ``K.spans``;
+    ``blocks[s, p]`` holds functions ``K.spans[s]-k+1 .. K.spans[s]`` at
+    node ``x[s, p]``.  The rule integrates every product of two basis
+    functions exactly up to roundoff.
+    """
+    spans, t, g = K.spans, K.t, K.k
+    nodes, weights = gauss_rule(g)
+    half = 0.5 * (t[spans + 1] - t[spans])
+    x = t[spans][:, None] + half[:, None] * (nodes[None, :] + 1.0)
+    w = weights[None, :] * half[:, None]
+    blocks = _blocks_at_spans(K, x.ravel(), np.repeat(spans, g))
+    return x, w, blocks.reshape(spans.size, g, K.k)
+
+
 def eval_basis_many(K: KnotSequence, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized basis blocks: returns ``(first, values)`` with shapes
     ``(m,)`` and ``(m, k)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     spans = K.span_indices(x)
     return spans - (K.k - 1), _blocks_at_spans(K, x, spans)
-
-
-def eval_basis_block(K: KnotSequence, x: float) -> BasisBlock:
-    """The ``k`` basis values whose supports contain the interval of ``x``."""
-    first, vals = eval_basis_many(K, [x])
-    v = vals[0]
-    v.setflags(write=False)
-    return BasisBlock(int(first[0]), v)
 
 
 def eval_spline_many(K: KnotSequence, c, x) -> np.ndarray:
@@ -86,17 +82,3 @@ def eval_spline_many(K: KnotSequence, c, x) -> np.ndarray:
     first, vals = eval_basis_many(K, x)
     idx = first[:, None] + np.arange(K.k)[None, :]
     return np.einsum("mj,mj->m", vals, c[idx])
-
-
-def eval_spline(K: KnotSequence, c, x: float) -> float:
-    return float(eval_spline_many(K, c, [x])[0])
-
-
-def l1_factors(K: KnotSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Support lengths and the factors turning each N_i into a unit-mass bump.
-
-    Returns ``(kappa, k / kappa)``: scaling ``N_i`` by ``k / kappa[i]``
-    yields the L1-normalized basis function, whose integral is one.
-    """
-    kappa = K.kappa
-    return kappa, K.k / kappa

@@ -10,11 +10,12 @@ timestamp and is not byte-stable.  Exit status: 0 all declared checks pass,
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -112,10 +113,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    doc = {"schema": SCHEMA_VERSION, **asdict(cfg)}
-    doc["levels"] = list(cfg.levels) if cfg.levels is not None else None
-    doc["interval"] = list(cfg.interval)
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps({"schema": SCHEMA_VERSION, **asdict(cfg)}, sort_keys=True, indent=2)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -194,16 +192,6 @@ def opt(cfg, name, default):
 # report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    return str(v)
-
-
 def _atomic_write(path: str, data: str) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
@@ -218,16 +206,14 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
-    import datetime
-
-    outdir = os.environ.get(OUTPUT_ENV_VAR, cfg.output_dir)
-    os.makedirs(outdir, exist_ok=True)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
@@ -238,12 +224,15 @@ def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
         "passed": all(ok for _, ok, _ in checks),
         **payload,
     }
-    path = os.path.join(outdir, f"{cfg.command.replace('-', '_')}_report.json")
+    path = os.path.join(_outdir(cfg), f"{cfg.command.replace('-', '_')}_report.json")
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n")
     return path
 
 
 def _json_default(v):
+    """JSON form of report dataclasses and numpy values."""
+    if is_dataclass(v):
+        return asdict(v)
     if isinstance(v, np.ndarray):
         return v.tolist()
     if isinstance(v, (np.floating, np.integer, np.bool_)):
@@ -271,10 +260,8 @@ def run_basis_eval(cfg):
     K = resolve_partition(cfg)
     xs = _grid(cfg)
     first, vals = eval_basis_many(K, xs)
-    rows = []
-    for p, x in enumerate(xs):
-        for j in range(K.k):
-            rows.append((x, int(first[p] + j), vals[p, j]))
+    rows = np.column_stack([np.repeat(xs, K.k),
+                            (first[:, None] + np.arange(K.k)).ravel(), vals.ravel()])
     write_csv(os.path.join(_outdir(cfg), "basis_values.csv"),
               ("x", "i", "N_i"), rows)
     dev = float(np.abs(vals.sum(axis=1) - 1.0).max())
@@ -285,8 +272,11 @@ def run_basis_eval(cfg):
 def run_gram(cfg):
     K = resolve_partition(cfg)
     G0 = assemble_gram(K)
-    rows = [(i, j, G0.entry(i, j))
-            for i in range(K.n) for j in range(i, min(i + K.k, K.n))]
+    # upper band row by row: (i, i + d) for d = 0 .. k-1 inside the matrix
+    i, d = np.divmod(np.arange(K.n * K.k), K.k)
+    keep = i + d < K.n
+    i, d = i[keep], d[keep]
+    rows = np.column_stack([i, i + d, G0.entry(i, i + d)])
     write_csv(os.path.join(_outdir(cfg), "gram_banded.csv"),
               ("i", "j", "value"), rows)
     G = scaled_gram(G0, K)
@@ -308,7 +298,8 @@ def run_invert(cfg):
     if K.n > max_n:
         raise ValidationError("partition", f"n = {K.n} exceeds inversion limit {max_n}")
     A = invert_gram(assemble_gram(K))
-    rows = [(i, j, A.entries[i, j]) for i in range(K.n) for j in range(K.n)]
+    i, j = np.divmod(np.arange(K.n * K.n), K.n)
+    rows = np.column_stack([i, j, A.entries.ravel()])
     write_csv(os.path.join(_outdir(cfg), "inverse_full.csv"),
               ("i", "j", "value"), rows)
     checks = [
@@ -332,7 +323,7 @@ def run_kernel(cfg):
     xs = _grid(cfg, default=32)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vals = kernel_values(A, K, X.ravel(), Y.ravel())
-    rows = list(zip(X.ravel(), Y.ravel(), vals))
+    rows = np.column_stack([X.ravel(), Y.ravel(), vals])
     write_csv(os.path.join(_outdir(cfg), "kernel_values.csv"),
               ("x", "y", "K"), rows)
     rng = np.random.default_rng(cfg.seed)
@@ -355,7 +346,7 @@ def run_project(cfg):
     xs = _grid(cfg)
     fx, px = f(xs), pf(xs)
     write_csv(os.path.join(_outdir(cfg), "projection.csv"),
-              ("x", "f", "Pf"), list(zip(xs, fx, px)))
+              ("x", "f", "Pf"), np.column_stack([xs, fx, px]))
     resid = float(np.abs(galerkin_residual(K, pf, f)).max())
     from .quadrature import integrate_adaptive
     from .projection import default_moment_tol
@@ -371,7 +362,7 @@ def run_verify_decay(cfg):
     K = resolve_partition(cfg)
     A = invert_gram(assemble_gram(K))
     rep = analysis.decay_report(A, K)
-    rows = list(zip(rep.offsets, rep.profile_scaled, rep.profile_b))
+    rows = np.column_stack([rep.offsets, rep.profile_scaled, rep.profile_b])
     write_csv(os.path.join(_outdir(cfg), "decay_profile.csv"),
               ("offset", "rho_scaled", "rho_b"), rows)
     if rep.diagonal:
@@ -384,7 +375,7 @@ def run_verify_decay(cfg):
             ("entrywise_bound", rep.residual_factor <= 1.0 + 1e-9,
              f"residual factor = {rep.residual_factor:.6f}"),
         ]
-    return {"decay": rep.to_dict()}, checks
+    return {"decay": rep}, checks
 
 
 def run_verify_kernel_bound(cfg):
@@ -392,12 +383,12 @@ def run_verify_kernel_bound(cfg):
     A = invert_gram(assemble_gram(K))
     rep = analysis.kernel_bound_report(A, K, opt(cfg, "samples_per_cell", 3))
     write_csv(os.path.join(_outdir(cfg), "kernel_bound.csv"),
-              ("theta", "C"), list(zip(rep.theta_grid, rep.c_of_theta)))
+              ("theta", "C"), np.column_stack([rep.theta_grid, rep.c_of_theta]))
     checks = [
         ("theta_below_one", 0.0 < rep.theta_hat < 1.0, f"theta = {rep.theta_hat:.3f}"),
         ("constant_finite", np.isfinite(rep.c_hat), f"C = {rep.c_hat:.4g}"),
     ]
-    return {"kernel_bound": rep.to_dict()}, checks
+    return {"kernel_bound": rep}, checks
 
 
 def run_verify_lemma(cfg):
@@ -409,7 +400,7 @@ def run_verify_lemma(cfg):
     finite = all(v is not None and np.isfinite(v) for v in (rep.k1, rep.k2, rep.k3))
     checks = [("constants_finite", finite,
                f"K1 = {rep.k1:.4g}, K2 = {rep.k2}, K3 = {rep.k3}")]
-    return {"constants": rep.to_dict()}, checks
+    return {"constants": rep}, checks
 
 
 def run_maximal(cfg):
@@ -418,7 +409,7 @@ def run_maximal(cfg):
     grid_size = opt(cfg, "grid", 4096)
     vals = analysis._maximal_on_points(f, xs, cfg.interval, grid_size)
     write_csv(os.path.join(_outdir(cfg), "maximal.csv"),
-              ("x", "M"), list(zip(xs, vals)))
+              ("x", "M"), np.column_stack([xs, vals]))
     ok = bool(np.all(np.isfinite(vals)) and np.all(vals >= 0))
     checks = [("finite_nonnegative", ok, f"range [{vals.min():.4g}, {vals.max():.4g}]")]
     return {"grid": grid_size, "max_value": float(vals.max())}, checks
@@ -430,8 +421,8 @@ def run_dominate(cfg):
     rep = analysis.domination_report(
         ladder, f, eval_grid=opt(cfg, "eval_grid", 512),
         maximal_grid=opt(cfg, "grid", 4096))
-    rows = [(lev, d["n"], d["mesh"], d["c_hat"])
-            for lev, d in zip(levels, rep.levels)]
+    rows = np.array([(lev, d["n"], d["mesh"], d["c_hat"])
+                     for lev, d in zip(levels, rep.levels)])
     write_csv(os.path.join(_outdir(cfg), "domination.csv"),
               ("level", "n", "mesh", "c_hat"), rows)
     cs = [d["c_hat"] for d in rep.levels]
@@ -440,7 +431,7 @@ def run_dominate(cfg):
         ("c_hat_finite", np.isfinite(rep.c_hat), f"c_hat = {rep.c_hat:.4g}"),
         ("c_hat_stable", stable, f"level spread = {max(cs) / min(cs):.3f}"),
     ]
-    return {"domination": rep.to_dict()}, checks
+    return {"domination": rep}, checks
 
 
 def run_weak11(cfg):
@@ -451,14 +442,14 @@ def run_weak11(cfg):
         maximal_grid=opt(cfg, "grid", 4096))
     write_csv(os.path.join(_outdir(cfg), "weak_type.csv"),
               ("t", "p_star_ratio", "maximal_ratio"),
-              list(zip(rep.thresholds, rep.p_star_ratios, rep.maximal_ratios)))
+              np.column_stack([rep.thresholds, rep.p_star_ratios, rep.maximal_ratios]))
     checks = [
         ("maximal_weak_constant", rep.maximal_constant <= 5.5,
          f"sup_t t m{{M>t}}/||f||_1 = {rep.maximal_constant:.4f}"),
         ("p_star_finite", np.isfinite(rep.p_star_constant),
          f"P* constant = {rep.p_star_constant:.4f}"),
     ]
-    return {"weak_type": rep.to_dict()}, checks
+    return {"weak_type": rep}, checks
 
 
 def run_converge(cfg):
@@ -470,10 +461,9 @@ def run_converge(cfg):
               else default_probes(f, a, b))
     rep = analysis.convergence_report(ladder, f, probes,
                                       sup_grid=opt(cfg, "eval_grid", 1024))
-    rows = []
-    for lev, d in zip(levels, rep.levels):
-        rows.append((lev, d["n"], d["mesh"], d["sup_error"],
-                     *d["probe_errors"], d["omega_k"]))
+    rows = np.array([(lev, d["n"], d["mesh"], d["sup_error"],
+                      *d["probe_errors"], d["omega_k"])
+                     for lev, d in zip(levels, rep.levels)])
     hdr = ("level", "n", "mesh", "sup_error",
            *(f"probe_{i}" for i in range(len(probes))), "omega_k")
     write_csv(os.path.join(_outdir(cfg), "convergence.csv"), hdr, rows)
@@ -484,7 +474,7 @@ def run_converge(cfg):
     if expect is not None:
         checks.append(("observed_order", rep.observed_order >= float(expect),
                        f"p = {rep.observed_order:.3f} vs {expect}"))
-    return {"convergence": rep.to_dict()}, checks
+    return {"convergence": rep}, checks
 
 
 def run_stability(cfg):
@@ -493,7 +483,7 @@ def run_stability(cfg):
     rep = analysis.stability_constant(K, trials=trials, seed=cfg.seed)
     checks = [("d_hat_at_least_one", rep.d_hat >= 1.0 - 1e-12,
                f"d_hat = {rep.d_hat:.4f}")]
-    return {"stability": rep.to_dict()}, checks
+    return {"stability": rep}, checks
 
 
 HANDLERS = {

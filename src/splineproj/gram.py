@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .bspline import _blocks_at_spans
+from .bspline import span_gauss_blocks
 from .errors import LengthMismatch, NotPositiveDefinite, SymmetryViolation
 from .knots import KnotSequence
-from .quadrature import gauss_rule
 
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
            "solve_banded", "invert_gram"]
@@ -48,12 +47,13 @@ class GramMatrix:
     def n(self) -> int:
         return self.bands.shape[1]
 
-    def entry(self, i: int, j: int) -> float:
-        lo, hi = min(i, j), max(i, j)
-        d = hi - lo
-        if d >= self.order:
-            return 0.0
-        return float(self.bands[self.order - 1 - d, hi])
+    def entry(self, i, j):
+        """Entry ``(i, j)``; ``i`` and ``j`` may be index arrays."""
+        hi = np.maximum(i, j)
+        d = hi - np.minimum(i, j)
+        inside = d < self.order
+        vals = self.bands[self.order - 1 - np.where(inside, d, 0), hi]
+        return np.where(inside, vals, 0.0)[()]
 
     def to_dense(self) -> np.ndarray:
         n, k = self.n, self.order
@@ -66,11 +66,13 @@ class GramMatrix:
         return dense
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
+        """``G c`` for a vector or, column by column, an ``(n, m)`` block."""
         c = np.asarray(c, dtype=float)
         n, k = self.n, self.order
-        out = self.bands[k - 1] * c
+        bands = self.bands.reshape(self.bands.shape + (1,) * (c.ndim - 1))
+        out = bands[k - 1] * c
         for d in range(1, k):
-            diag = self.bands[k - 1 - d, d:]
+            diag = bands[k - 1 - d, d:]
             out[: n - d] += diag * c[d:]
             out[d:] += diag * c[: n - d]
         return out
@@ -112,23 +114,15 @@ class InverseGram:
 def assemble_gram(K: KnotSequence) -> GramMatrix:
     """Assemble ``<N_i, N_j>`` by exact per-interval Gauss quadrature."""
     k, n = K.k, K.n
-    spans = K.spans
-    t = K.t
-    half = 0.5 * (t[spans + 1] - t[spans])
-    nodes, weights = gauss_rule(k)
-    # points[s, g]: g-th node on span s; blocks[s, g, :]: local basis values
-    pts = t[spans][:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    flat_spans = np.repeat(spans, k)
-    blocks = _blocks_at_spans(K, pts.ravel(), flat_spans).reshape(len(spans), k, k)
-    w = weights[None, :] * half[:, None]
+    _, w, blocks = span_gauss_blocks(K)
     local = np.einsum("sg,sgp,sgq->spq", w, blocks, blocks)
+    # add each span's upper triangle into the bands, span by span in (p, q)
+    # order: the same additions in the same order as a plain loop
+    p, q = np.triu_indices(k)
+    cols = (K.spans - (k - 1))[:, None] + q[None, :]
+    rows = np.broadcast_to(k - 1 - (q - p), cols.shape)
     bands = np.zeros((k, n))
-    firsts = spans - (k - 1)
-    for s in range(len(spans)):
-        f = firsts[s]
-        for p in range(k):
-            for q in range(p, k):
-                bands[k - 1 - (q - p), f + q] += local[s, p, q]
+    np.add.at(bands, (rows.ravel(), cols.ravel()), local[:, p, q].ravel())
     return GramMatrix(k, bands)
 
 
@@ -157,17 +151,10 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     c = cho_solve_banded((fac, False), rhs)
     scale = np.abs(rhs).max() if rhs.size else 0.0
     if scale > 0:
-        resid = rhs - (G0.matvec(c) if rhs.ndim == 1 else _matmat(G0, c))
+        resid = rhs - G0.matvec(c)
         if np.abs(resid).max() > 1e-10 * scale:
             c = c + cho_solve_banded((fac, False), resid)
     return c
-
-
-def _matmat(G0: GramMatrix, X: np.ndarray) -> np.ndarray:
-    out = np.empty_like(X)
-    for j in range(X.shape[1]):
-        out[:, j] = G0.matvec(X[:, j])
-    return out
 
 
 def invert_gram(G0: GramMatrix) -> InverseGram:
@@ -191,12 +178,12 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
         )
     A = 0.5 * (A + A.T)
     for _ in range(3):
-        R = np.eye(n) - _matmat(G0, A)
+        R = np.eye(n) - G0.matvec(A)
         residual = np.abs(R).max()
         if residual <= 1e-9:
             break
         A2 = A + cho_solve_banded((fac, False), R)
         A = 0.5 * (A2 + A2.T)
     else:
-        residual = np.abs(np.eye(n) - _matmat(G0, A)).max()
+        residual = np.abs(np.eye(n) - G0.matvec(A)).max()
     return InverseGram(A, float(residual), float(asym))

@@ -124,15 +124,12 @@ class KnotSequence:
 
     # -- point location -------------------------------------------------
 
-    def span_index(self, x: float) -> int:
-        """Nondegenerate knot interval containing ``x``.
+    def span_indices(self, x: np.ndarray) -> np.ndarray:
+        """Nondegenerate knot interval containing each point of ``x``.
 
         Points exactly at a break belong to the interval on their right,
         except ``x = b`` which belongs to the last interval.
         """
-        return int(self.span_indices(np.asarray([x]))[0])
-
-    def span_indices(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.size and (x.min() < self.a or x.max() > self.b):
             bad = x[(x < self.a) | (x > self.b)][0]

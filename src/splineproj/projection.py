@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _blocks_at_spans, eval_basis_many, eval_spline_many
+from .bspline import (_blocks_at_spans, eval_basis_many, eval_spline_many,
+                      span_gauss_blocks)
 from .functions import TestFunction
 from .gram import GramMatrix, InverseGram, assemble_gram, solve_banded
 from .knots import KnotSequence
 from .quadrature import Piece, gauss_points, refine_pieces, split_at_markers
 
-__all__ = ["Projection", "moments", "project", "dirichlet_kernel",
-           "kernel_constant_integral", "kernel_values"]
+__all__ = ["Projection", "moments", "project", "kernel_constant_integral",
+           "kernel_values"]
 
 #: Per-moment absolute tolerance when f has no declared singularity.
 DEFAULT_MOMENT_TOL = 1e-11
@@ -123,24 +124,14 @@ def kernel_values(A: InverseGram, K: KnotSequence, x, y) -> np.ndarray:
     return vals.reshape(x.shape)
 
 
-def dirichlet_kernel(A: InverseGram, K: KnotSequence, x: float, y: float) -> float:
-    """Kernel of the projector at one point pair, from the local k-by-k
-    block of the inverse Gram matrix."""
-    return float(kernel_values(A, K, x, y))
-
-
 def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float:
     """``int Kd(x, y) dy`` over [a, b] by exact per-interval Gauss rules.
 
     The spline space contains constants, so the exact value is 1; the
     computed value differs only by roundoff.
     """
-    t, k = K.t, K.k
-    total = 0.0
-    for span in K.spans:
-        ys, w = gauss_points(float(t[span]), float(t[span + 1]), k)
-        total += float(w @ kernel_values(A, K, np.full(ys.shape, x), ys))
-    return total
+    ys, w, _ = span_gauss_blocks(K)
+    return float(np.sum(w * kernel_values(A, K, np.full(ys.shape, x), ys)))
 
 
 def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,

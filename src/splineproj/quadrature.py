@@ -11,6 +11,7 @@ can verify the achieved tolerance a posteriori.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,10 +80,17 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
     ``eval_pair(piece)`` must fill ``piece.value`` (any numpy value or
     vector) and ``piece.est`` (a float).  Returns the final piece list and
     total estimate; raises QuadratureNonConvergence when the refinement
-    budget is exhausted first.
+    budget is exhausted first, or as soon as a piece's estimate is inf or
+    NaN (an integrand value that is not finite makes the estimate so).
     """
-    for p in pieces:
+    def evaluate(p: Piece):
         eval_pair(p)
+        if not math.isfinite(p.est):
+            raise QuadratureNonConvergence(
+                f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
+
+    for p in pieces:
+        evaluate(p)
     live = list(pieces)
     frozen: list[Piece] = []
     frozen_est = 0.0
@@ -113,12 +121,12 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
                 Piece(mid, p.hi, p.depth + 1, p.order, p.payload),
             ]
             for q in kids:
-                eval_pair(q)
+                evaluate(q)
                 live_est += q.est
             live.extend(kids)
         elif 2 * p.order <= max_order:
             p.order *= 2
-            eval_pair(p)
+            evaluate(p)
             live_est += p.est
             live.append(p)
         else:

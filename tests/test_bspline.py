@@ -7,12 +7,9 @@ from splineproj import (
     LengthMismatch,
     OutOfDomain,
     PartitionSpec,
-    eval_basis_block,
     eval_basis_many,
-    eval_spline,
     eval_spline_many,
     generate_partition,
-    l1_factors,
     make_knot_sequence,
 )
 from splineproj.quadrature import integrate_adaptive
@@ -33,26 +30,25 @@ def cases(orders=(1, 2, 3, 4, 5, 6), seed=0):
 
 def test_indicator_basis():
     K = make_knot_sequence([0, 0.5, 1], [1], 1)
-    blk = eval_basis_block(K, 0.25)
-    assert blk.first == 0
-    assert np.array_equal(blk.values, [1.0])
-    blk = eval_basis_block(K, 0.75)
-    assert blk.first == 1
+    first, vals = eval_basis_many(K, [0.25, 0.75])
+    assert first[0] == 0
+    assert np.array_equal(vals[0], [1.0])
+    assert first[1] == 1
 
 
 def test_hat_functions():
     K = make_knot_sequence([0, 1], [], 2)
-    blk = eval_basis_block(K, 0.25)
-    assert blk.first == 0
-    assert np.allclose(blk.values, [0.75, 0.25], atol=1e-15)
+    first, vals = eval_basis_many(K, 0.25)
+    assert first[0] == 0
+    assert np.allclose(vals[0], [0.75, 0.25], atol=1e-15)
 
 
 def test_out_of_domain():
     K = make_knot_sequence([0, 1], [], 2)
     with pytest.raises(OutOfDomain):
-        eval_basis_block(K, 1.2)
+        eval_basis_many(K, 1.2)
     with pytest.raises(OutOfDomain):
-        eval_spline(K, [1.0, 1.0], -0.1)
+        eval_spline_many(K, [1.0, 1.0], -0.1)
 
 
 def test_partition_of_unity():
@@ -75,11 +71,10 @@ def test_partition_of_unity_high_order():
 
 def test_endpoint_values():
     for K in cases():
-        blk = eval_basis_block(K, K.a)
-        assert blk.values[0] == pytest.approx(1.0, abs=1e-15)
-        blk = eval_basis_block(K, K.b)
-        assert blk.first + K.k - 1 == K.n - 1
-        assert blk.values[-1] == pytest.approx(1.0, abs=1e-15)
+        first, vals = eval_basis_many(K, [K.a, K.b])
+        assert vals[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert first[1] + K.k - 1 == K.n - 1
+        assert vals[1, -1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_nonnegativity_and_local_support():
@@ -125,24 +120,22 @@ def test_greville_linear_reproduction():
 def test_coefficient_length_checked():
     K = make_knot_sequence([0, 1], [], 2)
     with pytest.raises(LengthMismatch):
-        eval_spline(K, [1.0], 0.5)
+        eval_spline_many(K, [1.0], 0.5)
 
 
 def test_l1_factors():
     K = make_knot_sequence([0, 0.5, 1], [1], 1)
-    kappa, factors = l1_factors(K)
-    assert np.allclose(kappa, [0.5, 0.5])
-    assert np.allclose(factors, [2.0, 2.0])
+    assert np.allclose(K.kappa, [0.5, 0.5])
+    assert np.allclose(K.k / K.kappa, [2.0, 2.0])
 
     K = make_knot_sequence([0, 1], [], 2)
-    kappa, _ = l1_factors(K)
-    assert np.allclose(kappa, [1.0, 1.0])
+    assert np.allclose(K.kappa, [1.0, 1.0])
 
 
 def test_l1_normalized_bumps_have_unit_mass():
     for K in cases((1, 2, 4, 6)):
-        kappa, factors = l1_factors(K)
-        assert np.all(kappa > 0)
+        factors = K.k / K.kappa
+        assert np.all(K.kappa > 0)
         for i in range(K.n):
             e = np.zeros(K.n)
             e[i] = factors[i]

@@ -166,6 +166,20 @@ def test_exit_code_numerical_failure(tmp_path):
         HANDLERS.update(old)
 
 
+@pytest.mark.parametrize("argv", [
+    ["weak11", "--k", "3", "--function", "abspow:0.3:-0.5", "--levels", "6"],
+    ["converge", "--k", "2", "--function", "abspow:0.3:-0.5", "--levels", "5"],
+    ["maximal", "--function", "abspow:0.3:-0.5"],
+], ids=["weak11", "converge", "maximal"])
+def test_exit_code_non_finite_quadrature(tmp_path, capsys, argv):
+    # bisection toward the singularity at 0.3 reaches pieces about 3e-13
+    # wide, where a Gauss node rounds onto it: a numerical failure, not bad
+    # input and not a FAIL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(argv + ["-o", str(tmp_path)]) == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_cli_main_and_env_override(tmp_path, monkeypatch):
     outdir = tmp_path / "envout"
     monkeypatch.setenv("SPLINEPROJ_OUT", str(outdir))

@@ -150,14 +150,14 @@ def test_generated_sequences_satisfy_invariants():
 def test_span_index_conventions():
     K = make_knot_sequence([0, 0.25, 0.5, 1], [2, 1], 3)
     # at an interior break the right interval wins
-    s = K.span_index(0.25)
+    s = K.span_indices(0.25)
     assert K.t[s] == 0.25 and K.t[s + 1] > 0.25
     # x = b maps to the last nondegenerate interval
-    s = K.span_index(1.0)
+    s = K.span_indices(1.0)
     assert K.t[s] < 1.0 and K.t[s + 1] == 1.0
-    assert K.span_index(0.0) == K.k - 1
+    assert K.span_indices(0.0) == K.k - 1
     with pytest.raises(OutOfDomain):
-        K.span_index(1.5)
+        K.span_indices(1.5)
 
 
 def test_dyadic_ladder_mesh_halves():

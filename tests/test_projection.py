@@ -6,7 +6,6 @@ from splineproj import (
     QuadratureNonConvergence,
     TestFunction,
     assemble_gram,
-    dirichlet_kernel,
     eval_spline_many,
     generate_partition,
     invert_gram,
@@ -119,7 +118,7 @@ def test_kernel_order_one_closed_form():
     for i, x in enumerate(mids):
         for j, y in enumerate(mids):
             expect = 1.0 / (t[i + 1] - t[i]) if i == j else 0.0
-            assert dirichlet_kernel(A, K, x, y) == pytest.approx(expect, abs=1e-12)
+            assert kernel_values(A, K, x, y) == pytest.approx(expect, abs=1e-12)
 
 
 def test_kernel_symmetry():

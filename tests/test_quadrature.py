@@ -76,3 +76,14 @@ def test_error_estimate_scaling():
     exact = (np.arctan(0.63 / 1e-2) + np.arctan(0.37 / 1e-2)) / 1e-2
     val, est = integrate_adaptive(f, 0, 1, tol=1e-9)
     assert abs(val - exact) <= 1e-8 * exact
+
+
+def test_non_finite_estimate_raises():
+    # a singularity off the markers that lands exactly on a Gauss node makes
+    # that piece's estimate inf; it must not be summed away as convergence
+    x0 = float(gauss_points(0.0, 1.0, 16)[0][5])
+    with np.errstate(divide="ignore"), \
+            pytest.raises(QuadratureNonConvergence, match="non-finite"):
+        integrate_adaptive(lambda x: np.abs(x - x0) ** -0.5, 0, 1, tol=1e-9)
+    with pytest.raises(QuadratureNonConvergence, match="non-finite"):
+        integrate_adaptive(lambda x: np.full_like(x, np.nan), 0, 1)
