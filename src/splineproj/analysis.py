@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import span_gauss_blocks
 from .errors import OutOfDomain
@@ -49,35 +50,17 @@ ZERO_FLOOR = 1e-300
 # interval geometry helpers
 # ---------------------------------------------------------------------------
 
-def _sparse_max_table(h: np.ndarray):
-    """Sparse table for O(1) range-maximum queries over interval lengths."""
-    levels = [h]
-    size = 1
-    while 2 * size <= h.size:
-        prev = levels[-1]
-        levels.append(np.maximum(prev[:-size], prev[size:]))
-        size *= 2
-    return levels
-
-
-def _window_max(levels, start: np.ndarray, width: int) -> np.ndarray:
-    """Max over ``h[start : start + width]`` for a vector of starts."""
-    lev = max(0, int(np.log2(width)))
-    lev = min(lev, len(levels) - 1)
-    step = 1 << lev
-    return np.maximum(levels[lev][start], levels[lev][start + width - step])
-
-
 def joint_gap_profile(K: KnotSequence):
     """For each offset d, the vector of largest-gap values ``h_ij``
     over pairs with ``|i - j| = d`` (window ``[i, i+d+k-1]`` of interval
-    lengths)."""
-    levels = _sparse_max_table(np.asarray(K.h))
-    n, k = K.n, K.k
-    out = []
-    for d in range(n):
-        starts = np.arange(n - d)
-        out.append(_window_max(levels, starts, d + k))
+    lengths).  Offset d + 1 widens every window of offset d by one interval
+    on the right."""
+    h, k = K.h, K.k
+    gaps = sliding_window_view(h, k).max(axis=1)
+    out = [gaps]
+    for d in range(1, K.n):
+        gaps = np.maximum(gaps[:-1], h[d + k - 1:])
+        out.append(gaps)
     return out
 
 
@@ -290,22 +273,22 @@ def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
     """
     con = lemma_constants(A, K, gamma)
     n, k = K.n, K.k
-    h = np.asarray(K.h)
     absA = np.abs(A.entries)
     chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
              * con.k1 * gamma ** (1 - k))
+    powers = np.array([gamma ** d for d in range(n)])
     worst = 0.0
     for i in range(n):
-        for j in range(i, n):
-            window = h[i: j + k]
-            ell = i + int(np.argmax(window))
-            hij = window[ell - i]
-            in_support = (i <= ell <= i + k - 1) or (j <= ell <= j + k - 1)
-            const = con.k1 if in_support else chain
-            bound = const * gamma ** (j - i) / hij
-            if bound > 0 and np.isfinite(bound):
-                worst = max(worst, absA[i, j] / bound)
-    return worst
+        d = np.arange(n - i)
+        acc = np.maximum.accumulate(K.h[i:])
+        hij = acc[d + k - 1]
+        # the first largest interval of h[i : j+k] lies in the support of i
+        # (it is among the first k) or of j (none of the first d reach it)
+        in_support = (d < k) | (acc[k - 1] == hij) | (acc[d - 1] < hij)
+        bound = np.where(in_support, con.k1, chain) * powers[d] / hij
+        ok = (bound > 0) & np.isfinite(bound)
+        worst = max(worst, (absA[i, i:][ok] / bound[ok]).max(initial=0.0))
+    return float(worst)
 
 
 def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBoundConstants:
@@ -318,50 +301,40 @@ def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBou
     absA = np.where(absA > ZERO_FLOOR, absA, 0.0)
     kap = K.kappa
     logg = np.log(gamma)
-
-    # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
-    i_idx, s_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    with np.errstate(divide="ignore"):
-        lg = np.log(absA * np.maximum(kap[i_idx], kap[s_idx]))
-    k1 = float(np.exp(np.max(lg - np.abs(i_idx - s_idx) * logg)))
-
-    # k2: max over i + k <= ell < j of |a_ij| / (gamma^(j-ell) * window sum)
-    k2_best = -np.inf
-    win = 2 * k - 2
+    cols = np.arange(n)
+    k1_best = k2_best = -np.inf
+    k3_best = 0.0
+    skipped = []
     for i in range(n):
         row = absA[i]
         with np.errstate(divide="ignore"):
-            lr = np.log(row) - np.arange(n) * logg
-        suffix = np.maximum.accumulate(lr[::-1])[::-1]  # suffix[j] = max_{m>=j} lr[m]
-        if win > 0:
-            csum = np.concatenate([[0.0], np.cumsum(row)])
-            for ell in range(i + k, n - 1):
-                lo = max(0, ell - (k - 1))
-                hi = min(n, ell + k - 1)  # window mu in [ell-k+1, ell+k-2]
-                s = csum[hi] - csum[lo]
-                if s <= 0:
-                    continue
-                val = suffix[ell + 1] + ell * logg - np.log(s)
-                if val > k2_best:
-                    k2_best = val
-    k2 = float(np.exp(k2_best)) if np.isfinite(k2_best) else None
+            lg = np.log(row * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg
+            lr = np.log(row) - cols * logg
+        # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
+        k1_best = max(k1_best, lg.max())
 
-    # k3: max over mu > i of |a_i,mu| / max of the k-1 preceding row entries
-    k3 = None
-    skipped = []
-    if k >= 2:
-        k3_best = 0.0
-        for i in range(n):
-            row = absA[i]
-            for mu in range(i + 1, n):
-                lo = max(0, mu - (k - 1))
-                denom = row[lo:mu].max() if mu > lo else 0.0
-                if denom <= 0.0:
-                    if row[mu] > 0.0:
-                        skipped.append((i, mu))
-                    continue
-                k3_best = max(k3_best, row[mu] / denom)
-        k3 = float(k3_best)
+        # k2: max over i + k <= ell < j of |a_ij| / (gamma^(j-ell) * window
+        # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0
+        suffix = np.maximum.accumulate(lr[::-1])[::-1]  # suffix[j] = max_{m>=j} lr[m]
+        csum = np.concatenate([[0.0], np.cumsum(row)])
+        ell = np.arange(i + k, n - 1)
+        s = csum[np.minimum(n, ell + k - 1)] - csum[ell - (k - 1)]
+        ell, s = ell[s > 0], s[s > 0]
+        val = suffix[ell + 1] + ell * logg - np.log(s)
+        k2_best = max(k2_best, val.max(initial=-np.inf))
+
+        # k3: max over mu > i of |a_i,mu| / max of the k-1 preceding row entries
+        if k >= 2:
+            padded = np.concatenate([np.zeros(k - 1), row[:-1]])
+            denom = sliding_window_view(padded, k - 1).max(axis=1)[i + 1:]
+            num = row[i + 1:]
+            zero = denom <= 0.0
+            mus = i + 1 + np.flatnonzero(zero & (num > 0.0))
+            skipped += zip([i] * mus.size, mus.tolist())
+            k3_best = max(k3_best, (num[~zero] / denom[~zero]).max(initial=0.0))
+    k1 = float(np.exp(k1_best))
+    k2 = float(np.exp(k2_best)) if np.isfinite(k2_best) else None
+    k3 = float(k3_best) if k >= 2 else None
     return InverseBoundConstants(k, n, gamma, k1, k2, k3, tuple(skipped))
 
 
@@ -425,12 +398,7 @@ def maximal_function(f: TestFunction, x: float, grid_size: int = 1024,
         raise OutOfDomain(f"x = {x!r} outside [{a!r}, {b!r}]")
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
-    grid = np.linspace(a, b, grid_size + 1)
-    if x not in grid:
-        grid = np.sort(np.append(grid, x))
-    prefix = _prefix_abs_integral(f, grid)
-    idx = int(np.searchsorted(grid, x))
-    return _anchored_max(prefix, grid, idx)
+    return _maximal_on_points(f, np.array([x]), (a, b), grid_size)[0]
 
 
 def _maximal_on_points(f: TestFunction, xs: np.ndarray, interval, grid_size: int):
@@ -641,11 +609,8 @@ def stability_constant(K: KnotSequence, trials: int = 64,
     svals = np.einsum("tsj,sgj->tsg", coeffs[:, idx], blocks)
     span_l2 = np.einsum("tsg,sg->ts", svals ** 2, w)
     # ||s||^2 on E_m sums the spans with index in [m, m+k-1]
-    d_best = 0.0
-    span_pos = {int(s): p for p, s in enumerate(spans)}
-    for m in range(n):
-        cols = [span_pos[s] for s in range(m, m + k) if s in span_pos]
-        local = span_l2[:, cols].sum(axis=1)
-        ratios = np.abs(coeffs[:, m]) * np.sqrt(K.kappa[m] / np.maximum(local, 1e-300))
-        d_best = max(d_best, float(ratios.max()))
-    return StabilityReport(k, n, trials, seed, d_best)
+    mass = np.zeros((trials, n + k - 1))
+    mass[:, spans] = span_l2
+    local = sliding_window_view(mass, k, axis=1).sum(axis=2)
+    ratios = np.abs(coeffs) * np.sqrt(K.kappa / np.maximum(local, 1e-300))
+    return StabilityReport(k, n, trials, seed, float(ratios.max()))

@@ -29,7 +29,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .functions import TestFunction, default_probes, parse_function
-from .gram import assemble_gram, invert_gram, scaled_gram
+from .gram import assemble_gram, invert_gram
 from .knots import KnotSequence, PartitionSpec, dyadic_ladder, generate_partition
 from .projection import (
     galerkin_residual,
@@ -129,6 +129,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cfg.levels or any(not isinstance(l, int) or not 1 <= l <= 14
                                  for l in cfg.levels):
             raise ValidationError("levels", f"must be integers in [1, 14], got {cfg.levels!r}")
+        if cfg.command == "converge" and "expect_order" in cfg.options \
+                and len(cfg.levels) < 3:
+            raise ValidationError("options.expect_order", "needs at least 3 levels")
     for key, val in cfg.options.items():
         if not isinstance(val, (int, float, str, bool)):
             raise ValidationError(f"options.{key}", "must be a scalar")
@@ -279,15 +282,17 @@ def run_gram(cfg):
     rows = np.column_stack([i, i + d, G0.entry(i, i + d)])
     write_csv(os.path.join(_outdir(cfg), "gram_banded.csv"),
               ("i", "j", "value"), rows)
-    G = scaled_gram(G0, K)
-    dev = float(np.abs(G.sum(axis=1) - 1.0).max())
+    # nonnegative entries: row sums are the inf-norm, G0 (k / kappa) the column sums
+    scale = K.k / K.kappa
+    rs = G0.row_sums() * scale
+    dev = float(np.abs(rs - 1.0).max())
     checks = [("scaled_row_sums", dev <= 1e-13, f"max |row sum - 1| = {dev:.3e}")]
     payload = {
         "n": K.n,
         "bandwidth": K.k - 1,
         "scaled_row_sum_deviation": dev,
-        "scaled_norm_inf": float(np.abs(G).sum(axis=1).max()),
-        "scaled_norm_1": float(np.abs(G).sum(axis=0).max()),
+        "scaled_norm_inf": float(rs.max()),
+        "scaled_norm_1": float(G0.matvec(scale).max()),
     }
     return payload, checks
 

@@ -180,6 +180,39 @@ def test_exit_code_non_finite_quadrature(tmp_path, capsys, argv):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", [["--levels", "2"],
+                                    ["--min-level", "3", "--levels", "4"]],
+                         ids=["two", "three-four"])
+def test_expect_order_needs_three_levels(tmp_path, capsys, levels):
+    # the observed order is a slope over the last three levels
+    argv = ["converge", "--k", "2", "--function", "sin", *levels,
+            "--expect-order", "1", "-o", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "options.expect_order" in err
+    assert not (tmp_path / "converge_report.json").exists()
+
+
+def test_gram_payload_matches_dense_scaled_gram(tmp_path):
+    from splineproj import assemble_gram, scaled_gram
+    from splineproj.cli import resolve_partition
+    cfg = make_cfg(command="gram", k=4, partition="random:40:3",
+                   output_dir=str(tmp_path))
+    status = run_experiment(cfg)
+    rep = json.loads((tmp_path / "gram_report.json").read_text())
+    K = resolve_partition(cfg)
+    G = scaled_gram(assemble_gram(K), K)
+    dev = np.abs(G.sum(axis=1) - 1.0).max()
+    # row sums near 1 summed in another order: compare relative to the sums
+    assert rep["scaled_row_sum_deviation"] == pytest.approx(dev, rel=0, abs=1e-15)
+    assert rep["scaled_norm_inf"] == pytest.approx(np.abs(G).sum(axis=1).max(),
+                                                   rel=1e-15, abs=0)
+    assert rep["scaled_norm_1"] == pytest.approx(np.abs(G).sum(axis=0).max(),
+                                                 rel=1e-15, abs=0)
+    assert rep["checks"][0]["passed"] == bool(dev <= 1e-13)
+    assert status == (0 if dev <= 1e-13 else 1)
+
+
 def test_cli_main_and_env_override(tmp_path, monkeypatch):
     outdir = tmp_path / "envout"
     monkeypatch.setenv("SPLINEPROJ_OUT", str(outdir))
