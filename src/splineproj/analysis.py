@@ -31,7 +31,7 @@ from .errors import OutOfDomain
 from .functions import TestFunction
 from .gram import InverseGram
 from .knots import KnotSequence
-from .projection import default_moment_tol, project
+from .projection import default_moment_tol, kernel_values, project
 from .quadrature import gauss_points, integrate_adaptive
 
 __all__ = [
@@ -125,14 +125,13 @@ def decay_report(A: InverseGram, K: KnotSequence) -> DecayReport:
     exactly zero and the report is flagged diagonal.
     """
     n, k = K.n, K.k
-    absA = np.abs(A.entries)
     gaps = joint_gap_profile(K)
     kap = K.kappa
     offsets = np.arange(n)
     prof_a = np.empty(n)
     prof_b = np.empty(n)
     for d in range(n):
-        diag = np.diagonal(absA, offset=d)
+        diag = np.abs(np.diagonal(A.entries, offset=d))
         scaled = diag * gaps[d]
         scaled = np.where(scaled > ZERO_FLOOR, scaled, 0.0)
         prof_a[d] = scaled.max() if scaled.size else 0.0
@@ -191,25 +190,16 @@ class KernelBoundReport:
 def kernel_bound_report(A: InverseGram, K: KnotSequence,
                         samples_per_cell: int = 3) -> KernelBoundReport:
     """Stratified sampling of the kernel over all pairs of knot intervals."""
-    from .projection import kernel_values
-
     if samples_per_cell < 2:
         raise ValueError("samples_per_cell must be >= 2")
     spans = K.spans
     t = K.t
     S = spans.size
     offs = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
-    pts = t[spans][:, None] + np.outer(K.h[spans], offs)
-    flat = pts.ravel()
-    m = flat.size
-    # max |Kd| per (cell, cell) block of the pairwise sample table
-    cell_max = np.empty((S, S))
-    for p in range(S):
-        xs = np.repeat(pts[p], m)
-        ys = np.tile(flat, samples_per_cell)
-        vals = np.abs(kernel_values(A, K, xs, ys)).reshape(samples_per_cell, S,
-                                                           samples_per_cell)
-        cell_max[p] = vals.max(axis=(0, 2))
+    pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
+    # max |Kd| per (cell, cell) block of the sample table
+    cell_max = np.abs(kernel_values(A, K, pts, pts)).reshape(
+        S, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
 
     dist = np.abs(spans[:, None] - spans[None, :])
     lo = np.minimum(spans[:, None], spans[None, :])
@@ -396,12 +386,12 @@ def maximal_function(f: TestFunction, x: float, grid_size: int = 1024,
     a, b = float(interval[0]), float(interval[1])
     if not a <= x <= b:
         raise OutOfDomain(f"x = {x!r} outside [{a!r}, {b!r}]")
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     return _maximal_on_points(f, np.array([x]), (a, b), grid_size)[0]
 
 
 def _maximal_on_points(f: TestFunction, xs: np.ndarray, interval, grid_size: int):
+    if grid_size < 16:
+        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     a, b = float(interval[0]), float(interval[1])
     grid = np.union1d(np.linspace(a, b, grid_size + 1), xs)
     prefix = _prefix_abs_integral(f, grid)

@@ -32,11 +32,13 @@ from .functions import TestFunction, default_probes, parse_function
 from .gram import assemble_gram, invert_gram
 from .knots import KnotSequence, PartitionSpec, dyadic_ladder, generate_partition
 from .projection import (
+    default_moment_tol,
     galerkin_residual,
     kernel_constant_integral,
     kernel_values,
     project,
 )
+from .quadrature import integrate_adaptive
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "SPLINEPROJ_OUT"
@@ -135,6 +137,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, val in cfg.options.items():
         if not isinstance(val, (int, float, str, bool)):
             raise ValidationError(f"options.{key}", "must be a scalar")
+    eval_grid = cfg.options.get("eval_grid", 1)
+    if not isinstance(eval_grid, int) or eval_grid < 1:
+        raise ValidationError("options.eval_grid",
+                              f"must be an integer >= 1, got {eval_grid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +332,19 @@ def run_kernel(cfg):
     K = resolve_partition(cfg)
     A = invert_gram(assemble_gram(K))
     xs = _grid(cfg, default=32)
+    table = kernel_values(A, K, xs, xs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    vals = kernel_values(A, K, X.ravel(), Y.ravel())
-    rows = np.column_stack([X.ravel(), Y.ravel(), vals])
+    rows = np.column_stack([X.ravel(), Y.ravel(), table.ravel()])
     write_csv(os.path.join(_outdir(cfg), "kernel_values.csv"),
               ("x", "y", "K"), rows)
     rng = np.random.default_rng(cfg.seed)
     a, b = cfg.interval
     probes = rng.uniform(a, b, opt(cfg, "probes", 20))
     dev = max(abs(kernel_constant_integral(A, K, float(x)) - 1.0) for x in probes)
-    sym = float(np.abs(vals.reshape(X.shape) - vals.reshape(X.shape).T).max())
+    sym = float(np.abs(table - table.T).max())
     checks = [
         ("constant_reproduction", dev <= 1e-9, f"max |int K dy - 1| = {dev:.3e}"),
-        ("kernel_symmetry", sym <= 1e-10 * max(1.0, float(np.abs(vals).max())),
+        ("kernel_symmetry", sym <= 1e-10 * max(1.0, float(np.abs(table).max())),
          f"max |K(x,y) - K(y,x)| = {sym:.3e}"),
     ]
     return {"n": K.n, "constant_integral_deviation": dev}, checks
@@ -353,8 +359,6 @@ def run_project(cfg):
     write_csv(os.path.join(_outdir(cfg), "projection.csv"),
               ("x", "f", "Pf"), np.column_stack([xs, fx, px]))
     resid = float(np.abs(galerkin_residual(K, pf, f)).max())
-    from .quadrature import integrate_adaptive
-    from .projection import default_moment_tol
     l1, _ = integrate_adaptive(lambda u: np.abs(f(u)), *cfg.interval,
                                markers=f.markers, tol=default_moment_tol(f))
     checks = [("galerkin_orthogonality", resid <= 1e-8 * max(l1, 1e-30),

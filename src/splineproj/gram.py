@@ -164,7 +164,7 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
     relative asymmetry is below 1e-8; a larger asymmetry means something is
     broken (the exact inverse is symmetric) and raises SymmetryViolation.
     Iterative refinement is applied until the residual ``max |G0 A - I|``
-    drops below 1e-9 or stops improving.
+    drops below 1e-9, for at most three sweeps.
     """
     n = G0.n
     fac = G0.factor()
@@ -176,14 +176,16 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
             f"inverse asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT:.0e}; "
             "the Gram matrix or its solve is broken"
         )
-    A = 0.5 * (A + A.T)
-    for _ in range(3):
-        R = np.eye(n) - G0.matvec(A)
+    A = A + A.T  # C-ordered, so later row and column sums keep their order
+    A *= 0.5
+    # R = G0 A - I; up to three refinement sweeps, then the final residual
+    for sweep in range(4):
+        R = G0.matvec(A)
+        R.flat[:: n + 1] -= 1.0
         residual = np.abs(R).max()
-        if residual <= 1e-9:
+        if residual <= 1e-9 or sweep == 3:
             break
-        A2 = A + cho_solve_banded((fac, False), R)
-        A = 0.5 * (A2 + A2.T)
-    else:
-        residual = np.abs(np.eye(n) - G0.matvec(A)).max()
+        A -= cho_solve_banded((fac, False), R)
+        A += A.T
+        A *= 0.5
     return InverseGram(A, float(residual), float(asym))

@@ -111,17 +111,19 @@ def project(K: KnotSequence, f: TestFunction, tol: float | None = None,
 
 
 def kernel_values(A: InverseGram, K: KnotSequence, x, y) -> np.ndarray:
-    """Reproducing kernel at paired points: x, y broadcast to equal shape."""
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    fx, bx = eval_basis_many(K, x.ravel())
-    fy, by = eval_basis_many(K, y.ravel())
-    k = K.k
-    off = np.arange(k)
-    rows = fx[:, None] + off[None, :]
-    cols = fy[:, None] + off[None, :]
-    blocks = A.entries[rows[:, :, None], cols[:, None, :]]
-    vals = np.einsum("mp,mpq,mq->m", bx, blocks, by)
-    return vals.reshape(x.shape)
+    """Reproducing kernel table ``Kd(x[p], y[q])``, shape ``(len(x), len(y))``.
+
+    The basis is evaluated once per point set; the k^2 terms
+    ``N_l(x) a_lm N_m(y)`` are summed in (l, m) order.
+    """
+    fx, bx = eval_basis_many(K, np.ravel(x))
+    fy, by = eval_basis_many(K, np.ravel(y))
+    out = np.zeros((fx.size, fy.size))
+    for l in range(K.k):
+        rows = bx[:, l, None] * A.entries[fx + l]
+        for m in range(K.k):
+            out += rows[:, fy + m] * by[:, m]
+    return out
 
 
 def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float:
@@ -131,7 +133,7 @@ def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float
     computed value differs only by roundoff.
     """
     ys, w, _ = span_gauss_blocks(K)
-    return float(np.sum(w * kernel_values(A, K, np.full(ys.shape, x), ys)))
+    return float(np.sum(w * kernel_values(A, K, x, ys.ravel()).reshape(ys.shape)))
 
 
 def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,

@@ -221,7 +221,7 @@ def test_criterion_06_kernel():
     for i, x in enumerate(mids):
         for j, y in enumerate(mids[: i + 1]):
             expect = 1.0 / (t[i + 1] - t[i]) if i == j else 0.0
-            closed = max(closed, abs(sp.kernel_values(A, K, x, y) - expect)
+            closed = max(closed, abs(sp.kernel_values(A, K, x, y)[0, 0] - expect)
                          * (t[i + 1] - t[i] if i == j else 1.0))
     ok = (worst_int <= 1e-9 and worst_theta < 1.0 and worst_jump <= 2.0
           and closed <= 1e-12)

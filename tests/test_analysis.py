@@ -119,7 +119,7 @@ def test_kernel_bound_corner_decay():
     # the fitted bound at the far corner is an instance of the sampled max
     from splineproj.projection import kernel_values
     x, y = 1e-3, 1.0 - 1e-3
-    val = abs(kernel_values(A, K, np.array([x]), np.array([y]))[0])
+    val = abs(kernel_values(A, K, x, y)[0, 0])
     sx, sy = K.span_indices([x, y])
     hull = K.t[max(sx, sy) + 1] - K.t[min(sx, sy)]
     assert val <= rep.c_hat * rep.theta_hat ** abs(sx - sy) / hull

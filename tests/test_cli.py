@@ -193,6 +193,19 @@ def test_expect_order_needs_three_levels(tmp_path, capsys, levels):
     assert not (tmp_path / "converge_report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--function", "sin", "--grid", "4"],
+    ["dominate", "--k", "2", "--function", "sin", "--levels", "3", "--grid", "4"],
+    ["weak11", "--k", "2", "--function", "sin", "--levels", "3", "--grid", "4"],
+    ["kernel", "--k", "3", "--partition", "uniform:8", "--eval-grid", "0"],
+], ids=["maximal", "dominate", "weak11", "kernel-eval-grid"])
+def test_grid_sizes_are_checked(tmp_path, capsys, argv):
+    # a maximal-function grid under 16 cells or an empty evaluation grid is
+    # bad input, not a PASS on a degenerate grid
+    assert main(argv + ["-o", str(tmp_path)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_gram_payload_matches_dense_scaled_gram(tmp_path):
     from splineproj import assemble_gram, scaled_gram
     from splineproj.cli import resolve_partition

@@ -161,6 +161,24 @@ def test_symmetry_guard_fails_loudly(monkeypatch):
         invert_gram(G)
 
 
+@pytest.mark.parametrize("eps,converges", [(1e-4, True), (3e-2, False)])
+def test_refinement_sweeps(eps, converges):
+    # a cached factor with its diagonal scaled by 1 + eps makes every solve
+    # inexact; refinement against the true bands repairs a small error within
+    # the three-sweep budget and reports a large one as its residual, without
+    # raising
+    K = generate_partition(PartitionSpec("random", 60, seed=4), 3)
+    G = assemble_gram(K)
+    fac = G.factor().copy()
+    fac[-1] *= 1 + eps
+    A = invert_gram(GramMatrix(G.order, G.bands, fac))
+    assert (A.residual <= 1e-9) == converges
+    assert A.residual == np.abs(G.matvec(A.entries) - np.eye(K.n)).max()
+    assert np.array_equal(A.entries, A.entries.T)
+    # row-major like the unrefined inverse, so sums over it keep their order
+    assert A.entries.flags["C_CONTIGUOUS"]
+
+
 def test_invert_order_one():
     K = make_knot_sequence([0, 0.5, 1], [1], 1)
     A = invert_gram(assemble_gram(K))

@@ -14,12 +14,13 @@ from splineproj import (
     assemble_gram,
     invert_gram,
     kernel_constant_integral,
+    kernel_values,
     lemma_constants,
     make_knot_sequence,
     stability_constant,
 )
 from splineproj.analysis import ZERO_FLOOR, chained_decay_check, joint_gap_profile
-from splineproj.bspline import span_gauss_blocks
+from splineproj.bspline import eval_basis_many, span_gauss_blocks
 from splineproj.cli import write_csv
 from test_gram import reference_gram
 
@@ -207,3 +208,66 @@ def test_k3_skips_zero_windows():
         entries[i, i + 3] = 0.5
     con = assert_scans_match_references(InverseGram(entries, 0.0, 0.0), K, 0.5)
     assert con.skipped == ((0, 3), (4, 7))
+
+
+# -- the kernel table --------------------------------------------------------
+
+def reference_kernel_pairs(A, K, x, y):
+    """Kd at paired points by the per-pair (m, k, k) gather it replaced."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    fx, bx = eval_basis_many(K, x.ravel())
+    fy, by = eval_basis_many(K, y.ravel())
+    off = np.arange(K.k)
+    rows = fx[:, None] + off[None, :]
+    cols = fy[:, None] + off[None, :]
+    blocks = A.entries[rows[:, :, None], cols[:, None, :]]
+    vals = np.einsum("mp,mpq,mq->m", bx, blocks, by)
+    return vals.reshape(x.shape)
+
+
+POINTS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+@PROPS
+@given(knot_sequences(), POINTS, POINTS)
+def test_kernel_table_equals_paired_reference(K, x, y):
+    A = invert_gram(assemble_gram(K))
+    # the knots themselves, where a basis function switches spans
+    x = np.concatenate([x, K.t[K.k - 1: K.n + 1]])
+    table = kernel_values(A, K, x, y)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    assert table.shape == (len(x), len(y))
+    assert table.tobytes() == reference_kernel_pairs(A, K, X, Y).tobytes()
+    swapped = kernel_values(A, K, y, x)
+    assert np.abs(swapped - table.T).max() <= 1e-13 * np.abs(table).max()
+
+
+@st.composite
+def graded_linear_knots(draw):
+    """Order 2, simple knots, interval lengths spread over six decades."""
+    m = draw(st.integers(1, 40))
+    widths = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 0.0),
+                                            min_size=m, max_size=m)))
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    assume(np.diff(breaks).min() > 0)
+    return make_knot_sequence(breaks, [1] * (m - 1), 2)
+
+
+@PROPS
+@given(graded_linear_knots())
+def test_linear_projector_norm_at_most_three(K):
+    # Ciesielski: for k = 2 and any simple knots, sup_x int |Kd(x, y)| dy <= 3.
+    # Kd(x, .) is a linear spline, so each span integrates exactly from its
+    # break values; the integral is convex in x on each span, so the sup is
+    # attained at a break.
+    A = invert_gram(assemble_gram(K))
+    breaks = K.t[1: K.n + 1]
+    table = kernel_values(A, K, breaks, breaks)
+    u, v, h = table[:, :-1], table[:, 1:], np.diff(breaks)
+    au, av = np.abs(u), np.abs(v)
+    same_sign = u * v >= 0
+    span = np.where(same_sign, 0.5 * (au + av),
+                    0.5 * (u * u + v * v) / np.where(same_sign, 1.0, au + av))
+    norm = (span * h).sum(axis=1).max()
+    assert norm <= 3.0, norm
