@@ -263,7 +263,6 @@ def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
     """
     con = lemma_constants(A, K, gamma)
     n, k = K.n, K.k
-    absA = np.abs(A.entries)
     chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
              * con.k1 * gamma ** (1 - k))
     powers = np.array([gamma ** d for d in range(n)])
@@ -277,7 +276,8 @@ def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
         in_support = (d < k) | (acc[k - 1] == hij) | (acc[d - 1] < hij)
         bound = np.where(in_support, con.k1, chain) * powers[d] / hij
         ok = (bound > 0) & np.isfinite(bound)
-        worst = max(worst, (absA[i, i:][ok] / bound[ok]).max(initial=0.0))
+        row = np.abs(A.entries[i, i:])
+        worst = max(worst, (row[ok] / bound[ok]).max(initial=0.0))
     return float(worst)
 
 
@@ -287,8 +287,6 @@ def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBou
     n, k = K.n, K.k
     if n < 3 * k:
         raise ValueError(f"need n >= 3k = {3 * k}, got {n}")
-    absA = np.abs(A.entries)
-    absA = np.where(absA > ZERO_FLOOR, absA, 0.0)
     kap = K.kappa
     logg = np.log(gamma)
     cols = np.arange(n)
@@ -296,7 +294,8 @@ def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBou
     k3_best = 0.0
     skipped = []
     for i in range(n):
-        row = absA[i]
+        row = np.abs(A.entries[i])
+        row[~(row > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
         with np.errstate(divide="ignore"):
             lg = np.log(row * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg
             lr = np.log(row) - cols * logg

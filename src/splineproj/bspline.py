@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .knots import KnotSequence
-from .quadrature import gauss_rule
+from .quadrature import gauss_points
 
-__all__ = ["eval_basis_many", "eval_spline_many", "span_gauss_blocks"]
+__all__ = ["eval_basis_many", "eval_spline_many", "gauss_blocks",
+           "span_gauss_blocks"]
 
 
 def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -48,22 +49,27 @@ def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.nd
     return vals
 
 
-def span_gauss_blocks(K: KnotSequence):
-    """The k-point Gauss rule and the basis blocks on every span of ``K``.
+def gauss_blocks(K: KnotSequence, lo, hi, spans, g: int):
+    """The g-point Gauss rule and the basis blocks on pieces of spans.
 
-    Returns ``(x, w, blocks)`` with shapes ``(S, k)``, ``(S, k)`` and
-    ``(S, k, k)`` over the ``S`` nondegenerate spans ``K.spans``;
-    ``blocks[s, p]`` holds functions ``K.spans[s]-k+1 .. K.spans[s]`` at
-    node ``x[s, p]``.  The rule integrates every product of two basis
-    functions exactly up to roundoff.
+    Piece ``p`` is ``[lo[p], hi[p]]`` inside span ``spans[p]``.  Returns
+    ``(x, w, blocks)`` with shapes ``(P, g)``, ``(P, g)`` and ``(P, g, k)``:
+    the rule of ``quadrature.gauss_points`` on each piece, and in
+    ``blocks[p, q]`` functions ``spans[p]-k+1 .. spans[p]`` at ``x[p, q]``.
     """
-    spans, t, g = K.spans, K.t, K.k
-    nodes, weights = gauss_rule(g)
-    half = 0.5 * (t[spans + 1] - t[spans])
-    x = t[spans][:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    w = weights[None, :] * half[:, None]
+    x, w = gauss_points(lo, hi, g)
     blocks = _blocks_at_spans(K, x.ravel(), np.repeat(spans, g))
-    return x, w, blocks.reshape(spans.size, g, K.k)
+    return x, w, blocks.reshape(x.shape + (K.k,))
+
+
+def span_gauss_blocks(K: KnotSequence):
+    """``gauss_blocks`` on every nondegenerate span ``K.spans`` with k points.
+
+    The rule integrates every product of two basis functions exactly up to
+    roundoff.
+    """
+    spans, t = K.spans, K.t
+    return gauss_blocks(K, t[spans], t[spans + 1], spans, K.k)
 
 
 def eval_basis_many(K: KnotSequence, x) -> tuple[np.ndarray, np.ndarray]:

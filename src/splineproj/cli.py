@@ -291,8 +291,15 @@ def run_gram(cfg):
     # nonnegative entries: row sums are the inf-norm, G0 (k / kappa) the column sums
     scale = K.k / K.kappa
     rs = G0.row_sums() * scale
-    dev = float(np.abs(rs - 1.0).max())
-    checks = [("scaled_row_sums", dev <= 1e-13, f"max |row sum - 1| = {dev:.3e}")]
+    err = np.abs(rs - 1.0)
+    dev = float(err.max())
+    # the row sum is exactly kappa_i / k, so err is roundoff in the knot
+    # differences: count it in units of eps max(|t_i|, |t_i+k|) / kappa_i
+    t, k = K.t, K.k
+    unit = np.finfo(float).eps * np.maximum(np.abs(t[:-k]), np.abs(t[k:])) / K.kappa
+    units = float((err / unit).max())
+    checks = [("scaled_row_sums", units <= 32.0,
+               f"max |row sum - 1| = {dev:.3e} = {units:.2f} roundoff units (bound 32)")]
     payload = {
         "n": K.n,
         "bandwidth": K.k - 1,
@@ -353,12 +360,13 @@ def run_kernel(cfg):
 def run_project(cfg):
     K = resolve_partition(cfg)
     f = resolve_function(cfg)
-    pf = project(K, f)
+    G0 = assemble_gram(K)
+    pf = project(K, f, gram=G0)
     xs = _grid(cfg)
     fx, px = f(xs), pf(xs)
     write_csv(os.path.join(_outdir(cfg), "projection.csv"),
               ("x", "f", "Pf"), np.column_stack([xs, fx, px]))
-    resid = float(np.abs(galerkin_residual(K, pf, f)).max())
+    resid = float(np.abs(galerkin_residual(K, pf, f, gram=G0)).max())
     l1, _ = integrate_adaptive(lambda u: np.abs(f(u)), *cfg.interval,
                                markers=f.markers, tol=default_moment_tol(f))
     checks = [("galerkin_orthogonality", resid <= 1e-8 * max(l1, 1e-30),

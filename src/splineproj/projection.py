@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import (_blocks_at_spans, eval_basis_many, eval_spline_many,
+from .bspline import (eval_basis_many, eval_spline_many, gauss_blocks,
                       span_gauss_blocks)
 from .functions import TestFunction
 from .gram import GramMatrix, InverseGram, assemble_gram, solve_banded
 from .knots import KnotSequence
-from .quadrature import Piece, gauss_points, refine_pieces, split_at_markers
+from .quadrature import Piece, refine_pieces, split_at_markers
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
            "kernel_values"]
@@ -69,30 +69,34 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     if base_order is None:
         base_order = max(K.k, 4) + 4
 
-    t = K.t
-
-    def eval_pair(p: Piece):
-        span = p.payload
+    def eval_pair(batch):
+        lo = np.array([p.lo for p in batch])
+        hi = np.array([p.hi for p in batch])
+        spans = np.array([p.payload for p in batch])
         vals = []
-        mag = 0.0
-        for g in (p.order, 2 * p.order):
-            x, w = gauss_points(p.lo, p.hi, g)
-            fx = f(x)
-            blocks = _blocks_at_spans(K, x, np.full(x.shape, span))
-            vals.append((w * fx) @ blocks)
-            mag = float(((w * np.abs(fx)) @ blocks).max())
-        p.measure((vals[1], float(np.abs(vals[1] - vals[0]).max())), magnitude=mag)
+        for g in (batch[0].order, 2 * batch[0].order):
+            x, w, blocks = gauss_blocks(K, lo, hi, spans, g)
+            fx = f(x.ravel()).reshape(x.shape)
+            # stacked (1, g) @ (g, k) products: bitwise equal to the
+            # per-piece (w * fx) @ blocks, which einsum is not
+            vals.append(np.matmul((w * fx)[:, None, :], blocks)[:, 0])
+        # the order-2g sum of |f| sets each piece's roundoff floor
+        mag = np.matmul((w * np.abs(fx))[:, None, :], blocks)[:, 0].max(axis=1)
+        est = np.abs(vals[1] - vals[0]).max(axis=1)
+        for p, v, e, m in zip(batch, vals[1], est.tolist(), mag.tolist()):
+            p.measure((v, e), magnitude=m)
 
+    t, markers = K.t.tolist(), f.markers
     pieces = []
-    for span in K.spans:
-        for lo, hi in split_at_markers(float(t[span]), float(t[span + 1]), f.markers):
+    for span in K.spans.tolist():
+        for lo, hi in split_at_markers(t[span], t[span + 1], markers):
             if hi > lo:
-                pieces.append(Piece(lo, hi, order=base_order, payload=int(span)))
+                pieces.append(Piece(lo, hi, order=base_order, payload=span))
     done, est = refine_pieces(pieces, eval_pair, tol)
+    # np.add.at adds in piece order, as a loop over the pieces would
+    first = np.array([p.payload for p in done]) - (K.k - 1)
     b = np.zeros(K.n)
-    for p in done:
-        first = p.payload - (K.k - 1)
-        b[first: first + K.k] += p.value
+    np.add.at(b, first[:, None] + np.arange(K.k), np.array([p.value for p in done]))
     return b, float(est)
 
 
@@ -137,16 +141,18 @@ def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float
 
 
 def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,
-                      tol: float | None = None) -> np.ndarray:
+                      tol: float | None = None,
+                      gram: GramMatrix | None = None) -> np.ndarray:
     """Independent check of ``<f - Pf, N_j>`` for all j.
 
     Recomputes the moments of ``f`` with a different base rule and
     subtracts the Gram action on the computed coefficients, so the result
     measures genuine orthogonality failure, not a rerun of the same
-    quadrature.
+    quadrature.  ``gram`` is the Gram matrix of ``K`` if the caller has it.
     """
     if tol is None:
         tol = default_moment_tol(f) / 2
+    if gram is None:
+        gram = assemble_gram(K)
     b_check, _ = moments(K, f, tol=tol, base_order=max(K.k, 4) + 7)
-    G0 = assemble_gram(K)
-    return b_check - G0.matvec(pf.coeffs)
+    return b_check - gram.matvec(pf.coeffs)

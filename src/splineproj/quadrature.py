@@ -24,6 +24,9 @@ __all__ = ["gauss_rule", "integrate_adaptive", "Piece", "refine_pieces",
 MAX_DEPTH = 40
 MAX_ORDER = 1024
 _MAX_REFINEMENTS = 20000
+#: Largest batch of initial pieces handed to one ``eval_pair`` call; it bounds
+#: the size of the node and basis arrays an evaluator builds at once.
+_BATCH = 256
 
 
 @lru_cache(maxsize=None)
@@ -35,10 +38,15 @@ def gauss_rule(g: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_points(lo: float, hi: float, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule mapped to [lo, hi]; nodes are strictly interior."""
+def gauss_points(lo, hi, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule mapped to [lo, hi]; nodes are strictly interior.
+
+    With arrays of endpoints, row ``p`` of the ``(P, g)`` results holds the
+    rule on ``[lo[p], hi[p]]``, bitwise equal to mapping it piece by piece.
+    """
     x, w = gauss_rule(g)
-    half = 0.5 * (hi - lo)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
     return lo + half * (x + 1.0), half * w
 
 
@@ -77,20 +85,28 @@ def split_at_markers(lo: float, hi: float, markers) -> list[tuple[float, float]]
 def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORDER):
     """Drive the work list until the summed error estimate is below ``tol``.
 
-    ``eval_pair(piece)`` must fill ``piece.value`` (any numpy value or
-    vector) and ``piece.est`` (a float).  Returns the final piece list and
-    total estimate; raises QuadratureNonConvergence when the refinement
-    budget is exhausted first, or as soon as a piece's estimate is inf or
-    NaN (an integrand value that is not finite makes the estimate so).
+    ``eval_pair(batch)`` measures a list of pieces that share one rule
+    order: it must fill each piece's ``value`` (any numpy value or vector)
+    and ``est`` (a float).  The initial pieces, which must share one order,
+    go in consecutive batches of at most ``_BATCH``; the two halves of a
+    bisected piece go in one batch and an order-doubled piece alone.
+    Returns the final piece list and total estimate; raises
+    QuadratureNonConvergence when the refinement budget is exhausted first,
+    or as soon as a piece's estimate is inf or NaN (an integrand value that
+    is not finite makes the estimate so).
     """
-    def evaluate(p: Piece):
-        eval_pair(p)
-        if not math.isfinite(p.est):
-            raise QuadratureNonConvergence(
-                f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
+    if len({p.order for p in pieces}) > 1:
+        raise ValueError("initial pieces must share one rule order")
 
-    for p in pieces:
-        evaluate(p)
+    def evaluate(batch):
+        eval_pair(batch)
+        for p in batch:
+            if not math.isfinite(p.est):
+                raise QuadratureNonConvergence(
+                    f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
+
+    for s in range(0, len(pieces), _BATCH):
+        evaluate(pieces[s: s + _BATCH])
     live = list(pieces)
     frozen: list[Piece] = []
     frozen_est = 0.0
@@ -120,13 +136,13 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
                 Piece(p.lo, mid, p.depth + 1, p.order, p.payload),
                 Piece(mid, p.hi, p.depth + 1, p.order, p.payload),
             ]
+            evaluate(kids)
             for q in kids:
-                evaluate(q)
                 live_est += q.est
             live.extend(kids)
         elif 2 * p.order <= max_order:
             p.order *= 2
-            evaluate(p)
+            evaluate([p])
             live_est += p.est
             live.append(p)
         else:
@@ -145,13 +161,19 @@ def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12,
     if hi <= lo:
         return 0.0, 0.0
 
-    def eval_pair(p: Piece):
-        x1, w1 = gauss_points(p.lo, p.hi, p.order)
-        x2, w2 = gauss_points(p.lo, p.hi, 2 * p.order)
-        f2 = np.asarray(fn(x2), dtype=float)
-        v1 = float(w1 @ np.asarray(fn(x1), dtype=float))
-        v2 = float(w2 @ f2)
-        p.measure((v2, abs(v2 - v1)), magnitude=float(w2 @ np.abs(f2)))
+    def eval_pair(batch):
+        lo = np.array([p.lo for p in batch])
+        hi = np.array([p.hi for p in batch])
+        x1, w1 = gauss_points(lo, hi, batch[0].order)
+        x2, w2 = gauss_points(lo, hi, 2 * batch[0].order)
+        f2 = np.asarray(fn(x2.ravel()), dtype=float).reshape(x2.shape)
+        f1 = np.asarray(fn(x1.ravel()), dtype=float).reshape(x1.shape)
+        # stacked (1, g) @ (g, 1) products: bitwise equal to w @ f per piece
+        v1 = np.matmul(w1[:, None, :], f1[:, :, None])[:, 0, 0]
+        v2 = np.matmul(w2[:, None, :], f2[:, :, None])[:, 0, 0]
+        mag = np.matmul(w2[:, None, :], np.abs(f2)[:, :, None])[:, 0, 0]
+        for p, a, b, m in zip(batch, v2.tolist(), v1.tolist(), mag.tolist()):
+            p.measure((a, abs(a - b)), magnitude=m)
 
     pieces = [Piece(a, b, order=base_order)
               for a, b in split_at_markers(lo, hi, markers) if b > a]

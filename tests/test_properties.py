@@ -2,6 +2,8 @@
 
 import os
 import tempfile
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,28 +13,34 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splineproj import (
     InverseGram,
+    QuadratureNonConvergence,
+    TestFunction,
     assemble_gram,
     invert_gram,
     kernel_constant_integral,
     kernel_values,
     lemma_constants,
     make_knot_sequence,
+    moments,
+    parse_function,
     stability_constant,
 )
+from splineproj import projection, quadrature
 from splineproj.analysis import ZERO_FLOOR, chained_decay_check, joint_gap_profile
-from splineproj.bspline import eval_basis_many, span_gauss_blocks
+from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import write_csv
+from splineproj.quadrature import Piece, gauss_rule, integrate_adaptive
 from test_gram import reference_gram
 
 PROPS = settings(max_examples=30, deadline=None, derandomize=True)
 
 
 @st.composite
-def knot_sequences(draw, max_intervals=10):
+def knot_sequences(draw, max_intervals=10, min_intervals=1):
     """Random breaks on [0, 1] with mesh ratio at most 10 and random
     interior multiplicities in 1..k, for k = 1..6."""
     k = draw(st.integers(1, 6))
-    m = draw(st.integers(1, max_intervals))
+    m = draw(st.integers(min_intervals, max_intervals))
     widths = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
     breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
     breaks[-1] = 1.0
@@ -271,3 +279,164 @@ def test_linear_projector_norm_at_most_three(K):
                     0.5 * (u * u + v * v) / np.where(same_sign, 1.0, au + av))
     norm = (span * h).sum(axis=1).max()
     assert norm <= 3.0, norm
+
+
+# -- batched quadrature evaluators against per-piece references -------------
+
+def reference_gauss_points(lo, hi, g):
+    x, w = gauss_rule(g)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
+def reference_moment_pair(K, f):
+    """The per-piece ``moments`` evaluator that the batched one replaced."""
+    def eval_pair(p):
+        span = p.payload
+        vals = []
+        mag = 0.0
+        for g in (p.order, 2 * p.order):
+            x, w = reference_gauss_points(p.lo, p.hi, g)
+            fx = f(x)
+            blocks = _blocks_at_spans(K, x, np.full(x.shape, span))
+            vals.append((w * fx) @ blocks)
+            mag = float(((w * np.abs(fx)) @ blocks).max())
+        p.measure((vals[1], float(np.abs(vals[1] - vals[0]).max())), magnitude=mag)
+    return eval_pair
+
+
+def reference_integral_pair(fn):
+    """The per-piece ``integrate_adaptive`` evaluator that the batched one replaced."""
+    def eval_pair(p):
+        x1, w1 = reference_gauss_points(p.lo, p.hi, p.order)
+        x2, w2 = reference_gauss_points(p.lo, p.hi, 2 * p.order)
+        f2 = np.asarray(fn(x2), dtype=float)
+        v1 = float(w1 @ np.asarray(fn(x1), dtype=float))
+        v2 = float(w2 @ f2)
+        p.measure((v2, abs(v2 - v1)), magnitude=float(w2 @ np.abs(f2)))
+    return eval_pair
+
+
+@contextmanager
+def engine(module, per_piece=None):
+    """Record the evaluator and the final pieces of ``module.refine_pieces``;
+    with ``per_piece``, measure every piece alone with it instead."""
+    real = quadrature.refine_pieces
+    seen = {}
+
+    def spy(pieces, eval_pair, *args, **kwargs):
+        seen["eval_pair"] = eval_pair
+        if per_piece is not None:
+            eval_pair = lambda batch: [per_piece(p) for p in batch]
+        seen["done"], est = real(pieces, eval_pair, *args, **kwargs)
+        return seen["done"], est
+
+    with patch.object(module, "refine_pieces", spy):
+        yield seen
+
+
+def function_specs(K):
+    """sin, a jump and a kink inside a span, a singularity on a break."""
+    spans = K.spans
+    s = spans[len(spans) // 2]
+    inside = float(K.t[s] + 0.37 * (K.t[s + 1] - K.t[s]))
+    on_break = float(K.t[s])
+    return ["sin", f"step:{inside!r}", f"absdist:{inside!r}",
+            f"abspow:{on_break!r}:-0.5"]
+
+
+def assert_same_measures(batched, reference, pieces, size):
+    copies = [Piece(p.lo, p.hi, p.depth, p.order, p.payload) for p in pieces]
+    for i in range(0, len(pieces), size):
+        batched(pieces[i: i + size])
+    for q in copies:
+        reference(q)
+    for p, q in zip(pieces, copies):
+        assert np.asarray(p.value).tobytes() == np.asarray(q.value).tobytes()
+        assert (p.est, p.floor) == (q.est, q.floor)
+
+
+@PROPS
+@given(knot_sequences(), st.integers(0, 3), st.sampled_from([2, 4, 8, 16, 32]),
+       st.sampled_from([1, 2, 300]), st.integers(0, 2**32 - 1))
+def test_batched_evaluators_equal_per_piece_references(K, which, order, size, seed):
+    f = parse_function(function_specs(K)[which])
+    rng = np.random.default_rng(seed)
+    spans = rng.choice(K.spans, 300)
+    ends = np.sort(rng.random((300, 2)), axis=1)
+    lo = K.t[spans] + ends[:, 0] * (K.t[spans + 1] - K.t[spans])
+    hi = K.t[spans] + ends[:, 1] * (K.t[spans + 1] - K.t[spans])
+    pieces = [Piece(a, b, order=order, payload=int(s))
+              for a, b, s in zip(lo.tolist(), hi.tolist(), spans)]
+    with np.errstate(all="ignore"):
+        with engine(projection) as seen:  # tol = inf: only the first pass runs
+            moments(K, f, tol=np.inf)
+        assert_same_measures(seen["eval_pair"], reference_moment_pair(K, f),
+                             pieces, size)
+        with engine(quadrature) as seen:
+            integrate_adaptive(f, 0.0, 1.0, markers=f.markers, tol=np.inf)
+        assert_same_measures(seen["eval_pair"], reference_integral_pair(f),
+                             [Piece(p.lo, p.hi, order=order) for p in pieces], size)
+
+
+def outcome(run):
+    try:
+        b, est = run()
+    except QuadratureNonConvergence as exc:
+        return str(exc)
+    return np.asarray(b).tobytes(), est
+
+
+def assert_moments_match_reference(K, f, tol=None):
+    """Compare with a run that measures one piece at a time; return that
+    run's outcome and final pieces (None if it raised)."""
+    with np.errstate(all="ignore"):
+        with engine(projection, reference_moment_pair(K, f)) as ref:
+            expect = outcome(lambda: moments(K, f, tol=tol))
+        assert outcome(lambda: moments(K, f, tol=tol)) == expect
+    return expect, ref.get("done")
+
+
+@settings(parent=PROPS, max_examples=15)
+@given(knot_sequences(min_intervals=257, max_intervals=300))
+def test_moments_equal_per_piece_reference(K):
+    # more pieces than one initial batch of 256
+    for spec in function_specs(K):
+        assert_moments_match_reference(K, parse_function(spec))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_deep_refinement_equals_per_piece_reference(k):
+    # a wide first span at the singularity: bisection to full depth, then
+    # order doubling; a small tolerance bisects a smooth function too, and
+    # one under the roundoff floor freezes pieces until the engine gives up
+    K = make_knot_sequence(np.concatenate([[0.0], np.linspace(0.5, 1.0, 300)]),
+                           [1] * 299, k)
+    base = max(k, 4) + 4
+    deepest = quadrature.MAX_DEPTH
+    for spec, tol, depth, order in (("abspow:0:-0.5", None, deepest, 8 * base),
+                                    ("abspow:0:-0.5", 1e-9, deepest, 32 * base),
+                                    ("runge", 1e-15, 1, base)):
+        _, done = assert_moments_match_reference(K, parse_function(spec), tol)
+        assert max(p.depth for p in done) >= depth
+        assert max(p.order for p in done) >= order
+    expect, _ = assert_moments_match_reference(K, parse_function("sin"), 1e-18)
+    assert "above tolerance" in expect
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_non_finite_node_mid_batch_names_first_piece(k):
+    # Gauss nodes of initial pieces 100 and 150 (of 300) hit poles that f
+    # does not declare; both runs must name piece 100
+    K = make_knot_sequence(np.linspace(0.0, 1.0, 301), [1] * 299, k)
+    order = max(k, 4) + 4
+    poles = [float(reference_gauss_points(K.t[s], K.t[s + 1], 2 * order)[0][3])
+             for s in (K.spans[100], K.spans[150])]
+    f = TestFunction(lambda x: np.abs(x - poles[0]) ** -0.5
+                     + np.abs(x - poles[1]) ** -0.5, name="poles")
+    assert_moments_match_reference(K, f)
+    with np.errstate(all="ignore"), \
+            pytest.raises(QuadratureNonConvergence, match="non-finite") as exc:
+        moments(K, f)
+    s = K.spans[100]
+    assert f"[{K.t[s]:.17g}, {K.t[s + 1]:.17g}]" in str(exc.value)

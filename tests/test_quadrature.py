@@ -3,9 +3,11 @@ import pytest
 
 from splineproj import QuadratureNonConvergence
 from splineproj.quadrature import (
+    Piece,
     gauss_points,
     gauss_rule,
     integrate_adaptive,
+    refine_pieces,
     split_at_markers,
 )
 
@@ -87,3 +89,22 @@ def test_non_finite_estimate_raises():
         integrate_adaptive(lambda x: np.abs(x - x0) ** -0.5, 0, 1, tol=1e-9)
     with pytest.raises(QuadratureNonConvergence, match="non-finite"):
         integrate_adaptive(lambda x: np.full_like(x, np.nan), 0, 1)
+
+
+def test_refine_pieces_measures_batches():
+    # initial pieces in slices of at most 256, the two halves of a bisected
+    # piece together, an order-doubled piece alone
+    sizes = []
+
+    def eval_pair(batch):
+        sizes.append(len(batch))
+        assert len({p.order for p in batch}) == 1
+        for p in batch:
+            p.measure((0.0, 1.0 if p.order == 8 and p.lo == 0 else 0.0))
+
+    pieces = [Piece(float(i), float(i + 1)) for i in range(600)]
+    done, est = refine_pieces(pieces, eval_pair, tol=0.5, max_depth=1)
+    assert sizes == [256, 256, 88, 2, 1]
+    assert est == 0.0 and len(done) == 601
+    with pytest.raises(ValueError, match="one rule order"):
+        refine_pieces([Piece(0.0, 1.0), Piece(1.0, 2.0, order=16)], eval_pair, 1.0)
