@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 ZERO_FLOOR = 1e-300
+#: Cell rows of the kernel sample table that ``kernel_bound_report`` holds
+#: at once; it bounds the table's memory at 64 s^2 S doubles.
+_KERNEL_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +200,14 @@ def kernel_bound_report(A: InverseGram, K: KnotSequence,
     S = spans.size
     offs = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
     pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
-    # max |Kd| per (cell, cell) block of the sample table
-    cell_max = np.abs(kernel_values(A, K, pts, pts)).reshape(
-        S, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
+    # max |Kd| per (cell, cell) block of the sample table, which is built
+    # _KERNEL_ROWS cell rows at a time to bound its memory
+    cell_max = np.empty((S, S))
+    for r in range(0, S, _KERNEL_ROWS):
+        rows = pts[r * samples_per_cell: (r + _KERNEL_ROWS) * samples_per_cell]
+        block = np.abs(kernel_values(A, K, rows, pts))
+        cell_max[r: r + _KERNEL_ROWS] = block.reshape(
+            -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
 
     dist = np.abs(spans[:, None] - spans[None, :])
     lo = np.minimum(spans[:, None], spans[None, :])
@@ -546,22 +554,23 @@ def convergence_report(ladder, f: TestFunction, probes,
 
 def modulus_of_smoothness(f: TestFunction, k: int, delta: float,
                           interval=(0.0, 1.0), grid: int = 256) -> float:
-    """Sup of k-th forward differences with step up to ``delta`` on a grid."""
+    """Sup of k-th forward differences with step up to ``delta`` on a grid.
+
+    All step sizes are evaluated in one call of ``f``, on a table of up to
+    ``grid * (k + 1) * (grid + 1)`` points.
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     a, b = float(interval[0]), float(interval[1])
     signs = np.array([(-1.0) ** r * comb(k, r) for r in range(k + 1)])
-    best = 0.0
-    for h in delta * (np.arange(1, grid + 1) / grid):
-        if a + k * h > b:
-            continue
-        xs = np.linspace(a, b - k * h, grid + 1)
-        table = f(xs[None, :] + h * np.arange(k + 1)[:, None])
-        diffs = np.abs(signs @ table)
-        diffs = diffs[~np.isnan(diffs)]  # an unbounded f honestly gives inf
-        if diffs.size:
-            best = max(best, float(diffs.max()))
-    return best
+    hs = delta * (np.arange(1, grid + 1) / grid)
+    hs = hs[a + k * hs <= b]
+    # table[h, r, x] = f(x + r h)
+    xs = np.linspace(a, b - k * hs, grid + 1, axis=-1)
+    table = f(xs[:, None, :] + hs[:, None, None] * np.arange(k + 1)[:, None])
+    diffs = np.abs(signs @ table)
+    diffs = diffs[~np.isnan(diffs)]  # an unbounded f honestly gives inf
+    return float(diffs.max()) if diffs.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, val in cfg.options.items():
         if not isinstance(val, (int, float, str, bool)):
             raise ValidationError(f"options.{key}", "must be a scalar")
+    probes = cfg.options.get("probes", 1)
+    if cfg.command == "kernel" and not (str(probes).isdecimal() and int(probes) >= 1):
+        raise ValidationError("options.probes",
+                              f"must be an integer >= 1, got {probes!r}")
     eval_grid = cfg.options.get("eval_grid", 1)
     if not isinstance(eval_grid, int) or eval_grid < 1:
         raise ValidationError("options.eval_grid",

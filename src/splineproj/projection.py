@@ -20,7 +20,7 @@ from .bspline import (eval_basis_many, eval_spline_many, gauss_blocks,
 from .functions import TestFunction
 from .gram import GramMatrix, InverseGram, assemble_gram, solve_banded
 from .knots import KnotSequence
-from .quadrature import Piece, refine_pieces, split_at_markers
+from .quadrature import Piece, refine_pieces
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
            "kernel_values"]
@@ -57,8 +57,8 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
             base_order: int | None = None) -> tuple[np.ndarray, float]:
     """Moment vector ``b_j = <f, N_j>`` and its quadrature error estimate.
 
-    Each nondegenerate knot interval is cut at the declared markers and
-    handed to the adaptive engine; the per-piece integrand is the k-vector
+    The interval is cut at every break and declared marker, and each piece
+    is handed to the adaptive engine; the per-piece integrand is the k-vector
     ``f * (local basis block)``.  The returned estimate aggregates all
     pieces, so it covers every single moment.  It is an estimate, not a
     rigorous bound: on slowly converging singular tails it tracks the true
@@ -86,12 +86,11 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
         for p, v, e, m in zip(batch, vals[1], est.tolist(), mag.tolist()):
             p.measure((v, e), magnitude=m)
 
-    t, markers = K.t.tolist(), f.markers
-    pieces = []
-    for span in K.spans.tolist():
-        for lo, hi in split_at_markers(t[span], t[span + 1], markers):
-            if hi > lo:
-                pieces.append(Piece(lo, hi, order=base_order, payload=span))
+    cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
+    spans = K.span_indices(cuts[:-1]).tolist()
+    cuts = cuts.tolist()
+    pieces = [Piece(lo, hi, order=base_order, payload=span)
+              for lo, hi, span in zip(cuts, cuts[1:], spans)]
     done, est = refine_pieces(pieces, eval_pair, tol)
     # np.add.at adds in piece order, as a loop over the pieces would
     first = np.array([p.payload for p in done]) - (K.k - 1)

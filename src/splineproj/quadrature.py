@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -75,22 +77,17 @@ class Piece:
         self.floor = 8e-16 * magnitude
 
 
-def split_at_markers(lo: float, hi: float, markers) -> list[tuple[float, float]]:
-    """Split [lo, hi] at the markers strictly inside it."""
-    cuts = sorted({float(m) for m in markers if lo < m < hi})
-    edges = [lo] + cuts + [hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORDER):
+def refine_pieces(pieces, eval_pair, tol):
     """Drive the work list until the summed error estimate is below ``tol``.
 
     ``eval_pair(batch)`` measures a list of pieces that share one rule
     order: it must fill each piece's ``value`` (any numpy value or vector)
     and ``est`` (a float).  The initial pieces, which must share one order,
     go in consecutive batches of at most ``_BATCH``; the two halves of a
-    bisected piece go in one batch and an order-doubled piece alone.
-    Returns the final piece list and total estimate; raises
+    bisected piece go in one batch and an order-doubled piece alone.  The
+    worst piece comes off a heap keyed by (-est, entry number), so ties go
+    to the earliest entry.  Returns the live pieces in entry order, then
+    the frozen ones, and the total estimate; raises
     QuadratureNonConvergence when the refinement budget is exhausted first,
     or as soon as a piece's estimate is inf or NaN (an integrand value that
     is not finite makes the estimate so).
@@ -107,10 +104,12 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
 
     for s in range(0, len(pieces), _BATCH):
         evaluate(pieces[s: s + _BATCH])
-    live = list(pieces)
+    live = [(-p.est, i, p) for i, p in enumerate(pieces)]
+    heapify(live)
+    entries = count(len(live))
     frozen: list[Piece] = []
     frozen_est = 0.0
-    live_est = sum(p.est for p in live)
+    live_est = sum(p.est for p in pieces)
     refinements = 0
     while live_est + frozen_est > tol:
         if not live or frozen_est > tol or refinements >= _MAX_REFINEMENTS:
@@ -118,18 +117,17 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
                 f"estimate {live_est + frozen_est:.3g} above tolerance "
                 f"{tol:.3g} after {refinements} refinements"
             )
-        worst = max(range(len(live)), key=lambda i: live[i].est)
-        p = live.pop(worst)
+        p = heappop(live)[2]
         live_est -= p.est
         refinements += 1
         if p.est <= p.floor:
             frozen.append(p)
             frozen_est += p.est
-        elif p.depth < max_depth:
+        elif p.depth < MAX_DEPTH:
             mid = 0.5 * (p.lo + p.hi)
             if mid <= p.lo or mid >= p.hi:
-                p.depth = max_depth  # interval at floating-point resolution
-                live.append(p)
+                p.depth = MAX_DEPTH  # interval at floating-point resolution
+                heappush(live, (-p.est, next(entries), p))
                 live_est += p.est
                 continue
             kids = [
@@ -139,20 +137,20 @@ def refine_pieces(pieces, eval_pair, tol, max_depth=MAX_DEPTH, max_order=MAX_ORD
             evaluate(kids)
             for q in kids:
                 live_est += q.est
-            live.extend(kids)
-        elif 2 * p.order <= max_order:
+                heappush(live, (-q.est, next(entries), q))
+        elif 2 * p.order <= MAX_ORDER:
             p.order *= 2
             evaluate([p])
             live_est += p.est
-            live.append(p)
+            heappush(live, (-p.est, next(entries), p))
         else:
             frozen.append(p)
             frozen_est += p.est
-    return live + frozen, live_est + frozen_est
+    live.sort(key=lambda e: e[1])
+    return [p for _, _, p in live] + frozen, live_est + frozen_est
 
 
-def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12,
-                       base_order=8, max_depth=MAX_DEPTH, max_order=MAX_ORDER):
+def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12):
     """Adaptive integral of a vectorized scalar function over [lo, hi].
 
     ``markers`` are points (jumps, kinks, integrable singularities) at which
@@ -175,7 +173,7 @@ def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12,
         for p, a, b, m in zip(batch, v2.tolist(), v1.tolist(), mag.tolist()):
             p.measure((a, abs(a - b)), magnitude=m)
 
-    pieces = [Piece(a, b, order=base_order)
-              for a, b in split_at_markers(lo, hi, markers) if b > a]
-    done, est = refine_pieces(pieces, eval_pair, tol, max_depth, max_order)
+    cuts = np.union1d([lo, hi], [m for m in markers if lo < m < hi]).tolist()
+    done, est = refine_pieces([Piece(a, b) for a, b in zip(cuts, cuts[1:])],
+                              eval_pair, tol)
     return float(sum(p.value for p in done)), float(est)

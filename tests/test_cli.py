@@ -206,6 +206,20 @@ def test_grid_sizes_are_checked(tmp_path, capsys, argv):
     assert "input error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probes", ["0", "0.1;0.2", "-3"])
+def test_kernel_probes_checked_before_writing(tmp_path, capsys, probes):
+    # the number of constant-reproduction probes must be an integer >= 1,
+    # rejected before kernel_values.csv is written
+    argv = ["kernel", "--k", "3", "--partition", "uniform:8", "--eval-grid", "4",
+            "--probes", probes, "-o", str(tmp_path)]
+    assert main(argv) == 2
+    assert "options.probes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValidationError, match="options.probes"):
+        make_cfg(command="kernel", partition="uniform:8", options={"probes": 2.0})
+    assert main(argv[:-3] + ["5", "-o", str(tmp_path)]) == 0
+
+
 def test_gram_payload_matches_dense_scaled_gram(tmp_path):
     from splineproj import assemble_gram, scaled_gram
     from splineproj.cli import resolve_partition

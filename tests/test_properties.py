@@ -3,6 +3,7 @@
 import os
 import tempfile
 from contextlib import contextmanager
+from math import comb
 from unittest.mock import patch
 
 import numpy as np
@@ -17,16 +18,19 @@ from splineproj import (
     TestFunction,
     assemble_gram,
     invert_gram,
+    kernel_bound_report,
     kernel_constant_integral,
     kernel_values,
     lemma_constants,
     make_knot_sequence,
+    modulus_of_smoothness,
     moments,
     parse_function,
     stability_constant,
 )
-from splineproj import projection, quadrature
-from splineproj.analysis import ZERO_FLOOR, chained_decay_check, joint_gap_profile
+from splineproj import analysis, projection, quadrature
+from splineproj.analysis import (ZERO_FLOOR, chained_decay_check, decay_report,
+                                 joint_gap_profile)
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import write_csv
 from splineproj.quadrature import Piece, gauss_rule, integrate_adaptive
@@ -440,3 +444,266 @@ def test_non_finite_node_mid_batch_names_first_piece(k):
         moments(K, f)
     s = K.spans[100]
     assert f"[{K.t[s]:.17g}, {K.t[s + 1]:.17g}]" in str(exc.value)
+
+
+# -- one-pass cut, heap work list and one-call omega_k against loop references
+
+def reference_split_at_markers(lo, hi, markers):
+    """The per-span cut that the one-pass cut replaced."""
+    cuts = sorted({float(m) for m in markers if lo < m < hi})
+    edges = [lo] + cuts + [hi]
+    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+
+
+@st.composite
+def knots_and_markers(draw):
+    """Markers on breaks, inside spans, at a or b, outside [a, b] and NaN,
+    with duplicates."""
+    K = draw(knot_sequences())
+    t = np.unique(K.t)
+    spot = st.one_of(
+        st.sampled_from(t.tolist()),
+        st.builds(lambda s, u: float(K.t[s] + u * K.h[s]),
+                  st.sampled_from(K.spans.tolist()), st.floats(0.0, 1.0)),
+        st.sampled_from([-0.5, 1.5, -np.inf, np.inf, np.nan]))
+    markers = draw(st.lists(spot, max_size=8))
+    return K, markers + draw(st.lists(st.sampled_from(markers or [0.5]), max_size=3))
+
+
+class Stop(Exception):
+    pass
+
+
+def first_pieces(module, run):
+    """The (lo, hi, payload) of the pieces ``run`` hands to ``refine_pieces``."""
+    seen = []
+
+    def spy(pieces, eval_pair, tol):
+        seen.extend((p.lo, p.hi, p.payload) for p in pieces)
+        raise Stop
+
+    with patch.object(module, "refine_pieces", spy), pytest.raises(Stop):
+        run()
+    return seen
+
+
+@settings(parent=PROPS, max_examples=100)
+@given(knots_and_markers())
+def test_cut_equals_per_span_reference(case):
+    K, markers = case
+    f = TestFunction(np.sin, discontinuities=tuple(markers))
+    t = K.t.tolist()
+    expect = [(lo, hi, span) for span in K.spans.tolist()
+              for lo, hi in reference_split_at_markers(t[span], t[span + 1], markers)
+              if hi > lo]
+    got = first_pieces(projection, lambda: moments(K, f))
+    assert got == expect
+    assert [type(v) for piece in got for v in piece] == [float, float, int] * len(got)
+    for lo, hi in ((K.a, K.b), (float(K.t[K.spans[0]] + 0.5 * K.h[K.spans[0]]), K.b)):
+        expect = [(a, b, None) for a, b in reference_split_at_markers(lo, hi, markers)]
+        got = first_pieces(quadrature, lambda: integrate_adaptive(np.sin, lo, hi, markers))
+        assert got == expect
+
+
+def reference_refine_pieces(pieces, eval_pair, tol, max_depth, max_order):
+    """The linear-scan work list that the heap replaced."""
+    def evaluate(batch):
+        eval_pair(batch)
+        for p in batch:
+            if not np.isfinite(p.est):
+                raise QuadratureNonConvergence(
+                    f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
+
+    for s in range(0, len(pieces), quadrature._BATCH):
+        evaluate(pieces[s: s + quadrature._BATCH])
+    live = list(pieces)
+    frozen = []
+    frozen_est = 0.0
+    live_est = sum(p.est for p in live)
+    refinements = 0
+    while live_est + frozen_est > tol:
+        if not live or frozen_est > tol or refinements >= quadrature._MAX_REFINEMENTS:
+            raise QuadratureNonConvergence(
+                f"estimate {live_est + frozen_est:.3g} above tolerance "
+                f"{tol:.3g} after {refinements} refinements")
+        worst = max(range(len(live)), key=lambda i: live[i].est)
+        p = live.pop(worst)
+        live_est -= p.est
+        refinements += 1
+        if p.est <= p.floor:
+            frozen.append(p)
+            frozen_est += p.est
+        elif p.depth < max_depth:
+            mid = 0.5 * (p.lo + p.hi)
+            if mid <= p.lo or mid >= p.hi:
+                p.depth = max_depth
+                live.append(p)
+                live_est += p.est
+                continue
+            kids = [Piece(p.lo, mid, p.depth + 1, p.order, p.payload),
+                    Piece(mid, p.hi, p.depth + 1, p.order, p.payload)]
+            evaluate(kids)
+            for q in kids:
+                live_est += q.est
+            live.extend(kids)
+        elif 2 * p.order <= max_order:
+            p.order *= 2
+            evaluate([p])
+            live_est += p.est
+            live.append(p)
+        else:
+            frozen.append(p)
+            frozen_est += p.est
+    return live + frozen, live_est + frozen_est
+
+
+def tied_evaluator(levels, freeze, log):
+    """Estimates from a few levels times the piece width, so that equal
+    widths tie; ``freeze`` of the level codes get a roundoff floor above
+    their estimate.  Every measured piece is logged."""
+    def eval_pair(batch):
+        for p in batch:
+            code = (int(p.lo * 64) + 3 * p.depth + p.order) % len(levels)
+            est = levels[code] * max(p.hi - p.lo, 1 / 64) * (8 / p.order) ** 2
+            p.measure((p.lo + p.hi, est), magnitude=2e15 * est if code in freeze else 0.0)
+            log.append((p.lo, p.hi, p.depth, p.order, est))
+    return eval_pair
+
+
+def work_list_outcome(refine, widths, levels, freeze, tol):
+    breaks = np.concatenate([[0.0], np.cumsum(widths)]).tolist()
+    # a piece at floating-point resolution cannot be bisected
+    pieces = [Piece(a, b) for a, b in zip(breaks, breaks[1:])] + [
+        Piece(0.5, float(np.nextafter(0.5, 1.0)))]
+    log = []
+    try:
+        done, est = refine(pieces, tied_evaluator(levels, freeze, log), tol)
+    except QuadratureNonConvergence as exc:
+        return str(exc), log
+    return [(p.lo, p.hi, p.depth, p.order, p.value, p.est, p.floor) for p in done], est, log
+
+
+@settings(parent=PROPS, max_examples=200)
+@given(st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4]), min_size=1, max_size=40),
+       st.lists(st.sampled_from([0.0, 1e-3, 1.0, 2.0]), min_size=1, max_size=5),
+       st.sets(st.integers(0, 4), max_size=2), st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+       st.integers(0, 4), st.sampled_from([8, 16, 64]))
+def test_heap_work_list_equals_linear_scan(widths, levels, freeze, tol, depth, order):
+    with patch.object(quadrature, "MAX_DEPTH", depth), \
+            patch.object(quadrature, "MAX_ORDER", order):
+        got = work_list_outcome(quadrature.refine_pieces, widths, levels, freeze, tol)
+    expect = work_list_outcome(
+        lambda *args: reference_refine_pieces(*args, depth, order),
+        widths, levels, freeze, tol)
+    assert got == expect
+
+
+def test_heap_work_list_covers_every_branch():
+    # ties, bisection, the resolution cap, order doubling and both ways of
+    # freezing, in one run that converges
+    case = ([1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 8, 1 / 8], [1.0, 1e-3, 2.0, 0.0, 1.0], {1},
+            1e-3)
+    with patch.object(quadrature, "MAX_DEPTH", 2), \
+            patch.object(quadrature, "MAX_ORDER", 64):
+        done, est, log = work_list_outcome(quadrature.refine_pieces, *case)
+    assert (done, est, log) == work_list_outcome(
+        lambda *args: reference_refine_pieces(*args, 2, 64), *case)
+    ests = [e for *_, e in log]
+    assert len(ests) > len(set(ests))  # tied estimates
+    assert {p[2] for p in done} == {0, 1, 2}
+    assert {p[3] for p in done} >= {8, 16, 64}
+    assert (0.5, float(np.nextafter(0.5, 1.0)), 2, 64) in [p[:4] for p in done]
+    assert any(0 < p[5] <= p[6] for p in done)  # frozen at the roundoff floor
+    assert any(p[2:4] == (2, 64) and p[5] > p[6] for p in done)  # frozen at the caps
+
+
+def reference_modulus(f, k, delta, interval=(0.0, 1.0), grid=256):
+    """The per-step loop that the one-call table replaced."""
+    a, b = float(interval[0]), float(interval[1])
+    signs = np.array([(-1.0) ** r * comb(k, r) for r in range(k + 1)])
+    best = 0.0
+    for h in delta * (np.arange(1, grid + 1) / grid):
+        if a + k * h > b:
+            continue
+        xs = np.linspace(a, b - k * h, grid + 1)
+        table = f(xs[None, :] + h * np.arange(k + 1)[:, None])
+        diffs = np.abs(signs @ table)
+        diffs = diffs[~np.isnan(diffs)]
+        if diffs.size:
+            best = max(best, float(diffs.max()))
+    return best
+
+
+MODULUS_FUNCTIONS = [
+    parse_function(spec) for spec in
+    ("x^3", "sin", "runge", "step:0.3", "absdist:0.5", "abspow:0.5:-0.5",
+     "abspow:0:-0.9", "abspow:0.25:0.5")] + [
+    TestFunction(lambda x: np.where(x > 0.6, np.nan, x * x), name="nan"),
+    TestFunction(lambda x: np.where(x < 0.2, np.inf, x), name="inf"),
+    TestFunction(lambda x: np.full_like(x, np.nan), name="all-nan")]
+
+
+@settings(parent=PROPS, max_examples=200)
+@given(st.integers(1, 10), st.sampled_from(MODULUS_FUNCTIONS),
+       st.sampled_from([1e-3, 0.05, 0.2, 0.5, 3.0]),
+       st.sampled_from([(0.0, 1.0), (-1.0, 2.5)]), st.sampled_from([1, 2, 7, 64, 256]))
+def test_modulus_equals_per_step_reference(k, f, delta, interval, grid):
+    with np.errstate(all="ignore"):
+        got = modulus_of_smoothness(f, k, delta, interval, grid)
+        expect = reference_modulus(f, k, delta, interval, grid)
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
+def test_modulus_when_every_step_is_skipped():
+    # the smallest step h = delta / grid already has a + k h > b
+    for k, delta, grid in ((3, 100.0, 256), (10, 1.0, 4), (1, 1.5, 1)):
+        f = parse_function("sin")
+        assert modulus_of_smoothness(f, k, delta, grid=grid) == 0.0
+        assert reference_modulus(f, k, delta, grid=grid) == 0.0
+
+
+def reference_kernel_bound(A, K, samples_per_cell):
+    """``kernel_bound_report`` on the one (s S)^2 sample table it held before
+    the table was built in slices of cell rows."""
+    spans, t, S = K.spans, K.t, K.spans.size
+    offs = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
+    pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
+    cell_max = np.abs(kernel_values(A, K, pts, pts)).reshape(
+        S, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
+    dist = np.abs(spans[:, None] - spans[None, :])
+    lo = np.minimum(spans[:, None], spans[None, :])
+    hi = np.maximum(spans[:, None], spans[None, :])
+    hull = t[hi + 1] - t[lo]
+    dec = decay_report(A, K)
+    gamma = dec.gamma if dec.fitted else 0.0
+    grid = np.arange(0.05, 1.0, 0.05)
+    grid = grid[grid > gamma]
+    if grid.size == 0:
+        grid = np.linspace(gamma + 0.5 * (1 - gamma), 0.99, 4)
+    mask = cell_max > ZERO_FLOOR
+    logs = np.log(cell_max[mask] * hull[mask])
+    d = dist[mask]
+    c_of_theta = np.array([float(np.exp((logs - d * np.log(th)).max())) for th in grid])
+    effective = c_of_theta * (1 + grid) / (1 - grid)
+    best = int(np.argmin(effective))
+    return (float(gamma), grid.tobytes(), c_of_theta.tobytes(), float(grid[best]),
+            float(c_of_theta[best]))
+
+
+@pytest.mark.parametrize("intervals, k, samples, seed",
+                         [(65, 1, 2, 0), (150, 3, 3, 1), (200, 4, 2, 2)])
+def test_kernel_bound_slices_equal_one_table(intervals, k, samples, seed):
+    # more cell rows than one slice, and a last slice that is not full
+    rng = np.random.default_rng(seed)
+    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, intervals))])
+    K = make_knot_sequence(breaks / breaks[-1], rng.integers(1, k + 1, intervals - 1), k)
+    S = K.spans.size
+    assert analysis._KERNEL_ROWS < S and S % analysis._KERNEL_ROWS
+    A = invert_gram(assemble_gram(K))
+    # the true inverse, and one whose largest values sit in the last slice
+    corner = A.entries.copy()
+    corner[-k - 8:, -k - 8:] *= 100.0
+    for A in (A, InverseGram(corner, 0.0, 0.0)):
+        rep = kernel_bound_report(A, K, samples)
+        assert (rep.gamma, rep.theta_grid.tobytes(), rep.c_of_theta.tobytes(),
+                rep.theta_hat, rep.c_hat) == reference_kernel_bound(A, K, samples)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from splineproj import QuadratureNonConvergence
+from splineproj import QuadratureNonConvergence, quadrature
 from splineproj.quadrature import (
     Piece,
     gauss_points,
     gauss_rule,
     integrate_adaptive,
     refine_pieces,
-    split_at_markers,
 )
 
 
@@ -26,10 +25,18 @@ def test_gauss_points_interior():
     assert w.sum() == pytest.approx(1.0)
 
 
-def test_split_at_markers():
-    assert split_at_markers(0, 1, [0.5]) == [(0, 0.5), (0.5, 1)]
-    assert split_at_markers(0, 1, [0.0, 1.0]) == [(0, 1)]
-    assert split_at_markers(0, 1, [0.7, 0.3, 0.7]) == [(0, 0.3), (0.3, 0.7), (0.7, 1)]
+def test_initial_pieces_cut_at_markers(monkeypatch):
+    # markers strictly inside [lo, hi] cut it once each, in order
+    def first_pieces(markers):
+        seen = []
+        monkeypatch.setattr(quadrature, "refine_pieces",
+                            lambda pieces, *args: seen.extend(pieces) or ([], 0.0))
+        integrate_adaptive(np.sin, 0, 1, markers=markers)
+        return [(p.lo, p.hi) for p in seen]
+
+    assert first_pieces([0.5]) == [(0, 0.5), (0.5, 1)]
+    assert first_pieces([0.0, 1.0]) == [(0, 1)]
+    assert first_pieces([0.7, 0.3, 0.7]) == [(0, 0.3), (0.3, 0.7), (0.7, 1)]
 
 
 def test_smooth_integral():
@@ -91,7 +98,7 @@ def test_non_finite_estimate_raises():
         integrate_adaptive(lambda x: np.full_like(x, np.nan), 0, 1)
 
 
-def test_refine_pieces_measures_batches():
+def test_refine_pieces_measures_batches(monkeypatch):
     # initial pieces in slices of at most 256, the two halves of a bisected
     # piece together, an order-doubled piece alone
     sizes = []
@@ -103,7 +110,8 @@ def test_refine_pieces_measures_batches():
             p.measure((0.0, 1.0 if p.order == 8 and p.lo == 0 else 0.0))
 
     pieces = [Piece(float(i), float(i + 1)) for i in range(600)]
-    done, est = refine_pieces(pieces, eval_pair, tol=0.5, max_depth=1)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 1)
+    done, est = refine_pieces(pieces, eval_pair, tol=0.5)
     assert sizes == [256, 256, 88, 2, 1]
     assert est == 0.0 and len(done) == 601
     with pytest.raises(ValueError, match="one rule order"):
