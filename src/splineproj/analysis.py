@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import span_gauss_blocks
-from .errors import OutOfDomain
+from .errors import OutOfDomain, QuadratureNonConvergence
 from .functions import TestFunction
 from .gram import InverseGram
 from .knots import KnotSequence
@@ -54,17 +54,17 @@ _KERNEL_ROWS = 64
 # ---------------------------------------------------------------------------
 
 def joint_gap_profile(K: KnotSequence):
-    """For each offset d, the vector of largest-gap values ``h_ij``
-    over pairs with ``|i - j| = d`` (window ``[i, i+d+k-1]`` of interval
-    lengths).  Offset d + 1 widens every window of offset d by one interval
-    on the right."""
+    """Yield, for each offset d = 0 .. n-1 in turn, the vector of
+    largest-gap values ``h_ij`` over pairs with ``|i - j| = d`` (window
+    ``[i, i+d+k-1]`` of interval lengths).  Offset d + 1 widens every
+    window of offset d by one interval on the right, so one vector is made
+    at a time."""
     h, k = K.h, K.k
     gaps = sliding_window_view(h, k).max(axis=1)
-    out = [gaps]
+    yield gaps
     for d in range(1, K.n):
         gaps = np.maximum(gaps[:-1], h[d + k - 1:])
-        out.append(gaps)
-    return out
+        yield gaps
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +128,13 @@ def decay_report(A: InverseGram, K: KnotSequence) -> DecayReport:
     exactly zero and the report is flagged diagonal.
     """
     n, k = K.n, K.k
-    gaps = joint_gap_profile(K)
     kap = K.kappa
     offsets = np.arange(n)
     prof_a = np.empty(n)
     prof_b = np.empty(n)
-    for d in range(n):
+    for d, gaps in enumerate(joint_gap_profile(K)):
         diag = np.abs(np.diagonal(A.entries, offset=d))
-        scaled = diag * gaps[d]
+        scaled = diag * gaps
         scaled = np.where(scaled > ZERO_FLOOR, scaled, 0.0)
         prof_a[d] = scaled.max() if scaled.size else 0.0
         # b_ij = a_ij * kappa_j / k and b_ji; the matrix is not symmetric
@@ -347,7 +346,8 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
     integrable singularity get a relaxed tolerance (1e-9 absolute, which
     the dyadically graded pieces can actually reach); the maximal-function
     values built on top are O(1) or larger, so this is far below their
-    grid resolution error.
+    grid resolution error.  A cell integral that is not finite raises
+    QuadratureNonConvergence.
     """
     lo, hi = grid[:-1], grid[1:]
     x, w = gauss_points(0.0, 1.0, 16)
@@ -362,6 +362,11 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
             v, _ = integrate_adaptive(lambda u: np.abs(f(u)), lo[c], hi[c],
                                       markers=(mkr,), tol=tol)
             cell[c] = v
+    bad = np.flatnonzero(~np.isfinite(cell))
+    if bad.size:
+        c = bad[0]
+        raise QuadratureNonConvergence(
+            f"non-finite integral {cell[c]} of |f| on [{lo[c]:.17g}, {hi[c]:.17g}]")
     return np.concatenate([[0.0], np.cumsum(cell)])
 
 

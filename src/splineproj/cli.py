@@ -48,6 +48,8 @@ COMMANDS = (
     "maximal", "dominate", "weak11", "converge", "stability",
 )
 DEFAULT_MAX_INVERT_N = 2000
+#: Rows of a CSV table formatted at once by ``write_csv``.
+_CSV_ROWS = 8192
 
 
 class ParseError(SplineProjError, ValueError):
@@ -205,12 +207,13 @@ def opt(cfg, name, default):
 # report emission
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to a temporary file, then rename it."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -219,11 +222,21 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``."""
+    """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``.
+
+    Rows are formatted and written ``_CSV_ROWS`` at a time, so the Python
+    floats and text of one slice are all that is held beside ``rows``.
+    """
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
-    _atomic_write(path, ",".join(header) + "\n" + body)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for s in range(0, rows.shape[0], _CSV_ROWS):
+            part = rows[s: s + _CSV_ROWS]
+            yield (line * part.shape[0]) % tuple(part.ravel().tolist())
+
+    _atomic_write(path, chunks())
 
 
 def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
@@ -238,7 +251,8 @@ def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
         **payload,
     }
     path = os.path.join(_outdir(cfg), f"{cfg.command.replace('-', '_')}_report.json")
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n")
+    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2,
+                                    default=_json_default) + "\n"])
     return path
 
 

@@ -8,9 +8,9 @@ roundoff.  Storage is the LAPACK upper symmetric-banded layout, which feeds
 straight into the banded Cholesky solver.
 
 Full inversion is performed as ``n`` banded solves against identity
-columns.  The inverse is dense by nature, its entries merely decay away
-from the diagonal; symmetry of the result is a theorem, so an asymmetry
-beyond tolerance aborts instead of being averaged away silently.
+columns, in place.  The inverse is dense by nature, its entries merely
+decay away from the diagonal; symmetry of the result is a theorem, so an
+asymmetry beyond tolerance aborts instead of being averaged away silently.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
 
 # Relative asymmetry of a computed inverse above which we refuse to average.
 ASYMMETRY_LIMIT = 1e-8
+#: Side of the square blocks ``invert_gram`` certifies and symmetrizes and
+#: width of the column blocks it refines: n x 256 doubles at a time beside
+#: the inverse.
+_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -157,6 +161,39 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     return c
 
 
+def _symmetrize(A: np.ndarray):
+    """Average ``A`` with its transpose in place, one pair of square blocks
+    ``(I, J)``, ``(J, I)`` at a time; elementwise ``(a_ij + a_ji) * 0.5``.
+
+    Returns ``max |A|`` and ``max |A - A.T|`` as they were before averaging.
+    """
+    n = A.shape[0]
+    scale = diff = np.float64(0.0)
+    for i in range(0, n, _BLOCK):
+        for j in range(i, n, _BLOCK):
+            upper = A[i: i + _BLOCK, j: j + _BLOCK]
+            lower = A[j: j + _BLOCK, i: i + _BLOCK].T
+            scale = np.maximum(scale, np.maximum(np.abs(upper).max(),
+                                                 np.abs(lower).max()))
+            diff = np.maximum(diff, np.abs(upper - lower).max())
+            avg = upper + lower
+            avg *= 0.5
+            upper[...] = avg
+            lower[...] = avg
+    return scale, diff
+
+
+def _residual_blocks(G0: GramMatrix, A: np.ndarray):
+    """``(j, R)`` for each column block ``R = (G0 A - I)[:, j: j + _BLOCK]``,
+    computed when asked for, so a caller may update block j before the next."""
+    n = G0.n
+    for j in range(0, n, _BLOCK):
+        R = G0.matvec(A[:, j: j + _BLOCK])
+        cols = np.arange(R.shape[1])
+        R[j + cols, cols] -= 1.0
+        yield j, R
+
+
 def invert_gram(G0: GramMatrix) -> InverseGram:
     """Dense inverse via n banded solves, symmetrized and certified.
 
@@ -165,27 +202,32 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
     broken (the exact inverse is symmetric) and raises SymmetryViolation.
     Iterative refinement is applied until the residual ``max |G0 A - I|``
     drops below 1e-9, for at most three sweeps.
+
+    The solve overwrites a Fortran-ordered identity, and certification,
+    symmetrization and refinement work on ``_BLOCK``-wide blocks of it, so
+    the inverse is the only n x n array held.
     """
     n = G0.n
     fac = G0.factor()
-    A = cho_solve_banded((fac, False), np.eye(n))
-    scale = np.abs(A).max()
-    asym = np.abs(A - A.T).max() / scale if scale > 0 else 0.0
+    A = cho_solve_banded((fac, False), np.eye(n, order="F"), overwrite_b=True)
+    scale, diff = _symmetrize(A)
+    asym = diff / scale if scale > 0 else 0.0
     if asym > ASYMMETRY_LIMIT:
         raise SymmetryViolation(
             f"inverse asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT:.0e}; "
             "the Gram matrix or its solve is broken"
         )
-    A = A + A.T  # C-ordered, so later row and column sums keep their order
-    A *= 0.5
-    # R = G0 A - I; up to three refinement sweeps, then the final residual
+    # max |G0 A - I|; up to three refinement sweeps, then the final residual
     for sweep in range(4):
-        R = G0.matvec(A)
-        R.flat[:: n + 1] -= 1.0
-        residual = np.abs(R).max()
+        residual = np.float64(0.0)
+        for _, R in _residual_blocks(G0, A):
+            residual = np.maximum(residual, np.abs(R).max())
         if residual <= 1e-9 or sweep == 3:
             break
-        A -= cho_solve_banded((fac, False), R)
-        A += A.T
-        A *= 0.5
-    return InverseGram(A, float(residual), float(asym))
+        # each block's R again: keeping them all would be a second n x n array
+        for j, R in _residual_blocks(G0, A):
+            A[:, j: j + _BLOCK] -= cho_solve_banded((fac, False), R, overwrite_b=True)
+        _symmetrize(A)
+    # A is symmetric and Fortran-ordered: its transpose is the same matrix,
+    # C-ordered, so later row and column sums keep their order
+    return InverseGram(A.T, float(residual), float(asym))

@@ -74,15 +74,18 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
         hi = np.array([p.hi for p in batch])
         spans = np.array([p.payload for p in batch])
         vals = []
-        for g in (batch[0].order, 2 * batch[0].order):
-            x, w, blocks = gauss_blocks(K, lo, hi, spans, g)
-            fx = f(x.ravel()).reshape(x.shape)
-            # stacked (1, g) @ (g, k) products: bitwise equal to the
-            # per-piece (w * fx) @ blocks, which einsum is not
-            vals.append(np.matmul((w * fx)[:, None, :], blocks)[:, 0])
-        # the order-2g sum of |f| sets each piece's roundoff floor
-        mag = np.matmul((w * np.abs(fx))[:, None, :], blocks)[:, 0].max(axis=1)
-        est = np.abs(vals[1] - vals[0]).max(axis=1)
+        # a value of f that is not finite makes the estimate so, which
+        # refine_pieces raises as a numerical failure: no warning on the way
+        with np.errstate(invalid="ignore"):
+            for g in (batch[0].order, 2 * batch[0].order):
+                x, w, blocks = gauss_blocks(K, lo, hi, spans, g)
+                fx = f(x.ravel()).reshape(x.shape)
+                # stacked (1, g) @ (g, k) products: bitwise equal to the
+                # per-piece (w * fx) @ blocks, which einsum is not
+                vals.append(np.matmul((w * fx)[:, None, :], blocks)[:, 0])
+            # the order-2g sum of |f| sets each piece's roundoff floor
+            mag = np.matmul((w * np.abs(fx))[:, None, :], blocks)[:, 0].max(axis=1)
+            est = np.abs(vals[1] - vals[0]).max(axis=1)
         for p, v, e, m in zip(batch, vals[1], est.tolist(), mag.tolist()):
             p.measure((v, e), magnitude=m)
 

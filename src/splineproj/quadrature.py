@@ -166,10 +166,13 @@ def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12):
         x2, w2 = gauss_points(lo, hi, 2 * batch[0].order)
         f2 = np.asarray(fn(x2.ravel()), dtype=float).reshape(x2.shape)
         f1 = np.asarray(fn(x1.ravel()), dtype=float).reshape(x1.shape)
-        # stacked (1, g) @ (g, 1) products: bitwise equal to w @ f per piece
-        v1 = np.matmul(w1[:, None, :], f1[:, :, None])[:, 0, 0]
-        v2 = np.matmul(w2[:, None, :], f2[:, :, None])[:, 0, 0]
-        mag = np.matmul(w2[:, None, :], np.abs(f2)[:, :, None])[:, 0, 0]
+        # a value of fn that is not finite makes the estimate so, which
+        # refine_pieces raises as a numerical failure: no warning on the way
+        with np.errstate(invalid="ignore"):
+            # stacked (1, g) @ (g, 1) products: bitwise equal to w @ f per piece
+            v1 = np.matmul(w1[:, None, :], f1[:, :, None])[:, 0, 0]
+            v2 = np.matmul(w2[:, None, :], f2[:, :, None])[:, 0, 0]
+            mag = np.matmul(w2[:, None, :], np.abs(f2)[:, :, None])[:, 0, 0]
         for p, a, b, m in zip(batch, v2.tolist(), v1.tolist(), mag.tolist()):
             p.measure((a, abs(a - b)), magnitude=m)
 

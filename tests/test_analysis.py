@@ -3,6 +3,7 @@ import pytest
 
 from splineproj import (
     PartitionSpec,
+    QuadratureNonConvergence,
     TestFunction,
     assemble_gram,
     convergence_report,
@@ -31,7 +32,7 @@ def inverse_for(spec, k):
 
 def test_joint_gap_profile_matches_largest_gap():
     K = generate_partition(PartitionSpec("random", 17, seed=0), 3)
-    gaps = joint_gap_profile(K)
+    gaps = list(joint_gap_profile(K))
     for d in range(K.n):
         for i in range(K.n - d):
             assert gaps[d][i] == K.largest_gap(i, i + d)
@@ -67,7 +68,7 @@ def test_decay_geometric_bound_holds_entrywise():
     A, K = inverse_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
     rep = decay_report(A, K)
     assert rep.fitted and rep.gamma < 1
-    gaps = joint_gap_profile(K)
+    gaps = list(joint_gap_profile(K))
     for d in range(K.n):
         bound = rep.big_k * rep.gamma_cert ** d
         vals = np.abs(np.diagonal(A.entries, offset=d)) * gaps[d]
@@ -239,6 +240,16 @@ def test_maximal_validates_inputs():
     from splineproj import OutOfDomain
     with pytest.raises(OutOfDomain):
         maximal_function(f, 1.5, 64)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_maximal_non_finite_cell_raises(bad):
+    # f is not finite on a plain cell near 0.3: a numerical failure, not
+    # maximal values that drop the cell (NaN) or turn inf - inf into NaN
+    f = TestFunction(lambda x: np.where(np.abs(x - 0.3) < 1e-3, bad, 1.0),
+                     name="bad")
+    with pytest.raises(QuadratureNonConvergence, match="non-finite"):
+        maximal_function(f, 0.8, 1024)
 
 
 # -- domination and weak type ----------------------------------------------

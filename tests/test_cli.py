@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import splineproj
 from splineproj.cli import (
     ExperimentConfig,
     ParseError,
@@ -174,10 +178,26 @@ def test_exit_code_numerical_failure(tmp_path):
 def test_exit_code_non_finite_quadrature(tmp_path, capsys, argv):
     # bisection toward the singularity at 0.3 reaches pieces about 3e-13
     # wide, where a Gauss node rounds onto it: a numerical failure, not bad
-    # input and not a FAIL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(argv + ["-o", str(tmp_path)]) == 3
+    # input and not a FAIL, and no RuntimeWarning on the way
+    assert main(argv + ["-o", str(tmp_path)]) == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_numerical_failure_prints_no_warning(tmp_path):
+    # bisection toward the singularity at 0.5 reaches pieces so narrow that
+    # a Gauss node rounds onto it; the inf value of f meets zero basis values
+    # in the moment sums.  The run reports one numerical failure, without a
+    # numpy RuntimeWarning ahead of it.
+    src = os.path.dirname(os.path.dirname(splineproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "splineproj.cli", "project", "--k", "3",
+         "--partition", "uniform:2", "--function", "abspow:0.5:-0.5",
+         "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "numerical failure:" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("levels", [["--levels", "2"],

@@ -149,8 +149,8 @@ def test_symmetry_guard_fails_loudly(monkeypatch):
     G = assemble_gram(K)
     real = gram_mod.cho_solve_banded
 
-    def skewed(fac, rhs):
-        out = real(fac, rhs)
+    def skewed(fac, rhs, **kw):
+        out = real(fac, rhs, **kw)
         if out.ndim == 2:
             out = out.copy()
             out[0, -1] *= 1.5  # corrupt one corner entry

@@ -2,17 +2,20 @@
 
 import os
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from math import comb
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from splineproj import (
+    GramMatrix,
     InverseGram,
     QuadratureNonConvergence,
     TestFunction,
@@ -28,7 +31,7 @@ from splineproj import (
     parse_function,
     stability_constant,
 )
-from splineproj import analysis, projection, quadrature
+from splineproj import analysis, cli, gram, projection, quadrature
 from splineproj.analysis import (ZERO_FLOOR, chained_decay_check, decay_report,
                                  joint_gap_profile)
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
@@ -189,7 +192,7 @@ def assert_scans_match_references(A, K, gamma):
 @PROPS
 @given(knot_sequences(max_intervals=24), st.floats(0.3, 0.95))
 def test_certification_scans_equal_loop_references(K, gamma):
-    gaps = joint_gap_profile(K)
+    gaps = list(joint_gap_profile(K))
     for d in range(K.n):
         assert gaps[d].tolist() == [K.largest_gap(i, i + d) for i in range(K.n - d)]
     assert stability_constant(K, trials=8, seed=K.n).d_hat == \
@@ -707,3 +710,111 @@ def test_kernel_bound_slices_equal_one_table(intervals, k, samples, seed):
         rep = kernel_bound_report(A, K, samples)
         assert (rep.gamma, rep.theta_grid.tobytes(), rep.c_of_theta.tobytes(),
                 rep.theta_hat, rep.c_hat) == reference_kernel_bound(A, K, samples)
+
+
+# -- blocked dense inverse and sliced CSV writer ----------------------------
+
+def reference_invert_gram(G0):
+    """The dense inverse as computed with whole n x n temporaries: one solve
+    against the identity, ``A + A.T``, and full residuals per sweep."""
+    n = G0.n
+    fac = G0.factor()
+    A = cho_solve_banded((fac, False), np.eye(n))
+    scale = np.abs(A).max()
+    asym = np.abs(A - A.T).max() / scale if scale > 0 else 0.0
+    A = A + A.T
+    A *= 0.5
+    for sweep in range(4):
+        R = G0.matvec(A)
+        R.flat[:: n + 1] -= 1.0
+        residual = np.abs(R).max()
+        if residual <= 1e-9 or sweep == 3:
+            break
+        A -= cho_solve_banded((fac, False), R)
+        A += A.T
+        A *= 0.5
+    return A, float(residual), float(asym)
+
+
+def knots_of_dimension(n, k, seed):
+    """Random breaks with mesh ratio at most 10 and interior multiplicities
+    in 1..k that make the spline dimension exactly n."""
+    rng = np.random.default_rng(seed)
+    mults = []
+    while sum(mults) < n - k:
+        mults.append(min(int(rng.integers(1, k + 1)), n - k - sum(mults)))
+    widths = rng.uniform(0.1, 1.0, len(mults) + 1)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    return make_knot_sequence(breaks, mults, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([255, 256, 257, 513]),
+       st.sampled_from([1, 2, 3, 4, 5, 6, 10]),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-7, 1e-4, 3e-2]))
+def test_blocked_inverse_equals_dense_reference(n, k, seed, eps):
+    # n on both sides of the 256-wide block; a cached factor with its
+    # diagonal scaled by 1 + eps drives the refinement sweeps, up to running
+    # out of them at 3e-2
+    assert gram._BLOCK == 256
+    K = knots_of_dimension(n, k, seed)
+    G = assemble_gram(K)
+    fac = G.factor().copy()
+    fac[-1] *= 1 + eps
+    A = invert_gram(GramMatrix(k, G.bands, fac))
+    entries, residual, asym = reference_invert_gram(GramMatrix(k, G.bands, fac))
+    assert A.entries.tobytes() == entries.tobytes()
+    assert (A.residual, A.asymmetry) == (residual, asym)
+    assert A.entries.flags["C_CONTIGUOUS"]
+
+
+@contextmanager
+def traced_peak():
+    """Peak bytes traced by tracemalloc inside the block, as ``peak[0]``."""
+    peak = [0]
+    tracemalloc.start()
+    try:
+        yield peak
+        peak[0] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inverse_holds_one_dense_array():
+    # the inverse (8 n^2 bytes) plus n x 256 blocks, not a second n x n array
+    K = knots_of_dimension(2002, 3, 5)
+    G = assemble_gram(K)
+    G.factor()
+    with traced_peak() as peak:
+        A = invert_gram(G)
+    assert A.residual <= 1e-9
+    assert peak[0] <= 1.5 * 8 * K.n ** 2
+
+
+def test_write_csv_holds_one_slice(tmp_path):
+    # the i, j, value table of a 502 x 502 inverse: 252,004 rows formatted
+    # 8192 at a time, not as one tuple of 756k Python floats
+    n = 502
+    i, j = np.divmod(np.arange(n * n), n)
+    rows = np.column_stack([i, j, np.random.default_rng(0).standard_normal(n * n)])
+    path = os.path.join(tmp_path, "t.csv")
+    with traced_peak() as peak:
+        write_csv(path, ("i", "j", "value"), rows)
+    assert peak[0] <= 8 * 2**20
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == n * n + 1
+
+
+@pytest.mark.parametrize("nrows", [0, 1, 8191, 8192, 8193])
+def test_write_csv_slices_equal_one_shot(tmp_path, nrows):
+    assert cli._CSV_ROWS == 8192
+    rows = np.random.default_rng(nrows).standard_normal((nrows, 3)) * 1e5
+    rows[::7, 1] = np.arange(rows[::7].shape[0])
+    line = "%.17g,%.17g,%.17g\n"
+    expect = "a,b,c\n" + (line * nrows) % tuple(rows.ravel().tolist())
+    path = os.path.join(tmp_path, "t.csv")
+    write_csv(path, ("a", "b", "c"), rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == expect.encode()

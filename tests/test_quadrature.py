@@ -96,6 +96,10 @@ def test_non_finite_estimate_raises():
         integrate_adaptive(lambda x: np.abs(x - x0) ** -0.5, 0, 1, tol=1e-9)
     with pytest.raises(QuadratureNonConvergence, match="non-finite"):
         integrate_adaptive(lambda x: np.full_like(x, np.nan), 0, 1)
+    # inf and -inf in one piece sum to NaN inside the rule: still the
+    # numerical failure, with no RuntimeWarning (an error under this suite)
+    with pytest.raises(QuadratureNonConvergence, match="non-finite"):
+        integrate_adaptive(lambda x: np.where(x < 0.5, np.inf, -np.inf), 0, 1)
 
 
 def test_refine_pieces_measures_batches(monkeypatch):
