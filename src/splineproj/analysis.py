@@ -31,7 +31,7 @@ from .errors import OutOfDomain, QuadratureNonConvergence
 from .functions import TestFunction
 from .gram import InverseGram
 from .knots import KnotSequence
-from .projection import default_moment_tol, kernel_values, project
+from .projection import kernel_values, l1_norm, project
 from .quadrature import gauss_points, integrate_adaptive
 
 __all__ = [
@@ -194,25 +194,6 @@ def kernel_bound_report(A: InverseGram, K: KnotSequence,
     """Stratified sampling of the kernel over all pairs of knot intervals."""
     if samples_per_cell < 2:
         raise ValueError("samples_per_cell must be >= 2")
-    spans = K.spans
-    t = K.t
-    S = spans.size
-    offs = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
-    pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
-    # max |Kd| per (cell, cell) block of the sample table, which is built
-    # _KERNEL_ROWS cell rows at a time to bound its memory
-    cell_max = np.empty((S, S))
-    for r in range(0, S, _KERNEL_ROWS):
-        rows = pts[r * samples_per_cell: (r + _KERNEL_ROWS) * samples_per_cell]
-        block = np.abs(kernel_values(A, K, rows, pts))
-        cell_max[r: r + _KERNEL_ROWS] = block.reshape(
-            -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
-
-    dist = np.abs(spans[:, None] - spans[None, :])
-    lo = np.minimum(spans[:, None], spans[None, :])
-    hi = np.maximum(spans[:, None], spans[None, :])
-    hull = t[hi + 1] - t[lo]
-
     dec = decay_report(A, K)
     gamma = dec.gamma if dec.fitted else 0.0
     grid = np.arange(0.05, 1.0, 0.05)
@@ -220,12 +201,30 @@ def kernel_bound_report(A: InverseGram, K: KnotSequence,
     if grid.size == 0:
         grid = np.linspace(gamma + 0.5 * (1 - gamma), 0.99, 4)
 
-    mask = cell_max > ZERO_FLOOR
-    logs = np.log(cell_max[mask] * hull[mask])
-    d = dist[mask]
-    c_of_theta = np.array([
-        float(np.exp((logs - d * np.log(th)).max())) for th in grid
-    ])
+    spans = K.spans
+    t = K.t
+    S = spans.size
+    offs = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
+    pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
+    # log C(theta) is the largest log(max |Kd| * hull) - |i - j| log(theta)
+    # over pairs of cells (i, j); the sample table, its per-cell maxima and
+    # the pairs' hulls and distances exist _KERNEL_ROWS cell rows at a time
+    log_c = np.full(grid.size, -np.inf)
+    for r in range(0, S, _KERNEL_ROWS):
+        rows = pts[r * samples_per_cell: (r + _KERNEL_ROWS) * samples_per_cell]
+        cell_max = np.abs(kernel_values(A, K, rows, pts)).reshape(
+            -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
+        mask = cell_max > ZERO_FLOOR
+        if not mask.any():
+            continue
+        row = spans[r: r + _KERNEL_ROWS, None]
+        hull = t[np.maximum(row, spans) + 1] - t[np.minimum(row, spans)]
+        logs = np.log(cell_max[mask] * hull[mask])
+        d = np.abs(row - spans)[mask]
+        log_c = np.maximum(log_c, [(logs - d * np.log(th)).max() for th in grid])
+    if np.isneginf(log_c).all():
+        raise ValueError(f"no sampled kernel value above {ZERO_FLOOR}")
+    c_of_theta = np.exp(log_c)
     effective = c_of_theta * (1 + grid) / (1 - grid)
     best = int(np.argmin(effective))
     return KernelBoundReport(K.k, K.n, float(gamma), grid, c_of_theta,
@@ -483,9 +482,7 @@ def weak_type_report(partitions, f: TestFunction, thresholds=None,
     for K in partitions:
         pstar = np.maximum(pstar, np.abs(project(K, f)(xs)))
     mvals = _maximal_on_points(f, xs, (a, b), maximal_grid)
-    f_l1, _ = integrate_adaptive(lambda u: np.abs(f(u)), a, b,
-                                 markers=f.markers,
-                                 tol=default_moment_tol(f))
+    f_l1 = l1_norm(f, a, b)
     if thresholds is None:
         base = max(np.median(pstar), 1e-8)
         thresholds = base * np.logspace(-2, 3, 64)
@@ -525,8 +522,7 @@ class ConvergenceReport:
 
 
 def convergence_report(ladder, f: TestFunction, probes,
-                       sup_grid: int = 1024,
-                       omega_grid: int = 256) -> ConvergenceReport:
+                       sup_grid: int = 1024) -> ConvergenceReport:
     meshes = [K.mesh for K in ladder]
     if any(m2 >= m1 for m1, m2 in zip(meshes, meshes[1:])):
         raise ValueError("ladder must have strictly decreasing mesh diameter")
@@ -546,7 +542,7 @@ def convergence_report(ladder, f: TestFunction, probes,
             "mesh": K.mesh,
             "sup_error": sup_err,
             "probe_errors": [float(e) for e in probe_err],
-            "omega_k": modulus_of_smoothness(f, K.k, K.mesh, (a, b), omega_grid),
+            "omega_k": modulus_of_smoothness(f, K.k, K.mesh, (a, b)),
         })
     order = None
     if len(levels) >= 3:

@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,22 +33,17 @@ from .functions import TestFunction, default_probes, parse_function
 from .gram import assemble_gram, invert_gram
 from .knots import KnotSequence, PartitionSpec, dyadic_ladder, generate_partition
 from .projection import (
-    default_moment_tol,
     galerkin_residual,
     kernel_constant_integral,
     kernel_values,
+    l1_norm,
     project,
 )
-from .quadrature import integrate_adaptive
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "SPLINEPROJ_OUT"
-COMMANDS = (
-    "basis-eval", "gram", "invert", "kernel", "project",
-    "verify-decay", "verify-kernel-bound", "verify-lemma",
-    "maximal", "dominate", "weak11", "converge", "stability",
-)
-DEFAULT_MAX_INVERT_N = 2000
+#: Largest n for which ``invert`` forms and writes the dense inverse.
+MAX_INVERT_N = 2000
 #: Rows of a CSV table formatted at once by ``write_csv``.
 _CSV_ROWS = 8192
 
@@ -94,59 +90,70 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError(exc.msg, position=exc.pos) from exc
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")
-    schema = doc.get("schema", SCHEMA_VERSION)
+    return config_from_doc(doc)
+
+
+def config_from_doc(doc: dict) -> ExperimentConfig:
+    """Config from a field document, as JSON or the flags give it; absent
+    fields take the dataclass defaults."""
+    schema = doc.pop("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ValidationError("schema", f"must be {SCHEMA_VERSION}, got {schema}")
-    known = {"schema", "command", "k", "partition", "function", "levels",
-             "interval", "seed", "options", "output_dir"}
+    known = {f.name for f in fields(ExperimentConfig)}
     for key in doc:
         if key not in known:
             raise ValidationError(key, "unknown field")
-    cfg = ExperimentConfig(
-        command=doc.get("command", ""),
-        k=doc.get("k", 2),
-        partition=doc.get("partition"),
-        function=doc.get("function"),
-        levels=tuple(doc["levels"]) if doc.get("levels") is not None else None,
-        interval=tuple(doc.get("interval", (0.0, 1.0))),
-        seed=doc.get("seed", 0),
-        options=dict(doc.get("options", {})),
-        output_dir=doc.get("output_dir", "out"),
-    )
-    return cfg
+    doc = {"command": "", **doc}
+    for key in ("levels", "interval"):
+        if isinstance(doc.get(key), list):
+            doc[key] = tuple(doc[key])
+    return ExperimentConfig(**doc)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, **asdict(cfg)}, sort_keys=True, indent=2)
 
 
+def _is(val, typ) -> bool:
+    """``isinstance``, where a bool is not a number and an int is a float."""
+    return not isinstance(val, bool) and isinstance(
+        val, (int, float) if typ is float else typ)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Check each field against its constraint and the command's table entry."""
     if cfg.command not in COMMANDS:
-        raise ValidationError("command", f"must be one of {COMMANDS}, got {cfg.command!r}")
-    if not isinstance(cfg.k, int) or not 1 <= cfg.k <= 10:
+        raise ValidationError("command",
+                              f"must be one of {tuple(COMMANDS)}, got {cfg.command!r}")
+    command = COMMANDS[cfg.command]
+    if not _is(cfg.k, int) or not 1 <= cfg.k <= 10:
         raise ValidationError("k", f"must be an integer in [1, 10], got {cfg.k!r}")
-    if len(cfg.interval) != 2 or not cfg.interval[0] < cfg.interval[1]:
-        raise ValidationError("interval", f"need a < b, got {cfg.interval!r}")
-    if not isinstance(cfg.seed, int):
+    if not isinstance(cfg.interval, tuple) or len(cfg.interval) != 2 \
+            or not all(_is(v, float) and np.isfinite(v) for v in cfg.interval) \
+            or not cfg.interval[0] < cfg.interval[1]:
+        raise ValidationError("interval", f"need finite a < b, got {cfg.interval!r}")
+    if not _is(cfg.seed, int):
         raise ValidationError("seed", f"must be an integer, got {cfg.seed!r}")
+    for name in ("partition", "function", "levels"):
+        val = getattr(cfg, name)
+        if val is not None and name not in command.inputs:
+            raise ValidationError(name, f"not read by {cfg.command}")
+        if val is not None and name != "levels" and not isinstance(val, str):
+            raise ValidationError(name, f"must be a string, got {val!r}")
     if cfg.levels is not None:
-        if not cfg.levels or any(not isinstance(l, int) or not 1 <= l <= 14
-                                 for l in cfg.levels):
+        if not isinstance(cfg.levels, tuple) or not cfg.levels or any(
+                not _is(l, int) or not 1 <= l <= 14 for l in cfg.levels):
             raise ValidationError("levels", f"must be integers in [1, 14], got {cfg.levels!r}")
-        if cfg.command == "converge" and "expect_order" in cfg.options \
-                and len(cfg.levels) < 3:
-            raise ValidationError("options.expect_order", "needs at least 3 levels")
+    if not isinstance(cfg.options, dict):
+        raise ValidationError("options", f"must be an object, got {cfg.options!r}")
     for key, val in cfg.options.items():
-        if not isinstance(val, (int, float, str, bool)):
-            raise ValidationError(f"options.{key}", "must be a scalar")
-    probes = cfg.options.get("probes", 1)
-    if cfg.command == "kernel" and not (str(probes).isdecimal() and int(probes) >= 1):
-        raise ValidationError("options.probes",
-                              f"must be an integer >= 1, got {probes!r}")
-    eval_grid = cfg.options.get("eval_grid", 1)
-    if not isinstance(eval_grid, int) or eval_grid < 1:
-        raise ValidationError("options.eval_grid",
-                              f"must be an integer >= 1, got {eval_grid!r}")
+        if key not in command.options:
+            raise ValidationError(f"options.{key}", f"not read by {cfg.command}")
+        typ = command.options[key][0]
+        # every integer option is a size or a count
+        if not _is(val, typ) or (typ is int and val < 1):
+            want = {int: "an integer >= 1", float: "a number", str: "a string"}[typ]
+            raise ValidationError(f"options.{key}", f"must be {want}, got {val!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +205,9 @@ def resolve_ladder(cfg: ExperimentConfig):
     return dyadic_ladder(cfg.k, levels, cfg.interval), levels
 
 
-def opt(cfg, name, default):
-    val = cfg.options.get(name, default)
-    return type(default)(val)
+def opt(cfg, name):
+    """Option ``name`` of ``cfg``, or its default from the command table."""
+    return cfg.options.get(name, COMMANDS[cfg.command].options[name][1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +280,9 @@ def _outdir(cfg):
     return outdir
 
 
-def _grid(cfg, name="eval_grid", default=256):
+def _grid(cfg):
     a, b = cfg.interval
-    m = opt(cfg, name, default)
+    m = opt(cfg, "eval_grid")
     return a + (b - a) * (np.arange(m) + 0.5) / m
 
 
@@ -330,9 +337,9 @@ def run_gram(cfg):
 
 def run_invert(cfg):
     K = resolve_partition(cfg)
-    max_n = opt(cfg, "max_n", DEFAULT_MAX_INVERT_N)
-    if K.n > max_n:
-        raise ValidationError("partition", f"n = {K.n} exceeds inversion limit {max_n}")
+    if K.n > MAX_INVERT_N:
+        raise ValidationError("partition",
+                              f"n = {K.n} exceeds inversion limit {MAX_INVERT_N}")
     A = invert_gram(assemble_gram(K))
     i, j = np.divmod(np.arange(K.n * K.n), K.n)
     rows = np.column_stack([i, j, A.entries.ravel()])
@@ -356,7 +363,7 @@ def run_invert(cfg):
 def run_kernel(cfg):
     K = resolve_partition(cfg)
     A = invert_gram(assemble_gram(K))
-    xs = _grid(cfg, default=32)
+    xs = _grid(cfg)
     table = kernel_values(A, K, xs, xs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     rows = np.column_stack([X.ravel(), Y.ravel(), table.ravel()])
@@ -364,7 +371,7 @@ def run_kernel(cfg):
               ("x", "y", "K"), rows)
     rng = np.random.default_rng(cfg.seed)
     a, b = cfg.interval
-    probes = rng.uniform(a, b, opt(cfg, "probes", 20))
+    probes = rng.uniform(a, b, opt(cfg, "probes"))
     dev = max(abs(kernel_constant_integral(A, K, float(x)) - 1.0) for x in probes)
     sym = float(np.abs(table - table.T).max())
     checks = [
@@ -385,8 +392,7 @@ def run_project(cfg):
     write_csv(os.path.join(_outdir(cfg), "projection.csv"),
               ("x", "f", "Pf"), np.column_stack([xs, fx, px]))
     resid = float(np.abs(galerkin_residual(K, pf, f, gram=G0)).max())
-    l1, _ = integrate_adaptive(lambda u: np.abs(f(u)), *cfg.interval,
-                               markers=f.markers, tol=default_moment_tol(f))
+    l1 = l1_norm(f, *cfg.interval)
     checks = [("galerkin_orthogonality", resid <= 1e-8 * max(l1, 1e-30),
                f"max |<f - Pf, N_j>| = {resid:.3e}, ||f||_1 = {l1:.3e}")]
     return {"n": K.n, "rhs_error": pf.rhs_error, "galerkin_residual": resid,
@@ -416,7 +422,7 @@ def run_verify_decay(cfg):
 def run_verify_kernel_bound(cfg):
     K = resolve_partition(cfg)
     A = invert_gram(assemble_gram(K))
-    rep = analysis.kernel_bound_report(A, K, opt(cfg, "samples_per_cell", 3))
+    rep = analysis.kernel_bound_report(A, K, opt(cfg, "samples_per_cell"))
     write_csv(os.path.join(_outdir(cfg), "kernel_bound.csv"),
               ("theta", "C"), np.column_stack([rep.theta_grid, rep.c_of_theta]))
     checks = [
@@ -441,7 +447,7 @@ def run_verify_lemma(cfg):
 def run_maximal(cfg):
     f = resolve_function(cfg)
     xs = _grid(cfg)
-    grid_size = opt(cfg, "grid", 4096)
+    grid_size = opt(cfg, "grid")
     vals = analysis._maximal_on_points(f, xs, cfg.interval, grid_size)
     write_csv(os.path.join(_outdir(cfg), "maximal.csv"),
               ("x", "M"), np.column_stack([xs, vals]))
@@ -454,8 +460,7 @@ def run_dominate(cfg):
     f = resolve_function(cfg)
     ladder, levels = resolve_ladder(cfg)
     rep = analysis.domination_report(
-        ladder, f, eval_grid=opt(cfg, "eval_grid", 512),
-        maximal_grid=opt(cfg, "grid", 4096))
+        ladder, f, eval_grid=opt(cfg, "eval_grid"), maximal_grid=opt(cfg, "grid"))
     rows = np.array([(lev, d["n"], d["mesh"], d["c_hat"])
                      for lev, d in zip(levels, rep.levels)])
     write_csv(os.path.join(_outdir(cfg), "domination.csv"),
@@ -473,8 +478,7 @@ def run_weak11(cfg):
     f = resolve_function(cfg)
     ladder, _ = resolve_ladder(cfg)
     rep = analysis.weak_type_report(
-        ladder, f, eval_grid=opt(cfg, "eval_grid", 4096),
-        maximal_grid=opt(cfg, "grid", 4096))
+        ladder, f, eval_grid=opt(cfg, "eval_grid"), maximal_grid=opt(cfg, "grid"))
     write_csv(os.path.join(_outdir(cfg), "weak_type.csv"),
               ("t", "p_star_ratio", "maximal_ratio"),
               np.column_stack([rep.thresholds, rep.p_star_ratios, rep.maximal_ratios]))
@@ -490,12 +494,16 @@ def run_weak11(cfg):
 def run_converge(cfg):
     f = resolve_function(cfg)
     ladder, levels = resolve_ladder(cfg)
+    expect = opt(cfg, "expect_order")
+    # the observed order is a slope over the last three levels
+    if expect is not None and len(levels) < 3:
+        raise ValidationError("options.expect_order", "needs at least 3 levels")
     a, b = cfg.interval
-    probes = cfg.options.get("probes")
-    probes = ([float(p) for p in str(probes).split(";")] if probes
+    probes = opt(cfg, "probes")
+    probes = ([float(p) for p in probes.split(";")] if probes
               else default_probes(f, a, b))
     rep = analysis.convergence_report(ladder, f, probes,
-                                      sup_grid=opt(cfg, "eval_grid", 1024))
+                                      sup_grid=opt(cfg, "eval_grid"))
     rows = np.array([(lev, d["n"], d["mesh"], d["sup_error"],
                       *d["probe_errors"], d["omega_k"])
                      for lev, d in zip(levels, rep.levels)])
@@ -505,7 +513,6 @@ def run_converge(cfg):
     checks = [("errors_finite",
                all(np.isfinite(d["sup_error"]) for d in rep.levels),
                f"last sup error = {rep.levels[-1]['sup_error']:.4g}")]
-    expect = cfg.options.get("expect_order")
     if expect is not None:
         checks.append(("observed_order", rep.observed_order >= float(expect),
                        f"p = {rep.observed_order:.3f} vs {expect}"))
@@ -514,34 +521,55 @@ def run_converge(cfg):
 
 def run_stability(cfg):
     K = resolve_partition(cfg)
-    trials = opt(cfg, "trials", 64)
+    trials = opt(cfg, "trials")
     rep = analysis.stability_constant(K, trials=trials, seed=cfg.seed)
     checks = [("d_hat_at_least_one", rep.d_hat >= 1.0 - 1e-12,
                f"d_hat = {rep.d_hat:.4f}")]
     return {"stability": rep}, checks
 
 
-HANDLERS = {
-    "basis-eval": run_basis_eval,
-    "gram": run_gram,
-    "invert": run_invert,
-    "kernel": run_kernel,
-    "project": run_project,
-    "verify-decay": run_verify_decay,
-    "verify-kernel-bound": run_verify_kernel_bound,
-    "verify-lemma": run_verify_lemma,
-    "maximal": run_maximal,
-    "dominate": run_dominate,
-    "weak11": run_weak11,
-    "converge": run_converge,
-    "stability": run_stability,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, which of ``partition``, ``function`` and
+    ``levels`` it reads, and its options as ``key: (type, default)``; a
+    default of None leaves the option off."""
+
+    handler: Callable
+    inputs: tuple[str, ...] = ()
+    options: dict = field(default_factory=dict)
+
+
+#: Every subcommand.  The parser, validation and handlers read this table,
+#: so each command's inputs and option defaults are declared here only.
+COMMANDS = {
+    "basis-eval": Command(run_basis_eval, ("partition",), {"eval_grid": (int, 256)}),
+    "gram": Command(run_gram, ("partition",)),
+    "invert": Command(run_invert, ("partition",)),
+    "kernel": Command(run_kernel, ("partition",),
+                      {"eval_grid": (int, 32), "probes": (int, 20)}),
+    "project": Command(run_project, ("partition", "function"),
+                       {"eval_grid": (int, 256)}),
+    "verify-decay": Command(run_verify_decay, ("partition",)),
+    "verify-kernel-bound": Command(run_verify_kernel_bound, ("partition",),
+                                   {"samples_per_cell": (int, 3)}),
+    "verify-lemma": Command(run_verify_lemma, ("partition",)),
+    "maximal": Command(run_maximal, ("function",),
+                       {"eval_grid": (int, 256), "grid": (int, 4096)}),
+    "dominate": Command(run_dominate, ("function", "levels"),
+                        {"eval_grid": (int, 512), "grid": (int, 4096)}),
+    "weak11": Command(run_weak11, ("function", "levels"),
+                      {"eval_grid": (int, 4096), "grid": (int, 4096)}),
+    "converge": Command(run_converge, ("function", "levels"),
+                        {"eval_grid": (int, 1024), "probes": (str, None),
+                         "expect_order": (float, None)}),
+    "stability": Command(run_stability, ("partition",), {"trials": (int, 64)}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one experiment; writes report files and returns the exit status."""
     try:
-        payload, checks = HANDLERS[cfg.command](cfg)
+        payload, checks = COMMANDS[cfg.command].handler(cfg)
     except (NotPositiveDefinite, SymmetryViolation, QuadratureNonConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -559,86 +587,68 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+#: Flag and help text of each input and option, by config name.
+FLAGS = {
+    "partition": ("--partition", "family spec like uniform:16, geometric:16:2.0, "
+                  "random:16:7, or a knot file"),
+    "function": ("--function", "test function, e.g. sin, step:0.5, abspow:0:-0.5"),
+    "levels": ("--levels", "dyadic ladder goes over levels MIN_LEVEL..LEVELS"),
+    "eval_grid": ("--eval-grid", "evaluation grid size"),
+    "grid": ("--grid", "maximal-function grid size"),
+    "probes": ("--probes", "probe count (kernel) or ';'-separated points (converge)"),
+    "trials": ("--trials", "random trials"),
+    "samples_per_cell": ("--samples", "samples per interval pair"),
+    "expect_order": ("--expect-order", "fail unless the observed order reaches this"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only the flags that command reads;
+    a flag left out is absent from the namespace, so its default applies."""
     ap = argparse.ArgumentParser(
         prog="splineproj",
         description="Orthogonal spline projection experiments",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("--config", help="JSON config file; other flags are ignored")
-        p.add_argument("--k", type=int, default=2, help="spline order")
-        p.add_argument("--partition", help="family spec like uniform:16, "
-                       "geometric:16:2.0, random:16:7, or a knot file")
-        p.add_argument("--family", help="partition family (with --n)")
-        p.add_argument("--n", type=int, help="interval count for --family")
-        p.add_argument("--ratio", type=float, default=2.0,
-                       help="ratio for the geometric family")
-        p.add_argument("--function", help="test function, e.g. sin, step:0.5, "
-                       "abspow:0:-0.5")
-        p.add_argument("--levels", type=int,
-                       help="dyadic ladder goes over levels 1..LEVELS")
-        p.add_argument("--min-level", type=int, default=1)
-        p.add_argument("--interval", type=float, nargs=2, default=(0.0, 1.0),
-                       metavar=("A", "B"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", "-o", default="out",
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file, given alone")
+        p.add_argument("--k", type=int, help="spline order")
+        p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--output", "-o", dest="output_dir", metavar="DIR",
                        help=f"output directory (env {OUTPUT_ENV_VAR} overrides)")
-        p.add_argument("--eval-grid", type=int, help="evaluation grid size")
-        p.add_argument("--grid", type=int, help="maximal-function grid size")
-        p.add_argument("--probes", help="semicolon-separated probe points")
-        p.add_argument("--trials", type=int, help="random trials (stability)")
-        p.add_argument("--samples", type=int,
-                       help="samples per interval pair (verify-kernel-bound)")
-        p.add_argument("--expect-order", type=float,
-                       help="fail converge unless the observed order reaches this")
+        for key in command.inputs:
+            flag, text = FLAGS[key]
+            p.add_argument(flag, type=int if key == "levels" else str, help=text)
+        if "levels" in command.inputs:
+            p.add_argument("--min-level", type=int, help="first ladder level")
+        for key, (typ, default) in command.options.items():
+            flag, text = FLAGS[key]
+            p.add_argument(flag, dest=key, type=typ,
+                           help=text if default is None else f"{text} (default {default})")
     return ap
 
 
 def config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
-        cfg = parse_config(text)
+    """Config from ``--config`` or from the flags, through ``config_from_doc``."""
+    doc = dict(vars(args))
+    if "config" in doc:
+        if doc.keys() - {"command", "config"}:
+            raise ValidationError("config", "no other flag is read with --config")
+        with open(doc["config"]) as fh:
+            cfg = parse_config(fh.read())
         if cfg.command != args.command:
             raise ValidationError("command",
                                   f"config says {cfg.command!r}, invoked {args.command!r}")
         return cfg
-    partition = args.partition
-    if partition is None and args.family:
-        if args.n is None:
-            raise ValidationError("n", "required with --family")
-        if args.family == "geometric":
-            partition = f"geometric:{args.n}:{args.ratio}"
-        elif args.family == "random":
-            partition = f"random:{args.n}:{args.seed}"
-        elif args.family in ("uniform", "dyadic"):
-            partition = f"{args.family}:{args.n}"
-        else:
-            raise ValidationError("family", f"unknown family {args.family!r}")
-    levels = None
-    if args.levels is not None:
-        levels = tuple(range(args.min_level, args.levels + 1))
-    options = {}
-    for name, key in (("eval_grid", "eval_grid"), ("grid", "grid"),
-                      ("probes", "probes"), ("trials", "trials"),
-                      ("samples", "samples_per_cell"),
-                      ("expect_order", "expect_order")):
-        val = getattr(args, name, None)
-        if val is not None:
-            options[key] = val
-    return ExperimentConfig(
-        command=args.command,
-        k=args.k,
-        partition=partition,
-        function=args.function,
-        levels=levels,
-        interval=tuple(args.interval),
-        seed=args.seed,
-        options=options,
-        output_dir=args.output,
-    )
+    if "levels" in doc:
+        doc["levels"] = tuple(range(doc.pop("min_level", 1), doc["levels"] + 1))
+    elif "min_level" in doc:
+        raise ValidationError("levels", "--min-level needs --levels")
+    doc["options"] = {key: doc.pop(key) for key in COMMANDS[args.command].options
+                      if key in doc}
+    return config_from_doc(doc)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Integrable test functions with declared smoothness metadata.
+"""Integrable test functions with their jump and singular points.
 
 A TestFunction wraps a vectorized evaluator together with the finite sets
 of points where it jumps or blows up.  The markers steer quadrature
@@ -35,7 +35,6 @@ class TestFunction:
     name: str = "f"
     discontinuities: tuple[float, ...] = ()
     singularities: tuple[tuple[float, float], ...] = ()
-    smoothness: str = "continuous"
 
     __test__ = False  # keep pytest from collecting the class
 
@@ -83,43 +82,39 @@ def parse_function(spec: str) -> TestFunction:
 
     if name == "const":
         want(0)
-        return TestFunction(lambda x: np.ones_like(x), name=spec, smoothness="analytic")
+        return TestFunction(lambda x: np.ones_like(x), name=spec)
     if name == "x" or (name.startswith("x^") and not params):
         p = 1 if name == "x" else int(name[2:])
         if p < 0:
             raise ValueError(f"polynomial power must be >= 0 in {spec!r}")
-        return TestFunction(lambda x, p=p: x ** p, name=spec, smoothness="analytic")
+        return TestFunction(lambda x, p=p: x ** p, name=spec)
     if name == "sin":
         want(0)
-        return TestFunction(lambda x: np.sin(2 * np.pi * x), name=spec,
-                            smoothness="analytic")
+        return TestFunction(lambda x: np.sin(2 * np.pi * x), name=spec)
     if name == "cos":
         want(0)
-        return TestFunction(lambda x: np.cos(2 * np.pi * x), name=spec,
-                            smoothness="analytic")
+        return TestFunction(lambda x: np.cos(2 * np.pi * x), name=spec)
     if name == "runge":
         want(0)
-        return TestFunction(lambda x: 1.0 / (1.0 + 25.0 * x * x), name=spec,
-                            smoothness="analytic")
+        return TestFunction(lambda x: 1.0 / (1.0 + 25.0 * x * x), name=spec)
     if name == "step":
         (c,) = want(1)
         return TestFunction(lambda x, c=c: np.where(x < c, 0.0, 1.0), name=spec,
-                            discontinuities=(c,), smoothness="piecewise-constant")
+                            discontinuities=(c,))
     if name == "absdist":
         (c,) = want(1)
         return TestFunction(lambda x, c=c: np.abs(x - c), name=spec,
-                            discontinuities=(c,), smoothness="C0")
+                            discontinuities=(c,))
     if name == "abspow":
         c, alpha = want(2)
         if alpha <= -1:
             raise NonIntegrableMarker(f"abspow exponent {alpha} <= -1 in {spec!r}")
         fn = lambda x, c=c, a=alpha: np.abs(x - c) ** a
         if alpha < 0:
-            return TestFunction(fn, name=spec, singularities=((c, alpha),),
-                                smoothness="L1")
+            return TestFunction(fn, name=spec, singularities=((c, alpha),))
         if alpha == 0 or alpha == int(alpha) and int(alpha) % 2 == 0:
-            return TestFunction(fn, name=spec, smoothness="analytic")
-        return TestFunction(fn, name=spec, discontinuities=(c,), smoothness="C0")
+            return TestFunction(fn, name=spec)
+        return TestFunction(fn, name=spec, discontinuities=(c,))
     raise ValueError(f"unknown function {spec!r}; known names: {CORPUS_NAMES}")
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "dyadic_ladder",
 ]
 
-FAMILIES = ("uniform", "dyadic", "geometric", "random", "explicit")
+FAMILIES = ("uniform", "dyadic", "geometric", "random")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +218,7 @@ class PartitionSpec:
     Families: ``uniform`` (equal spacing), ``dyadic`` (uniform with a
     power-of-two interval count), ``geometric`` (interval lengths in exact
     ratio ``ratio``), ``random`` (seeded random widths with bounded mesh
-    ratio), ``explicit`` (caller-supplied breaks and multiplicities).
+    ratio).  Caller-supplied breaks go to ``make_knot_sequence``.
     """
 
     family: str
@@ -226,8 +226,6 @@ class PartitionSpec:
     interior_multiplicity: int = 1
     ratio: float = 2.0
     seed: int | None = None
-    breaks: tuple[float, ...] | None = None
-    mults: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -262,14 +260,6 @@ def generate_partition(spec: PartitionSpec, k: int, interval=(0.0, 1.0)) -> Knot
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise EmptyInterval(f"empty interval: a = {a!r}, b = {b!r}")
-    if spec.family == "explicit":
-        if spec.breaks is None:
-            raise ValueError("explicit family requires breaks")
-        mults = spec.mults
-        if mults is None:
-            mults = (spec.interior_multiplicity,) * (len(spec.breaks) - 2)
-        return make_knot_sequence(spec.breaks, mults, k)
-
     m = spec.n_intervals
     if m < 1:
         raise ZeroIntervals(f"n_intervals must be >= 1, got {m}")

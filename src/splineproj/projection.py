@@ -20,10 +20,10 @@ from .bspline import (eval_basis_many, eval_spline_many, gauss_blocks,
 from .functions import TestFunction
 from .gram import GramMatrix, InverseGram, assemble_gram, solve_banded
 from .knots import KnotSequence
-from .quadrature import Piece, refine_pieces
+from .quadrature import Piece, integrate_adaptive, refine_pieces
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
-           "kernel_values"]
+           "kernel_values", "l1_norm"]
 
 #: Per-moment absolute tolerance when f has no declared singularity.
 DEFAULT_MOMENT_TOL = 1e-11
@@ -102,7 +102,7 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     return b, float(est)
 
 
-def project(K: KnotSequence, f: TestFunction, tol: float | None = None,
+def project(K: KnotSequence, f: TestFunction,
             gram: GramMatrix | None = None) -> Projection:
     """Orthogonal projection of ``f`` onto the spline space of ``K``.
 
@@ -111,7 +111,7 @@ def project(K: KnotSequence, f: TestFunction, tol: float | None = None,
     """
     if gram is None:
         gram = assemble_gram(K)
-    b, est = moments(K, f, tol=tol)
+    b, est = moments(K, f)
     c = solve_banded(gram, b)
     return Projection(K, c, est)
 
@@ -143,7 +143,6 @@ def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float
 
 
 def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,
-                      tol: float | None = None,
                       gram: GramMatrix | None = None) -> np.ndarray:
     """Independent check of ``<f - Pf, N_j>`` for all j.
 
@@ -152,9 +151,15 @@ def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,
     measures genuine orthogonality failure, not a rerun of the same
     quadrature.  ``gram`` is the Gram matrix of ``K`` if the caller has it.
     """
-    if tol is None:
-        tol = default_moment_tol(f) / 2
     if gram is None:
         gram = assemble_gram(K)
-    b_check, _ = moments(K, f, tol=tol, base_order=max(K.k, 4) + 7)
+    b_check, _ = moments(K, f, tol=default_moment_tol(f) / 2,
+                         base_order=max(K.k, 4) + 7)
     return b_check - gram.matvec(pf.coeffs)
+
+
+def l1_norm(f: TestFunction, a: float, b: float) -> float:
+    """``int_a^b |f|``, split at ``f``'s markers, to the moment tolerance."""
+    val, _ = integrate_adaptive(lambda u: np.abs(f(u)), a, b, markers=f.markers,
+                                tol=default_moment_tol(f))
+    return val

@@ -1,5 +1,8 @@
+import dataclasses
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,14 +11,19 @@ import pytest
 
 import splineproj
 from splineproj.cli import (
+    COMMANDS,
     ExperimentConfig,
     ParseError,
     ValidationError,
+    build_parser,
+    config_from_args,
     main,
     parse_config,
     run_experiment,
     serialize_config,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_cfg(**kw):
@@ -29,16 +37,23 @@ def test_config_round_trip_identity():
     rng = np.random.default_rng(0)
     commands = ("basis-eval", "project", "converge", "verify-decay")
     for _ in range(50):
-        cfg = ExperimentConfig(
-            command=str(rng.choice(commands)),
-            k=int(rng.integers(1, 11)),
+        command = str(rng.choice(commands))
+        inputs = dict(
             partition=f"uniform:{int(rng.integers(1, 40))}",
             function="sin" if rng.random() < 0.5 else None,
             levels=tuple(int(v) for v in range(1, int(rng.integers(2, 8))))
             if rng.random() < 0.5 else None,
+        )
+        eval_grid = int(rng.integers(16, 64))
+        # only the fields and options the command reads
+        cfg = ExperimentConfig(
+            command=command,
+            k=int(rng.integers(1, 11)),
+            **{n: v for n, v in inputs.items() if n in COMMANDS[command].inputs},
             interval=(0.0, float(rng.integers(1, 5))),
             seed=int(rng.integers(0, 1000)),
-            options={"eval_grid": int(rng.integers(16, 64))},
+            options={"eval_grid": eval_grid}
+            if "eval_grid" in COMMANDS[command].options else {},
             output_dir="out",
         )
         assert parse_config(serialize_config(cfg)) == cfg
@@ -73,6 +88,8 @@ def test_validation_k_range():
         make_cfg(k=11)
     with pytest.raises(ValidationError, match="interval"):
         make_cfg(interval=(1.0, 0.0))
+    with pytest.raises(ValidationError, match="interval"):
+        make_cfg(interval=(0.0, float("inf")))
 
 
 def run_in(tmp_path, cfg):
@@ -147,27 +164,23 @@ def test_exit_code_input_error(tmp_path):
     assert run_experiment(cfg) == 2
 
 
-def test_exit_code_numerical_failure(tmp_path):
+def test_exit_code_numerical_failure(tmp_path, monkeypatch):
     # a tolerance no singular integrand can reach
     cfg = ExperimentConfig(command="invert", k=2,
                            partition="uniform:3000",
                            output_dir=str(tmp_path))
     assert run_experiment(cfg) == 2  # above the documented inversion limit
 
-    from splineproj.cli import HANDLERS
     from splineproj import QuadratureNonConvergence
 
     # numerical failure path, via a handler that raises during quadrature
     def broken(cfg):
         raise QuadratureNonConvergence("synthetic")
-    old = dict(HANDLERS)
-    HANDLERS["maximal"] = broken
-    try:
-        cfg = make_cfg(command="maximal", function="sin",
-                       output_dir=str(tmp_path))
-        assert run_experiment(cfg) == 3
-    finally:
-        HANDLERS.update(old)
+    monkeypatch.setitem(COMMANDS, "maximal",
+                        dataclasses.replace(COMMANDS["maximal"], handler=broken))
+    cfg = make_cfg(command="maximal", partition=None, function="sin",
+                   output_dir=str(tmp_path))
+    assert run_experiment(cfg) == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,8 +245,15 @@ def test_kernel_probes_checked_before_writing(tmp_path, capsys, probes):
     # rejected before kernel_values.csv is written
     argv = ["kernel", "--k", "3", "--partition", "uniform:8", "--eval-grid", "4",
             "--probes", probes, "-o", str(tmp_path)]
-    assert main(argv) == 2
-    assert "options.probes" in capsys.readouterr().err
+    if probes == "0.1;0.2":
+        # not an integer: the parser rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --probes" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert "options.probes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     with pytest.raises(ValidationError, match="options.probes"):
         make_cfg(command="kernel", partition="uniform:8", options={"probes": 2.0})
@@ -296,8 +316,8 @@ def test_cli_main_and_env_override(tmp_path, monkeypatch):
 
 
 def test_cli_family_flags(tmp_path):
-    status = main(["verify-decay", "--k", "2", "--family", "geometric",
-                   "--ratio", "4", "--n", "50", "-o", str(tmp_path)])
+    status = main(["verify-decay", "--k", "2", "--partition", "geometric:50:4",
+                   "-o", str(tmp_path)])
     assert status == 0
 
 
@@ -306,6 +326,7 @@ def test_cli_config_file(tmp_path):
     cfgfile.write_text(serialize_config(make_cfg(output_dir=str(tmp_path))))
     assert main(["basis-eval", "--config", str(cfgfile)]) == 0
     assert main(["project", "--config", str(cfgfile)]) == 2  # command mismatch
+    assert main(["basis-eval", "--config", str(cfgfile), "--k", "5"]) == 2
 
 
 def test_cli_knot_file_partition(tmp_path):
@@ -355,3 +376,71 @@ def test_every_subcommand_end_to_end(tmp_path, command, kw):
     assert rep["passed"] is True
     assert rep["schema"] == 1
     assert rep["config"]["command"] == command
+
+
+def _documented_argvs():
+    """The benchmark's experiments, the CI smoke commands and README's examples."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [argv for w in workloads.WORKLOADS for s in range(4)
+             for argv in workloads.experiments(w, s)]
+    for name in (os.path.join(".github", "workflows", "tests.yml"), "README.md"):
+        with open(os.path.join(ROOT, name)) as fh:
+            for line in fh:
+                if line.lstrip().startswith("splineproj "):
+                    argvs.append(shlex.split(line, comments=True)[1:])
+    return argvs
+
+
+def test_documented_commands_parse_and_validate(tmp_path):
+    argvs = _documented_argvs()
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+    for argv in argvs:
+        args = build_parser().parse_args(argv + ["-o", str(tmp_path)])
+        cfg = config_from_args(args)
+        assert cfg.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--function", "sin"],
+    ["verify-decay", "--trials", "9"],
+    ["dominate", "--partition", "uniform:8", "--function", "sin"],
+], ids=["gram-function", "decay-trials", "dominate-partition"])
+def test_unread_flag_is_a_parse_error(tmp_path, capsys, argv):
+    # each command takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(command="stability", partition="uniform:8", options={"trials": 3.7}),
+     "options.trials"),
+    (dict(command="maximal", function="sin", options={"grid": "512"}), "options.grid"),
+    (dict(command="basis-eval", partition="uniform:8", options={"eval_grid": True}),
+     "options.eval_grid"),
+    (dict(command="gram", partition="uniform:8", options={"max_n": 10}), "options.max_n"),
+    (dict(command="verify-decay", partition="uniform:8", options={"trials": 9}),
+     "options.trials"),
+    (dict(command="converge", partition="uniform:8", function="sin"), "partition"),
+    (dict(command="gram", partition="uniform:8", k=True), "k"),
+], ids=["float-for-int", "string-for-int", "bool-for-int", "unknown-key",
+        "unread-option", "unread-partition", "bool-k"])
+def test_config_values_checked_before_writing(tmp_path, capsys, doc, field):
+    # a wrong type or a field the command does not read is bad input: exit 2
+    # with nothing written, not a silent conversion or a silently unused value
+    cfgfile = tmp_path / "exp.json"
+    cfgfile.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    assert main([doc["command"], "--config", str(cfgfile)]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_accepted_for_float_option(tmp_path):
+    cfg = make_cfg(command="converge", partition=None, function="sin",
+                   levels=(2, 3, 4), options={"expect_order": 1})
+    assert parse_config(serialize_config(cfg)) == cfg

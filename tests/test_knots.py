@@ -92,8 +92,7 @@ def test_partition_errors():
 
 
 def test_explicit_partition():
-    spec = PartitionSpec("explicit", breaks=(0.0, 0.2, 1.0), mults=(2,))
-    K = generate_partition(spec, 3)
+    K = make_knot_sequence((0.0, 0.2, 1.0), (2,), 3)
     assert np.array_equal(K.t, [0, 0, 0, 0.2, 0.2, 1, 1, 1])
 
 

@@ -17,9 +17,11 @@ from hypothesis import assume, given, settings, strategies as st
 from splineproj import (
     GramMatrix,
     InverseGram,
+    PartitionSpec,
     QuadratureNonConvergence,
     TestFunction,
     assemble_gram,
+    generate_partition,
     invert_gram,
     kernel_bound_report,
     kernel_constant_integral,
@@ -791,6 +793,16 @@ def test_inverse_holds_one_dense_array():
         A = invert_gram(G)
     assert A.residual <= 1e-9
     assert peak[0] <= 1.5 * 8 * K.n ** 2
+
+
+def test_kernel_bound_holds_no_pair_table():
+    # per-cell maxima, hulls and distances of 64 cell rows at a time: about
+    # 2 x 8 S^2 bytes at S = 1000 (the decay scan), not eight S x S arrays
+    K = generate_partition(PartitionSpec("random", 1000, seed=3), 3)
+    A = invert_gram(assemble_gram(K))
+    with traced_peak() as peak:
+        kernel_bound_report(A, K, 3)
+    assert peak[0] <= 4 * 8 * K.spans.size ** 2
 
 
 def test_write_csv_holds_one_slice(tmp_path):
