@@ -53,6 +53,11 @@ _KERNEL_ROWS = 64
 # interval geometry helpers
 # ---------------------------------------------------------------------------
 
+def midpoints(a: float, b: float, m: int) -> np.ndarray:
+    """Midpoints of the m equal cells of [a, b]."""
+    return a + (b - a) * (np.arange(m) + 0.5) / m
+
+
 def joint_gap_profile(K: KnotSequence):
     """Yield, for each offset d = 0 .. n-1 in turn, the vector of
     largest-gap values ``h_ij`` over pairs with ``|i - j| = d`` (window
@@ -434,9 +439,12 @@ def domination_report(partitions, f: TestFunction, eval_grid: int = 512,
     """
     first = partitions[0]
     a, b = first.a, first.b
-    xs = a + (b - a) * (np.arange(eval_grid) + 0.5) / eval_grid
+    xs = midpoints(a, b, eval_grid)
     mvals = _maximal_on_points(f, xs, (a, b), maximal_grid)
     ok = mvals > 0
+    if not ok.any():
+        raise ValueError(f"f = {f.name} is zero on [{a}, {b}]: "
+                         "M f = 0 at every evaluation point")
     levels = []
     c_hat = 0.0
     for K in partitions:
@@ -476,13 +484,15 @@ def weak_type_report(partitions, f: TestFunction, thresholds=None,
     """Level-set measures by midpoint cell counting on the evaluation grid."""
     first = partitions[0]
     a, b = first.a, first.b
+    f_l1 = l1_norm(f, a, b)
+    if f_l1 == 0:
+        raise ValueError(f"f = {f.name} is zero on [{a}, {b}]: ||f||_1 = 0")
     width = (b - a) / eval_grid
-    xs = a + (b - a) * (np.arange(eval_grid) + 0.5) / eval_grid
+    xs = midpoints(a, b, eval_grid)
     pstar = np.zeros(eval_grid)
     for K in partitions:
         pstar = np.maximum(pstar, np.abs(project(K, f)(xs)))
     mvals = _maximal_on_points(f, xs, (a, b), maximal_grid)
-    f_l1 = l1_norm(f, a, b)
     if thresholds is None:
         base = max(np.median(pstar), 1e-8)
         thresholds = base * np.logspace(-2, 3, 64)
@@ -528,7 +538,7 @@ def convergence_report(ladder, f: TestFunction, probes,
         raise ValueError("ladder must have strictly decreasing mesh diameter")
     first = ladder[0]
     a, b = first.a, first.b
-    xs = a + (b - a) * (np.arange(sup_grid) + 0.5) / sup_grid
+    xs = midpoints(a, b, sup_grid)
     fx = f(xs)
     probes = [float(p) for p in probes]
     fprobes = f(np.asarray(probes))

@@ -219,6 +219,10 @@ def _atomic_write(path: str, chunks) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
+        # the mode open(path, "w") gives, not mkstemp's 0o600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -280,39 +284,28 @@ def _outdir(cfg):
     return outdir
 
 
-def _grid(cfg):
-    a, b = cfg.interval
-    m = opt(cfg, "eval_grid")
-    return a + (b - a) * (np.arange(m) + 0.5) / m
-
-
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, checks)
+# command handlers: each returns (payload, checks, tables); see ``Command``
 # ---------------------------------------------------------------------------
 
-def run_basis_eval(cfg):
-    K = resolve_partition(cfg)
-    xs = _grid(cfg)
+def run_basis_eval(cfg, K):
+    xs = analysis.midpoints(*cfg.interval, opt(cfg, "eval_grid"))
     first, vals = eval_basis_many(K, xs)
     rows = np.column_stack([np.repeat(xs, K.k),
                             (first[:, None] + np.arange(K.k)).ravel(), vals.ravel()])
-    write_csv(os.path.join(_outdir(cfg), "basis_values.csv"),
-              ("x", "i", "N_i"), rows)
     dev = float(np.abs(vals.sum(axis=1) - 1.0).max())
     checks = [("partition_of_unity", dev <= 1e-13, f"max |sum - 1| = {dev:.3e}")]
-    return {"n": K.n, "mesh": K.mesh, "unity_deviation": dev}, checks
+    return ({"n": K.n, "mesh": K.mesh, "unity_deviation": dev}, checks,
+            {"basis_values.csv": (("x", "i", "N_i"), rows)})
 
 
-def run_gram(cfg):
-    K = resolve_partition(cfg)
+def run_gram(cfg, K):
     G0 = assemble_gram(K)
     # upper band row by row: (i, i + d) for d = 0 .. k-1 inside the matrix
     i, d = np.divmod(np.arange(K.n * K.k), K.k)
     keep = i + d < K.n
     i, d = i[keep], d[keep]
     rows = np.column_stack([i, i + d, G0.entry(i, i + d)])
-    write_csv(os.path.join(_outdir(cfg), "gram_banded.csv"),
-              ("i", "j", "value"), rows)
     # nonnegative entries: row sums are the inf-norm, G0 (k / kappa) the column sums
     scale = K.k / K.kappa
     rs = G0.row_sums() * scale
@@ -332,19 +325,16 @@ def run_gram(cfg):
         "scaled_norm_inf": float(rs.max()),
         "scaled_norm_1": float(G0.matvec(scale).max()),
     }
-    return payload, checks
+    return payload, checks, {"gram_banded.csv": (("i", "j", "value"), rows)}
 
 
-def run_invert(cfg):
-    K = resolve_partition(cfg)
+def run_invert(cfg, K):
     if K.n > MAX_INVERT_N:
         raise ValidationError("partition",
                               f"n = {K.n} exceeds inversion limit {MAX_INVERT_N}")
     A = invert_gram(assemble_gram(K))
     i, j = np.divmod(np.arange(K.n * K.n), K.n)
     rows = np.column_stack([i, j, A.entries.ravel()])
-    write_csv(os.path.join(_outdir(cfg), "inverse_full.csv"),
-              ("i", "j", "value"), rows)
     checks = [
         ("inverse_residual", A.residual <= 1e-9, f"max |G0 A - I| = {A.residual:.3e}"),
         ("inverse_symmetry", A.asymmetry <= 1e-10, f"relative asymmetry = {A.asymmetry:.3e}"),
@@ -357,55 +347,46 @@ def run_invert(cfg):
         "scaled_inverse_norm_inf": float(b.sum(axis=1).max()),
         "scaled_inverse_norm_1": float(b.sum(axis=0).max()),
     }
-    return payload, checks
+    return payload, checks, {"inverse_full.csv": (("i", "j", "value"), rows)}
 
 
-def run_kernel(cfg):
-    K = resolve_partition(cfg)
+def run_kernel(cfg, K):
     A = invert_gram(assemble_gram(K))
-    xs = _grid(cfg)
+    xs = analysis.midpoints(*cfg.interval, opt(cfg, "eval_grid"))
     table = kernel_values(A, K, xs, xs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     rows = np.column_stack([X.ravel(), Y.ravel(), table.ravel()])
-    write_csv(os.path.join(_outdir(cfg), "kernel_values.csv"),
-              ("x", "y", "K"), rows)
     rng = np.random.default_rng(cfg.seed)
-    a, b = cfg.interval
-    probes = rng.uniform(a, b, opt(cfg, "probes"))
-    dev = max(abs(kernel_constant_integral(A, K, float(x)) - 1.0) for x in probes)
+    probes = rng.uniform(*cfg.interval, opt(cfg, "probes"))
+    dev = float(np.abs(kernel_constant_integral(A, K, probes) - 1.0).max())
     sym = float(np.abs(table - table.T).max())
     checks = [
         ("constant_reproduction", dev <= 1e-9, f"max |int K dy - 1| = {dev:.3e}"),
         ("kernel_symmetry", sym <= 1e-10 * max(1.0, float(np.abs(table).max())),
          f"max |K(x,y) - K(y,x)| = {sym:.3e}"),
     ]
-    return {"n": K.n, "constant_integral_deviation": dev}, checks
+    return ({"n": K.n, "constant_integral_deviation": dev}, checks,
+            {"kernel_values.csv": (("x", "y", "K"), rows)})
 
 
-def run_project(cfg):
-    K = resolve_partition(cfg)
-    f = resolve_function(cfg)
+def run_project(cfg, K, f):
     G0 = assemble_gram(K)
     pf = project(K, f, gram=G0)
-    xs = _grid(cfg)
-    fx, px = f(xs), pf(xs)
-    write_csv(os.path.join(_outdir(cfg), "projection.csv"),
-              ("x", "f", "Pf"), np.column_stack([xs, fx, px]))
+    xs = analysis.midpoints(*cfg.interval, opt(cfg, "eval_grid"))
+    rows = np.column_stack([xs, f(xs), pf(xs)])
     resid = float(np.abs(galerkin_residual(K, pf, f, gram=G0)).max())
     l1 = l1_norm(f, *cfg.interval)
     checks = [("galerkin_orthogonality", resid <= 1e-8 * max(l1, 1e-30),
                f"max |<f - Pf, N_j>| = {resid:.3e}, ||f||_1 = {l1:.3e}")]
-    return {"n": K.n, "rhs_error": pf.rhs_error, "galerkin_residual": resid,
-            "coefficients": pf.coeffs}, checks
+    return ({"n": K.n, "rhs_error": pf.rhs_error, "galerkin_residual": resid,
+             "coefficients": pf.coeffs}, checks,
+            {"projection.csv": (("x", "f", "Pf"), rows)})
 
 
-def run_verify_decay(cfg):
-    K = resolve_partition(cfg)
+def run_verify_decay(cfg, K):
     A = invert_gram(assemble_gram(K))
     rep = analysis.decay_report(A, K)
     rows = np.column_stack([rep.offsets, rep.profile_scaled, rep.profile_b])
-    write_csv(os.path.join(_outdir(cfg), "decay_profile.csv"),
-              ("offset", "rho_scaled", "rho_b"), rows)
     if rep.diagonal:
         checks = [("diagonal_inverse", True, "order 1: all off-diagonal entries zero")]
     elif not rep.fitted:
@@ -416,24 +397,22 @@ def run_verify_decay(cfg):
             ("entrywise_bound", rep.residual_factor <= 1.0 + 1e-9,
              f"residual factor = {rep.residual_factor:.6f}"),
         ]
-    return {"decay": rep}, checks
+    return ({"decay": rep}, checks,
+            {"decay_profile.csv": (("offset", "rho_scaled", "rho_b"), rows)})
 
 
-def run_verify_kernel_bound(cfg):
-    K = resolve_partition(cfg)
+def run_verify_kernel_bound(cfg, K):
     A = invert_gram(assemble_gram(K))
     rep = analysis.kernel_bound_report(A, K, opt(cfg, "samples_per_cell"))
-    write_csv(os.path.join(_outdir(cfg), "kernel_bound.csv"),
-              ("theta", "C"), np.column_stack([rep.theta_grid, rep.c_of_theta]))
     checks = [
         ("theta_below_one", 0.0 < rep.theta_hat < 1.0, f"theta = {rep.theta_hat:.3f}"),
         ("constant_finite", np.isfinite(rep.c_hat), f"C = {rep.c_hat:.4g}"),
     ]
-    return {"kernel_bound": rep}, checks
+    return ({"kernel_bound": rep}, checks, {"kernel_bound.csv": (
+        ("theta", "C"), np.column_stack([rep.theta_grid, rep.c_of_theta]))})
 
 
-def run_verify_lemma(cfg):
-    K = resolve_partition(cfg)
+def run_verify_lemma(cfg, K):
     A = invert_gram(assemble_gram(K))
     dec = analysis.decay_report(A, K)
     gamma = max(dec.gamma_cert if dec.fitted else 0.5, 0.5)
@@ -441,59 +420,52 @@ def run_verify_lemma(cfg):
     finite = all(v is not None and np.isfinite(v) for v in (rep.k1, rep.k2, rep.k3))
     checks = [("constants_finite", finite,
                f"K1 = {rep.k1:.4g}, K2 = {rep.k2}, K3 = {rep.k3}")]
-    return {"constants": rep}, checks
+    return {"constants": rep}, checks, {}
 
 
-def run_maximal(cfg):
-    f = resolve_function(cfg)
-    xs = _grid(cfg)
+def run_maximal(cfg, f):
+    xs = analysis.midpoints(*cfg.interval, opt(cfg, "eval_grid"))
     grid_size = opt(cfg, "grid")
     vals = analysis._maximal_on_points(f, xs, cfg.interval, grid_size)
-    write_csv(os.path.join(_outdir(cfg), "maximal.csv"),
-              ("x", "M"), np.column_stack([xs, vals]))
     ok = bool(np.all(np.isfinite(vals)) and np.all(vals >= 0))
     checks = [("finite_nonnegative", ok, f"range [{vals.min():.4g}, {vals.max():.4g}]")]
-    return {"grid": grid_size, "max_value": float(vals.max())}, checks
+    return ({"grid": grid_size, "max_value": float(vals.max())}, checks,
+            {"maximal.csv": (("x", "M"), np.column_stack([xs, vals]))})
 
 
-def run_dominate(cfg):
-    f = resolve_function(cfg)
-    ladder, levels = resolve_ladder(cfg)
+def run_dominate(cfg, f, ladder_levels):
+    ladder, levels = ladder_levels
     rep = analysis.domination_report(
         ladder, f, eval_grid=opt(cfg, "eval_grid"), maximal_grid=opt(cfg, "grid"))
     rows = np.array([(lev, d["n"], d["mesh"], d["c_hat"])
                      for lev, d in zip(levels, rep.levels)])
-    write_csv(os.path.join(_outdir(cfg), "domination.csv"),
-              ("level", "n", "mesh", "c_hat"), rows)
     cs = [d["c_hat"] for d in rep.levels]
     stable = max(cs) <= 2.0 * min(cs)
     checks = [
         ("c_hat_finite", np.isfinite(rep.c_hat), f"c_hat = {rep.c_hat:.4g}"),
         ("c_hat_stable", stable, f"level spread = {max(cs) / min(cs):.3f}"),
     ]
-    return {"domination": rep}, checks
+    return ({"domination": rep}, checks,
+            {"domination.csv": (("level", "n", "mesh", "c_hat"), rows)})
 
 
-def run_weak11(cfg):
-    f = resolve_function(cfg)
-    ladder, _ = resolve_ladder(cfg)
+def run_weak11(cfg, f, ladder_levels):
+    ladder, _ = ladder_levels
     rep = analysis.weak_type_report(
         ladder, f, eval_grid=opt(cfg, "eval_grid"), maximal_grid=opt(cfg, "grid"))
-    write_csv(os.path.join(_outdir(cfg), "weak_type.csv"),
-              ("t", "p_star_ratio", "maximal_ratio"),
-              np.column_stack([rep.thresholds, rep.p_star_ratios, rep.maximal_ratios]))
     checks = [
         ("maximal_weak_constant", rep.maximal_constant <= 5.5,
          f"sup_t t m{{M>t}}/||f||_1 = {rep.maximal_constant:.4f}"),
         ("p_star_finite", np.isfinite(rep.p_star_constant),
          f"P* constant = {rep.p_star_constant:.4f}"),
     ]
-    return {"weak_type": rep}, checks
+    rows = np.column_stack([rep.thresholds, rep.p_star_ratios, rep.maximal_ratios])
+    return ({"weak_type": rep}, checks,
+            {"weak_type.csv": (("t", "p_star_ratio", "maximal_ratio"), rows)})
 
 
-def run_converge(cfg):
-    f = resolve_function(cfg)
-    ladder, levels = resolve_ladder(cfg)
+def run_converge(cfg, f, ladder_levels):
+    ladder, levels = ladder_levels
     expect = opt(cfg, "expect_order")
     # the observed order is a slope over the last three levels
     if expect is not None and len(levels) < 3:
@@ -509,38 +481,43 @@ def run_converge(cfg):
                      for lev, d in zip(levels, rep.levels)])
     hdr = ("level", "n", "mesh", "sup_error",
            *(f"probe_{i}" for i in range(len(probes))), "omega_k")
-    write_csv(os.path.join(_outdir(cfg), "convergence.csv"), hdr, rows)
     checks = [("errors_finite",
                all(np.isfinite(d["sup_error"]) for d in rep.levels),
                f"last sup error = {rep.levels[-1]['sup_error']:.4g}")]
     if expect is not None:
         checks.append(("observed_order", rep.observed_order >= float(expect),
                        f"p = {rep.observed_order:.3f} vs {expect}"))
-    return {"convergence": rep}, checks
+    return {"convergence": rep}, checks, {"convergence.csv": (hdr, rows)}
 
 
-def run_stability(cfg):
-    K = resolve_partition(cfg)
+def run_stability(cfg, K):
     trials = opt(cfg, "trials")
     rep = analysis.stability_constant(K, trials=trials, seed=cfg.seed)
     checks = [("d_hat_at_least_one", rep.d_hat >= 1.0 - 1e-12,
                f"d_hat = {rep.d_hat:.4f}")]
-    return {"stability": rep}, checks
+    return {"stability": rep}, checks, {}
 
 
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its handler, which of ``partition``, ``function`` and
     ``levels`` it reads, and its options as ``key: (type, default)``; a
-    default of None leaves the option off."""
+    default of None leaves the option off.
+
+    The handler only computes: ``handler(cfg, *values)``, with one resolved
+    value per entry of ``inputs`` (a ``KnotSequence``, a ``TestFunction``, the
+    ``(ladder, levels)`` pair), returns ``(payload, checks, tables)``, and
+    ``run_experiment`` writes ``tables = {filename: (header, rows)}`` in order
+    and then the report only after it returns."""
 
     handler: Callable
     inputs: tuple[str, ...] = ()
     options: dict = field(default_factory=dict)
 
 
-#: Every subcommand.  The parser, validation and handlers read this table,
-#: so each command's inputs and option defaults are declared here only.
+#: Every subcommand.  The parser, validation, input resolution and handlers
+#: read this table, so each command's inputs and option defaults are declared
+#: here only.
 COMMANDS = {
     "basis-eval": Command(run_basis_eval, ("partition",), {"eval_grid": (int, 256)}),
     "gram": Command(run_gram, ("partition",)),
@@ -567,15 +544,23 @@ COMMANDS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run one experiment; writes report files and returns the exit status."""
+    """Run one experiment and return its exit status; files are written only
+    once the handler has returned, so a failed run leaves them as they were."""
+    command = COMMANDS[cfg.command]
+    resolve = {"partition": resolve_partition, "function": resolve_function,
+               "levels": resolve_ladder}
     try:
-        payload, checks = COMMANDS[cfg.command].handler(cfg)
+        values = [resolve[name](cfg) for name in command.inputs]
+        payload, checks, tables = command.handler(cfg, *values)
     except (NotPositiveDefinite, SymmetryViolation, QuadratureNonConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (SplineProjError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    outdir = _outdir(cfg)
+    for name, (header, rows) in tables.items():
+        write_csv(os.path.join(outdir, name), header, rows)
     path = write_report(cfg, payload, checks)
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

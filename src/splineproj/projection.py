@@ -132,14 +132,16 @@ def kernel_values(A: InverseGram, K: KnotSequence, x, y) -> np.ndarray:
     return out
 
 
-def kernel_constant_integral(A: InverseGram, K: KnotSequence, x: float) -> float:
-    """``int Kd(x, y) dy`` over [a, b] by exact per-interval Gauss rules.
+def kernel_constant_integral(A: InverseGram, K: KnotSequence, x) -> np.ndarray:
+    """``int Kd(x[p], y) dy`` over [a, b] for each point, by exact
+    per-interval Gauss rules, from one kernel table.
 
     The spline space contains constants, so the exact value is 1; the
     computed value differs only by roundoff.
     """
     ys, w, _ = span_gauss_blocks(K)
-    return float(np.sum(w * kernel_values(A, K, x, ys.ravel()).reshape(ys.shape)))
+    table = kernel_values(A, K, x, ys.ravel()).reshape(-1, *ys.shape)
+    return np.sum(w * table, axis=(1, 2))
 
 
 def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,

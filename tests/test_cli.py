@@ -174,13 +174,77 @@ def test_exit_code_numerical_failure(tmp_path, monkeypatch):
     from splineproj import QuadratureNonConvergence
 
     # numerical failure path, via a handler that raises during quadrature
-    def broken(cfg):
+    def broken(cfg, f):
         raise QuadratureNonConvergence("synthetic")
     monkeypatch.setitem(COMMANDS, "maximal",
                         dataclasses.replace(COMMANDS["maximal"], handler=broken))
     cfg = make_cfg(command="maximal", partition=None, function="sin",
                    output_dir=str(tmp_path))
     assert run_experiment(cfg) == 3
+
+
+def _snapshot(d):
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def test_failed_run_leaves_output_directory_as_it_was(tmp_path, monkeypatch, capsys):
+    # a passing report and its CSV from an earlier run keep their bytes when a
+    # later run into the same directory fails in input resolution or in the
+    # handler, after the table it would write has been computed
+    import splineproj.cli as cli
+    from splineproj import QuadratureNonConvergence
+
+    argv = ["project", "--k", "3", "--partition", "uniform:4", "-o", str(tmp_path)]
+    assert main(argv + ["--function", "sin"]) == 0
+    before = _snapshot(tmp_path)
+    assert sorted(before) == ["project_report.json", "projection.csv"]
+    assert main(argv + ["--function", "bogus"]) == 2
+
+    def broken(*args, **kwargs):
+        raise QuadratureNonConvergence("synthetic")
+    monkeypatch.setattr(cli, "galerkin_residual", broken)
+    assert main(argv + ["--function", "cos"]) == 3
+    assert "numerical failure: synthetic" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_handlers_only_compute():
+    # run_experiment alone resolves the declared inputs and writes files
+    for name, command in COMMANDS.items():
+        calls = set(command.handler.__code__.co_names) & {
+            "resolve_partition", "resolve_function", "resolve_ladder",
+            "write_csv", "write_report", "_outdir"}
+        assert not calls, (name, calls)
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["weak11", "--k", "2", "--function", "step:2", "--levels", "3"], "||f||_1 = 0"),
+    (["dominate", "--k", "2", "--function", "step:2", "--levels", "3"], "M f = 0"),
+], ids=["weak11", "dominate"])
+def test_function_zero_on_interval_is_input_error(tmp_path, capsys, argv, why):
+    # step:2 is zero on [0, 1]: there is no ratio to take, so the run is bad
+    # input with nothing written, not NaN ratios or an empty-max error
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "input error: f = step:2 is zero on [0.0, 1.0]" in err and why in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_output_modes_follow_umask(tmp_path, umask, mode):
+    # each file gets the mode open(path, "w") gives, not mkstemp's 0o600
+    src = os.path.dirname(os.path.dirname(splineproj.__file__))
+    code = (f"import os, sys; os.umask({umask:#o}); from splineproj.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "gram", "--k", "2", "--partition", "uniform:4",
+         "-o", str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"gram_banded.csv": mode, "gram_report.json": mode}
 
 
 @pytest.mark.parametrize("argv", [
