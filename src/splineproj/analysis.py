@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bspline import span_gauss_blocks
-from .errors import OutOfDomain, QuadratureNonConvergence
+from .errors import LengthMismatch, OutOfDomain, QuadratureNonConvergence
 from .functions import TestFunction
-from .gram import InverseGram
+from .gram import GramMatrix, InverseGram, inverse_blocks, refine_block
 from .knots import KnotSequence
 from .projection import kernel_values, l1_norm, project
 from .quadrature import gauss_points, integrate_adaptive
@@ -47,6 +47,11 @@ ZERO_FLOOR = 1e-300
 #: Cell rows of the kernel sample table that ``kernel_bound_report`` holds
 #: at once; it bounds the table's memory at 64 s^2 S doubles.
 _KERNEL_ROWS = 64
+#: Columns of the inverse that ``decay_report`` reduces at once: its working
+#: memory is a few n x 32 arrays, whether it reads or solves them.
+_DECAY_COLUMNS = 32
+#: Spans whose spline values ``stability_constant`` holds at once.
+_STABILITY_SPANS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +63,17 @@ def midpoints(a: float, b: float, m: int) -> np.ndarray:
     return a + (b - a) * (np.arange(m) + 0.5) / m
 
 
-def joint_gap_profile(K: KnotSequence):
-    """Yield, for each offset d = 0 .. n-1 in turn, the vector of
-    largest-gap values ``h_ij`` over pairs with ``|i - j| = d`` (window
-    ``[i, i+d+k-1]`` of interval lengths).  Offset d + 1 widens every
-    window of offset d by one interval on the right, so one vector is made
-    at a time."""
+def column_gaps(K: KnotSequence, j: int, w: int) -> np.ndarray:
+    """Largest-gap values for the columns ``c = j .. j+w-1``: entry
+    ``[i, c - j]`` is ``h_ic``, the largest interval length in the window
+    ``h[i : c + k]``, for every row ``i <= c``."""
     h, k = K.h, K.k
-    gaps = sliding_window_view(h, k).max(axis=1)
-    yield gaps
-    for d in range(1, K.n):
-        gaps = np.maximum(gaps[:-1], h[d + k - 1:])
-        yield gaps
+    rows = np.arange(j + w + k - 1)[:, None]
+    # h >= 0, so a zero past the window's end leaves every maximum as it is
+    gaps = np.where(rows < j + np.arange(w) + k, h[: j + w + k - 1, None], 0.0)
+    up = gaps[::-1]
+    np.maximum.accumulate(up, axis=0, out=up)
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,8 @@ class DecayReport:
     exactly at the asymptotic rate is a running maximum over ~n comparable
     terms and cannot be stable across sizes on irregular meshes.  ``k0``
     bounds the second profile with the same certificate rate.
+    ``inverse_residual`` is ``max |G0 A - I|`` of the inverse the profiles
+    were read from.
     """
 
     order: int
@@ -104,6 +110,7 @@ class DecayReport:
     fitted: bool
     residual_factor: float | None
     fit_offsets: tuple[int, int] | None
+    inverse_residual: float
 
 
 def _fit_rate(offsets, profile, k):
@@ -125,29 +132,54 @@ def _envelope_constant(offsets, profile, gamma):
     return float(np.exp(logs.max()))
 
 
-def decay_report(A: InverseGram, K: KnotSequence) -> DecayReport:
+def decay_report(A: InverseGram | GramMatrix, K: KnotSequence) -> DecayReport:
     """Per-offset decay profiles of the inverse Gram matrix and their fit.
 
-    With fewer than ``3k`` basis functions no rate is fitted and the report
-    carries the profiles only.  For order 1 every off-diagonal entry is
-    exactly zero and the report is flagged diagonal.
+    ``A`` is a dense inverse, read ``_DECAY_COLUMNS`` columns at a time, or
+    the Gram matrix itself, whose inverse is then solved and refined that
+    many columns at a time and never held whole.  Each entry ``(i, c)`` of
+    the upper triangle enters the profiles at offset ``c - i``, so they are
+    the same maxima whichever way the columns come.  With fewer than ``3k``
+    basis functions no rate is fitted and the report carries the profiles
+    only.  For order 1 every off-diagonal entry is exactly zero and the
+    report is flagged diagonal.
     """
     n, k = K.n, K.k
+    if A.n != n:
+        raise LengthMismatch(f"matrix dimension {A.n} != spline dimension {n}")
     kap = K.kappa
     offsets = np.arange(n)
-    prof_a = np.empty(n)
-    prof_b = np.empty(n)
-    for d, gaps in enumerate(joint_gap_profile(K)):
-        diag = np.abs(np.diagonal(A.entries, offset=d))
-        scaled = diag * gaps
-        scaled = np.where(scaled > ZERO_FLOOR, scaled, 0.0)
-        prof_a[d] = scaled.max() if scaled.size else 0.0
-        # b_ij = a_ij * kappa_j / k and b_ji; the matrix is not symmetric
-        bu = diag * kap[d:] / k
-        bl = diag * kap[: n - d] / k
-        both = np.concatenate([bu, bl])
-        both = np.where(both > ZERO_FLOOR, both, 0.0)
-        prof_b[d] = both.max() if both.size else 0.0
+    if isinstance(A, InverseGram):
+        blocks = ((j, A.entries[:, j: j + _DECAY_COLUMNS], A.residual)
+                  for j in range(0, n, _DECAY_COLUMNS))
+    else:
+        blocks = ((j, X, refine_block(A, j, X))
+                  for j, X in inverse_blocks(A, _DECAY_COLUMNS))
+    prof_a = np.zeros(n)
+    prof_b = np.zeros(n)
+    inverse_residual = 0.0
+    for j, X, block_residual in blocks:
+        inverse_residual = max(inverse_residual, block_residual)
+        w = X.shape[1]
+        rows = j + w  # rows 0 .. c hold the upper triangle of each column c
+        # vals[i, c - j] = |a_ic| times a scale, below w zero rows; row d of
+        # the skewed view is the entries (c - d, c) at offset d, and the rows
+        # c - d < 0 land on the zeros
+        padded = np.zeros((w + rows, w), order="F")
+        vals = padded[w:]
+        s0, s1 = padded.strides
+        skewed = as_strided(padded[rows:], shape=(rows, w),
+                            strides=(-s0, s0 + s1), writeable=False)
+        # h_ic for the first profile; b_ic = a_ic * kappa_c / k and b_ci for
+        # the second, since the row-rescaled matrix is not symmetric
+        for prof, scale, divisor in ((prof_a, column_gaps(K, j, w)[:rows], 1),
+                                     (prof_b, kap[j: rows], k),
+                                     (prof_b, kap[:rows, None], k)):
+            np.abs(X[:rows], out=vals)
+            vals *= scale
+            vals /= divisor
+            vals[~(vals > ZERO_FLOOR)] = 0.0  # a NaN counts as zero too
+            np.maximum(prof[:rows], skewed.max(axis=1), out=prof[:rows])
 
     diagonal = bool(np.all(prof_a[1:] <= ZERO_FLOOR)) if n > 1 else True
     gamma = gamma_cert = big_k = gamma_b = k0 = residual = None
@@ -167,7 +199,7 @@ def decay_report(A: InverseGram, K: KnotSequence) -> DecayReport:
             fitted = True
     return DecayReport(k, n, offsets, prof_a, prof_b, gamma, gamma_cert,
                        big_k, gamma_b, k0, diagonal, fitted, residual,
-                       fit_range)
+                       fit_range, float(inverse_residual))
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +638,9 @@ class StabilityReport:
 
 def stability_constant(K: KnotSequence, trials: int = 64,
                        seed: int = 0) -> StabilityReport:
+    """Largest ratio over ``trials`` random coefficient vectors.  The spline
+    values and span norms are evaluated ``_STABILITY_SPANS`` spans at a
+    time, bitwise as one evaluation over all spans gives them."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = K.n, K.k
@@ -613,13 +648,18 @@ def stability_constant(K: KnotSequence, trials: int = 64,
     _, w, blocks = span_gauss_blocks(K)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((trials, n))
-    firsts = spans - (k - 1)
-    idx = firsts[:, None] + np.arange(k)[None, :]
-    svals = np.einsum("tsj,sgj->tsg", coeffs[:, idx], blocks)
-    span_l2 = np.einsum("tsg,sg->ts", svals ** 2, w)
+    idx = (spans - (k - 1))[:, None] + np.arange(k)[None, :]
     # ||s||^2 on E_m sums the spans with index in [m, m+k-1]
     mass = np.zeros((trials, n + k - 1))
-    mass[:, spans] = span_l2
+    for s in range(0, spans.size, _STABILITY_SPANS):
+        part = slice(s, s + _STABILITY_SPANS)
+        svals = np.einsum("tsj,sgj->tsg", coeffs[:, idx[part]], blocks[part])
+        svals *= svals
+        mass[:, spans[part]] = np.einsum("tsg,sg->ts", svals, w[part])
     local = sliding_window_view(mass, k, axis=1).sum(axis=2)
-    ratios = np.abs(coeffs) * np.sqrt(K.kappa / np.maximum(local, 1e-300))
-    return StabilityReport(k, n, trials, seed, float(ratios.max()))
+    # ratios = |c| sqrt(kappa / max(local, 1e-300)), in place
+    np.maximum(local, 1e-300, out=local)
+    np.divide(K.kappa, local, out=local)
+    np.sqrt(local, out=local)
+    local *= np.abs(coeffs, out=coeffs)
+    return StabilityReport(k, n, trials, seed, float(local.max()))

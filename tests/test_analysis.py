@@ -20,7 +20,7 @@ from splineproj import (
     stability_constant,
     weak_type_report,
 )
-from splineproj.analysis import joint_gap_profile
+from splineproj.analysis import column_gaps
 
 
 def inverse_for(spec, k):
@@ -30,12 +30,13 @@ def inverse_for(spec, k):
 
 # -- decay ------------------------------------------------------------------
 
-def test_joint_gap_profile_matches_largest_gap():
+def test_column_gaps_match_largest_gap():
     K = generate_partition(PartitionSpec("random", 17, seed=0), 3)
-    gaps = list(joint_gap_profile(K))
-    for d in range(K.n):
-        for i in range(K.n - d):
-            assert gaps[d][i] == K.largest_gap(i, i + d)
+    for j, w in [(0, K.n), (0, 1), (5, 4), (K.n - 3, 3)]:
+        gaps = column_gaps(K, j, w)
+        for c in range(j, j + w):
+            for i in range(c + 1):
+                assert gaps[i, c - j] == K.largest_gap(i, c)
 
 
 def test_decay_order_one_diagonal():
@@ -68,10 +69,10 @@ def test_decay_geometric_bound_holds_entrywise():
     A, K = inverse_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
     rep = decay_report(A, K)
     assert rep.fitted and rep.gamma < 1
-    gaps = list(joint_gap_profile(K))
+    gaps = column_gaps(K, 0, K.n)
     for d in range(K.n):
         bound = rep.big_k * rep.gamma_cert ** d
-        vals = np.abs(np.diagonal(A.entries, offset=d)) * gaps[d]
+        vals = np.abs(np.diagonal(A.entries, offset=d)) * np.diagonal(gaps, d)
         assert np.all(vals <= bound * (1 + 1e-9))
     assert rep.residual_factor <= 1 + 1e-9
 

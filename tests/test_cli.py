@@ -135,6 +135,7 @@ def test_verify_decay_cli(tmp_path):
     assert status == 0
     rep = json.loads((tmp_path / "verify_decay_report.json").read_text())
     assert rep["decay"]["gamma"] < 1.0
+    assert 0.0 <= rep["decay"]["inverse_residual"] <= 1e-9
     assert (tmp_path / "decay_profile.csv").exists()
 
 
@@ -206,6 +207,19 @@ def test_failed_run_leaves_output_directory_as_it_was(tmp_path, monkeypatch, cap
     assert main(argv + ["--function", "cos"]) == 3
     assert "numerical failure: synthetic" in capsys.readouterr().err
     assert _snapshot(tmp_path) == before
+
+
+def test_unwritable_output_is_exit_2(tmp_path, capsys):
+    # -o names an existing regular file: no directory can be made there, so
+    # the run is bad input with one line, not a traceback, and F keeps its
+    # bytes
+    F = tmp_path / "F"
+    F.write_bytes(b"keep me\n")
+    assert main(["gram", "--k", "2", "--partition", "uniform:4", "-o", str(F)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert F.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
 def test_handlers_only_compute():

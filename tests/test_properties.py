@@ -1,5 +1,6 @@
 """Property tests on generated knot sequences for the shared vectorized paths."""
 
+import dataclasses
 import os
 import tempfile
 import tracemalloc
@@ -9,6 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve_banded
 
 pytest.importorskip("hypothesis")
@@ -34,10 +36,10 @@ from splineproj import (
     stability_constant,
 )
 from splineproj import analysis, cli, gram, projection, quadrature
-from splineproj.analysis import (ZERO_FLOOR, chained_decay_check, decay_report,
-                                 joint_gap_profile)
+from splineproj.analysis import (ZERO_FLOOR, chained_decay_check, column_gaps,
+                                 decay_report)
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
-from splineproj.cli import write_csv
+from splineproj.cli import ExperimentConfig, write_csv
 from splineproj.quadrature import Piece, gauss_rule, integrate_adaptive
 from test_gram import reference_gram
 
@@ -194,9 +196,10 @@ def assert_scans_match_references(A, K, gamma):
 @PROPS
 @given(knot_sequences(max_intervals=24), st.floats(0.3, 0.95))
 def test_certification_scans_equal_loop_references(K, gamma):
-    gaps = list(joint_gap_profile(K))
+    gaps = column_gaps(K, 0, K.n)
     for d in range(K.n):
-        assert gaps[d].tolist() == [K.largest_gap(i, i + d) for i in range(K.n - d)]
+        assert np.diagonal(gaps, d)[: K.n - d].tolist() == \
+            [K.largest_gap(i, i + d) for i in range(K.n - d)]
     assert stability_constant(K, trials=8, seed=K.n).d_hat == \
         reference_stability(K, 8, K.n)
     assume(K.n >= 3 * K.k)
@@ -793,6 +796,170 @@ def test_inverse_holds_one_dense_array():
         A = invert_gram(G)
     assert A.residual <= 1e-9
     assert peak[0] <= 1.5 * 8 * K.n ** 2
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 6, 10])
+@pytest.mark.parametrize("width", [1, 32, 64, 256])
+def test_inverse_blocks_equal_one_solve(k, width):
+    # each block is a view of one buffer, so it is copied before the next
+    K = knots_of_dimension(300, k, k)
+    G = assemble_gram(K)
+    blocks = [(j, X.copy()) for j, X in gram.inverse_blocks(G, width)]
+    assert [j for j, _ in blocks] == list(range(0, K.n, width))
+    whole = cho_solve_banded((G.factor(), False), np.eye(K.n))
+    assert np.hstack([X for _, X in blocks]).tobytes() == whole.tobytes()
+
+
+# -- the decay profiles, from dense column blocks or streamed solves --------
+
+def reference_decay_profiles(A, K):
+    """``(profile_scaled, profile_b)`` by the per-offset ``np.diagonal`` loop
+    over the dense inverse that the column-block scan replaced."""
+    n, k, h = K.n, K.k, np.asarray(K.h)
+    kap = K.kappa
+    prof_a = np.empty(n)
+    prof_b = np.empty(n)
+    gaps = sliding_window_view(h, k).max(axis=1)
+    for d in range(n):
+        if d:
+            gaps = np.maximum(gaps[:-1], h[d + k - 1:])
+        diag = np.abs(np.diagonal(A.entries, offset=d))
+        scaled = diag * gaps
+        scaled = np.where(scaled > ZERO_FLOOR, scaled, 0.0)
+        prof_a[d] = scaled.max() if scaled.size else 0.0
+        bu = diag * kap[d:] / k
+        bl = diag * kap[: n - d] / k
+        both = np.concatenate([bu, bl])
+        both = np.where(both > ZERO_FLOOR, both, 0.0)
+        prof_b[d] = both.max() if both.size else 0.0
+    return prof_a, prof_b
+
+
+def assert_dense_decay_equals_reference(A, K):
+    rep = decay_report(A, K)
+    prof_a, prof_b = reference_decay_profiles(A, K)
+    assert rep.profile_scaled.tobytes() == prof_a.tobytes()
+    assert rep.profile_b.tobytes() == prof_b.tobytes()
+    assert rep.inverse_residual == A.residual
+
+
+@PROPS
+@given(knot_sequences(max_intervals=40))
+def test_dense_decay_equals_reference(K):
+    assert_dense_decay_equals_reference(invert_gram(assemble_gram(K)), K)
+
+
+@pytest.mark.parametrize("n, k", [(31, 2), (32, 3), (33, 1), (65, 4), (100, 6)])
+def test_dense_decay_blocks_equal_reference(n, k):
+    # n on both sides of the 32-column block; also an unsymmetric inverse
+    # with zero runs, values under the zero floor and NaNs
+    assert analysis._DECAY_COLUMNS == 32
+    K = knots_of_dimension(n, k, n)
+    assert_dense_decay_equals_reference(invert_gram(assemble_gram(K)), K)
+    rng = np.random.default_rng(n)
+    entries = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    entries[rng.random((n, n)) < 0.05] = 1e-301
+    entries[rng.random((n, n)) < 0.02] = np.nan
+    assert_dense_decay_equals_reference(InverseGram(entries, 0.5, 0.0), K)
+
+
+def assert_streamed_decay_matches_dense(K):
+    G = assemble_gram(K)
+    streamed = decay_report(G, K)
+    dense = decay_report(invert_gram(G), K)
+    assert streamed.inverse_residual <= 1e-9
+    for f in dataclasses.fields(dense):
+        got, want = getattr(streamed, f.name), getattr(dense, f.name)
+        if f.name == "inverse_residual":
+            continue
+        if want is None or isinstance(want, (bool, int, tuple)):
+            assert got == want, f.name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f.name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(knot_sequences(max_intervals=100, min_intervals=30))
+def test_streamed_decay_matches_dense(K):
+    # 30 to 100 intervals of multiplicity up to k = 6: n <= 600
+    assert_streamed_decay_matches_dense(K)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_streamed_decay_matches_dense_at_600(k):
+    assert_streamed_decay_matches_dense(knots_of_dimension(600, k, k))
+
+
+def test_streamed_decay_holds_no_inverse():
+    # 32-column blocks and their residuals, not the 8 n^2 bytes of the inverse
+    K = knots_of_dimension(2002, 3, 5)
+    G = assemble_gram(K)
+    G.factor()
+    with traced_peak() as peak:
+        rep = decay_report(G, K)
+    assert rep.fitted and rep.inverse_residual <= 1e-9
+    assert peak[0] <= 0.1 * 8 * K.n ** 2
+
+
+@pytest.mark.parametrize("eps, converged", [(1e-7, True), (1e-4, True), (3e-2, False)])
+def test_streamed_decay_refines_each_block(eps, converged):
+    # a cached factor with its diagonal scaled by 1 + eps: each block is
+    # refined against the true G0 until the residual is 1e-9 or the three
+    # sweeps are spent, and the report carries the largest final residual
+    K = knots_of_dimension(300, 4, 1)
+    G = assemble_gram(K)
+    fac = G.factor().copy()
+    fac[-1] *= 1 + eps
+    rep = decay_report(GramMatrix(K.k, G.bands, fac), K)
+    assert (rep.inverse_residual <= 1e-9) == converged
+    if converged:
+        # a residual of 1e-9 leaves the entries about that far off
+        exact = decay_report(invert_gram(G), K)
+        assert rep.gamma == pytest.approx(exact.gamma, rel=1e-6)
+        assert rep.big_k == pytest.approx(exact.big_k, rel=1e-6)
+
+
+@pytest.mark.parametrize("k, trials", [(1, 7), (4, 1), (4, 65), (6, 33)])
+def test_stability_span_slices_equal_one_shot(k, trials):
+    # more spans than one slice, and a last slice that is not full
+    K = knots_of_dimension(1500, k, trials)
+    assert analysis._STABILITY_SPANS < K.spans.size
+    assert K.spans.size % analysis._STABILITY_SPANS
+    rep = stability_constant(K, trials=trials, seed=trials)
+    assert rep.d_hat == reference_stability(K, trials, trials)
+
+
+def test_stability_holds_no_span_tensor():
+    # the coefficients, the span masses and their window sums (trials x n
+    # each) and one slice of spans, not (trials, spans, k) tensors
+    K = generate_partition(PartitionSpec("random", 5000, seed=1), 4)
+    with traced_peak() as peak:
+        stability_constant(K, trials=64)
+    assert peak[0] <= 4 * 8 * 64 * K.n
+
+
+def reference_invert_payload(A, K):
+    """The ``invert`` table and norms from whole n^2 index and scaled arrays."""
+    i, j = np.divmod(np.arange(K.n * K.n), K.n)
+    rows = np.column_stack([i, j, A.entries.ravel()])
+    b = np.abs(A.entries * (K.kappa / K.k)[None, :])
+    return rows, float(b.sum(axis=1).max()), float(b.sum(axis=0).max())
+
+
+@pytest.mark.parametrize("n", [39, 502])
+def test_invert_table_and_norms_equal_reference(n):
+    # 502 rows: the norms' row blocks and a last block that is not full
+    K = knots_of_dimension(n, 3, n)
+    cfg = ExperimentConfig("invert", k=3, partition="uniform:4")
+    with traced_peak() as peak:
+        payload, _, tables = cli.run_invert(cfg, K)
+    (_, rows), = tables.values()
+    ref_rows, norm_inf, norm_1 = reference_invert_payload(invert_gram(assemble_gram(K)), K)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert (payload["scaled_inverse_norm_inf"], payload["scaled_inverse_norm_1"]) == \
+        (norm_inf, norm_1)
+    # the inverse and the (n^2, 3) table: 32 n^2 bytes, and row blocks
+    assert peak[0] <= 4.5 * 8 * n * n + 2**20
 
 
 def test_kernel_bound_holds_no_pair_table():
