@@ -21,7 +21,6 @@ from .analysis import (
     domination_report,
     kernel_bound_report,
     lemma_constants,
-    maximal_function,
     modulus_of_smoothness,
     stability_constant,
     weak_type_report,

@@ -26,19 +26,19 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .bspline import span_gauss_blocks
+from .bspline import eval_basis_many, span_gauss_blocks
 from .errors import LengthMismatch, OutOfDomain, QuadratureNonConvergence
 from .functions import TestFunction
 from .gram import GramMatrix, InverseGram, inverse_blocks, refine_block
 from .knots import KnotSequence
-from .projection import kernel_values, l1_norm, project
+from .projection import kernel_from_basis, l1_norm, project
 from .quadrature import gauss_points, integrate_adaptive
 
 __all__ = [
     "DecayReport", "KernelBoundReport", "InverseBoundConstants",
     "DominationReport", "WeakTypeReport", "ConvergenceReport",
     "StabilityReport", "decay_report", "kernel_bound_report",
-    "lemma_constants", "maximal_function", "domination_report",
+    "lemma_constants", "domination_report",
     "weak_type_report", "convergence_report", "modulus_of_smoothness",
     "stability_constant",
 ]
@@ -245,11 +245,15 @@ def kernel_bound_report(A: InverseGram, K: KnotSequence,
     pts = (t[spans][:, None] + np.outer(K.h[spans], offs)).ravel()
     # log C(theta) is the largest log(max |Kd| * hull) - |i - j| log(theta)
     # over pairs of cells (i, j); the sample table, its per-cell maxima and
-    # the pairs' hulls and distances exist _KERNEL_ROWS cell rows at a time
+    # the pairs' hulls and distances exist _KERNEL_ROWS cell rows at a time.
+    # The basis at the samples is evaluated once; a slice of its rows is
+    # bitwise the basis at that slice of the samples
+    first, basis = eval_basis_many(K, pts)
     log_c = np.full(grid.size, -np.inf)
     for r in range(0, S, _KERNEL_ROWS):
-        rows = pts[r * samples_per_cell: (r + _KERNEL_ROWS) * samples_per_cell]
-        cell_max = np.abs(kernel_values(A, K, rows, pts)).reshape(
+        rows = slice(r * samples_per_cell, (r + _KERNEL_ROWS) * samples_per_cell)
+        cell_max = np.abs(kernel_from_basis(
+            A, (first[rows], basis[rows]), (first, basis))).reshape(
             -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
         mask = cell_max > ZERO_FLOOR
         if not mask.any():
@@ -406,45 +410,60 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
     return np.concatenate([[0.0], np.cumsum(cell)])
 
 
-def _anchored_max(prefix: np.ndarray, grid: np.ndarray, idx: int) -> float:
-    """Largest average of |f| over grid intervals with endpoint grid[idx].
+def _left_averages(x: list, y: list) -> list:
+    """Largest ``(y[p] - y[q]) / (x[p] - x[q])`` over ``q < p``, for each p
+    (0 at p = 0), with x increasing and y nondecreasing.
 
-    For a point on the grid this equals the grid-restricted maximal
-    function: any straddling interval splits at the point into two anchored
-    intervals whose better average dominates it.
+    One sweep of Andrew's monotone chain, the lower hull of the points
+    before p: a vertex whose predecessor gives p at least as large a
+    quotient lies on or above the line from that predecessor to p, so it
+    leaves the chain for good, and after those pops the top vertex gives
+    the largest quotient.  The pop test compares the quotients themselves,
+    so near-collinear runs cost a few ulps at most; a cross-product
+    orientation test can lose hundreds on an interval far from the origin.
     """
-    best = 0.0
-    if idx > 0:
-        left = (prefix[idx] - prefix[:idx]) / (grid[idx] - grid[:idx])
-        best = max(best, float(left.max()))
-    if idx < grid.size - 1:
-        right = (prefix[idx + 1:] - prefix[idx]) / (grid[idx + 1:] - grid[idx])
-        best = max(best, float(right.max()))
-    return best
-
-
-def maximal_function(f: TestFunction, x: float, grid_size: int = 1024,
-                     interval=(0.0, 1.0)) -> float:
-    """Hardy-Littlewood maximal function of ``f`` at ``x``, from below.
-
-    Candidate intervals have endpoints on a uniform grid of ``grid_size``
-    cells with ``x`` inserted as an extra grid point, so the value is
-    monotone nondecreasing under dyadic grid refinement.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a <= x <= b:
-        raise OutOfDomain(f"x = {x!r} outside [{a!r}, {b!r}]")
-    return _maximal_on_points(f, np.array([x]), (a, b), grid_size)[0]
+    out = [0.0]
+    hx, hy = [x[0]], [y[0]]
+    for xp, yp in zip(x[1:], y[1:]):
+        best = (yp - hy[-1]) / (xp - hx[-1])
+        while len(hx) >= 2:
+            below = (yp - hy[-2]) / (xp - hx[-2])
+            if below < best:
+                break
+            hx.pop()
+            hy.pop()
+            best = below
+        out.append(best)
+        hx.append(xp)
+        hy.append(yp)
+    return out
 
 
 def _maximal_on_points(f: TestFunction, xs: np.ndarray, interval, grid_size: int):
+    """Hardy-Littlewood maximal function of ``f`` at the points ``xs``, from below.
+
+    Candidate intervals have endpoints on a uniform grid of ``grid_size``
+    cells with the points ``xs`` inserted as extra grid points.  At a grid
+    point this is the largest average over grid intervals with that
+    endpoint: an interval straddling the point splits there into two whose
+    better average dominates it.  ``_left_averages`` over the prefix graph
+    gives the left averages, and over the graph reflected through the
+    origin, read backwards, the right ones (negation is exact, so each
+    quotient is the direct one).  The cost after the prefix integral is
+    linear in the grid size.
+    """
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     a, b = float(interval[0]), float(interval[1])
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((a <= xs) & (xs <= b))
+    if outside.any():
+        raise OutOfDomain(f"x = {float(xs[outside][0])!r} outside [{a!r}, {b!r}]")
     grid = np.union1d(np.linspace(a, b, grid_size + 1), xs)
     prefix = _prefix_abs_integral(f, grid)
-    idxs = np.searchsorted(grid, xs)
-    return np.array([_anchored_max(prefix, grid, int(i)) for i in idxs])
+    left = _left_averages(grid.tolist(), prefix.tolist())
+    right = _left_averages((-grid[::-1]).tolist(), (-prefix[::-1]).tolist())
+    return np.maximum(left, right[::-1])[np.searchsorted(grid, xs)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .knots import KnotSequence
 from .quadrature import Piece, integrate_adaptive, refine_pieces
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
-           "kernel_values", "l1_norm"]
+           "kernel_values", "kernel_from_basis", "l1_norm"]
 
 #: Per-moment absolute tolerance when f has no declared singularity.
 DEFAULT_MOMENT_TOL = 1e-11
@@ -119,15 +119,25 @@ def project(K: KnotSequence, f: TestFunction,
 def kernel_values(A: InverseGram, K: KnotSequence, x, y) -> np.ndarray:
     """Reproducing kernel table ``Kd(x[p], y[q])``, shape ``(len(x), len(y))``.
 
-    The basis is evaluated once per point set; the k^2 terms
-    ``N_l(x) a_lm N_m(y)`` are summed in (l, m) order.
+    The basis is evaluated once per point set; see ``kernel_from_basis``.
     """
-    fx, bx = eval_basis_many(K, np.ravel(x))
-    fy, by = eval_basis_many(K, np.ravel(y))
+    return kernel_from_basis(A, eval_basis_many(K, np.ravel(x)),
+                             eval_basis_many(K, np.ravel(y)))
+
+
+def kernel_from_basis(A: InverseGram, x_basis, y_basis) -> np.ndarray:
+    """``kernel_values`` from the ``eval_basis_many`` results of both point
+    sets, so a caller that tabulates against the same ``y`` many times
+    evaluates its basis once.  The k^2 terms ``N_l(x) a_lm N_m(y)`` are
+    summed in (l, m) order.
+    """
+    fx, bx = x_basis
+    fy, by = y_basis
+    k = bx.shape[1]
     out = np.zeros((fx.size, fy.size))
-    for l in range(K.k):
+    for l in range(k):
         rows = bx[:, l, None] * A.entries[fx + l]
-        for m in range(K.k):
+        for m in range(k):
             out += rows[:, fy + m] * by[:, m]
     return out
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splineproj import (
+    OutOfDomain,
     PartitionSpec,
     QuadratureNonConvergence,
     TestFunction,
@@ -14,13 +15,12 @@ from splineproj import (
     invert_gram,
     kernel_bound_report,
     lemma_constants,
-    maximal_function,
     modulus_of_smoothness,
     parse_function,
     stability_constant,
     weak_type_report,
 )
-from splineproj.analysis import column_gaps
+from splineproj.analysis import _maximal_on_points, column_gaps
 
 
 def inverse_for(spec, k):
@@ -184,10 +184,14 @@ def test_lemma_constants_order_one_flags():
 
 # -- maximal function -------------------------------------------------------
 
+def maximal_at(f, x, grid_size):
+    return _maximal_on_points(f, np.array([x]), (0.0, 1.0), grid_size)[0]
+
+
 def test_maximal_constant_function():
     one = parse_function("const")
     for x in (0.0, 0.3, 1.0):
-        assert maximal_function(one, x, 64) == pytest.approx(1.0, abs=1e-13)
+        assert maximal_at(one, x, 64) == pytest.approx(1.0, abs=1e-13)
 
 
 def indicator_half():
@@ -197,7 +201,7 @@ def indicator_half():
 
 def test_maximal_indicator_example():
     f = indicator_half()
-    assert maximal_function(f, 0.75, 1024) == pytest.approx(2 / 3, abs=1e-9)
+    assert maximal_at(f, 0.75, 1024) == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_maximal_brute_force_oracle():
@@ -212,35 +216,45 @@ def test_maximal_brute_force_oracle():
         for q in range(p + 1, grid.size):
             if grid[p] <= x <= grid[q]:
                 best = max(best, (mass[q] - mass[p]) / (grid[q] - grid[p]))
-    assert maximal_function(f, x, gs) == pytest.approx(best, abs=1e-12)
+    assert maximal_at(f, x, gs) == pytest.approx(best, abs=1e-12)
 
 
 def test_maximal_monotone_under_refinement():
     f = parse_function("runge")
     x = 0.41
-    vals = [maximal_function(f, x, g) for g in (64, 128, 256, 512)]
+    vals = [maximal_at(f, x, g) for g in (64, 128, 256, 512)]
     for v1, v2 in zip(vals, vals[1:]):
         assert v2 >= v1 - 1e-10
     # within 2% of a 10x finer grid on the indicator example
     f = indicator_half()
-    coarse = maximal_function(f, 0.75, 256)
-    fine = maximal_function(f, 0.75, 2560)
+    coarse = maximal_at(f, 0.75, 256)
+    fine = maximal_at(f, 0.75, 2560)
     assert abs(coarse - fine) <= 0.02 * fine
 
 
 def test_maximal_dominates_function_value():
     f = parse_function("runge")
     for x in (0.1, 0.5, 0.9):
-        assert maximal_function(f, x, 2048) >= f(np.array([x]))[0] - 1e-3
+        assert maximal_at(f, x, 2048) >= f(np.array([x]))[0] - 1e-3
 
 
 def test_maximal_validates_inputs():
     f = parse_function("runge")
     with pytest.raises(ValueError):
-        maximal_function(f, 0.5, 8)  # grid too coarse
-    from splineproj import OutOfDomain
+        maximal_at(f, 0.5, 8)  # grid too coarse
     with pytest.raises(OutOfDomain):
-        maximal_function(f, 1.5, 64)
+        maximal_at(f, 1.5, 64)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.5, np.nan], ids=["below", "above", "nan"])
+def test_maximal_points_outside_interval_raise(bad):
+    # one point outside [a, b] among points inside rejects the whole call;
+    # the ends themselves are inside
+    f = parse_function("runge")
+    xs = np.array([0.0, 0.4, bad, 1.0])
+    with pytest.raises(OutOfDomain, match="outside"):
+        _maximal_on_points(f, xs, (0.0, 1.0), 64)
+    assert np.all(_maximal_on_points(f, xs[[0, 1, 3]], (0.0, 1.0), 64) > 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -250,7 +264,7 @@ def test_maximal_non_finite_cell_raises(bad):
     f = TestFunction(lambda x: np.where(np.abs(x - 0.3) < 1e-3, bad, 1.0),
                      name="bad")
     with pytest.raises(QuadratureNonConvergence, match="non-finite"):
-        maximal_function(f, 0.8, 1024)
+        maximal_at(f, 0.8, 1024)
 
 
 # -- domination and weak type ----------------------------------------------

@@ -972,6 +972,18 @@ def test_kernel_bound_holds_no_pair_table():
     assert peak[0] <= 4 * 8 * K.spans.size ** 2
 
 
+def test_kernel_bound_evaluates_the_basis_once():
+    # one basis evaluation at the S s samples per report, shared by the
+    # three slices of cell rows at S = 150, not two per slice
+    K = generate_partition(PartitionSpec("random", 150, seed=1), 3)
+    A = invert_gram(assemble_gram(K))
+    with patch.object(analysis, "eval_basis_many", wraps=eval_basis_many) as here, \
+            patch.object(projection, "eval_basis_many", wraps=eval_basis_many) as there:
+        kernel_bound_report(A, K, 3)
+    assert (here.call_count, there.call_count) == (1, 0)
+    assert here.call_args.args[1].size == 3 * K.spans.size
+
+
 def test_write_csv_holds_one_slice(tmp_path):
     # the i, j, value table of a 502 x 502 inverse: 252,004 rows formatted
     # 8192 at a time, not as one tuple of 756k Python floats
@@ -997,3 +1009,86 @@ def test_write_csv_slices_equal_one_shot(tmp_path, nrows):
     write_csv(path, ("a", "b", "c"), rows)
     with open(path, "rb") as fh:
         assert fh.read() == expect.encode()
+
+
+# -- maximal function from hull sweeps --------------------------------------
+
+def reference_maximal(f, xs, interval, grid_size):
+    """``_maximal_on_points`` as one O(grid) scan per point: the largest
+    quotient over every grid interval anchored at the point, left and right."""
+    a, b = interval
+    grid = np.union1d(np.linspace(a, b, grid_size + 1), xs)
+    prefix = analysis._prefix_abs_integral(f, grid)
+    out = []
+    for idx in np.searchsorted(grid, xs):
+        best = 0.0
+        if idx > 0:
+            left = (prefix[idx] - prefix[:idx]) / (grid[idx] - grid[:idx])
+            best = max(best, float(left.max()))
+        if idx < grid.size - 1:
+            right = (prefix[idx + 1:] - prefix[idx]) / (grid[idx + 1:] - grid[idx])
+            best = max(best, float(right.max()))
+        out.append(best)
+    return np.array(out)
+
+
+def cell_masses(kind, widths, rng):
+    """Values of |f| on the grid cells for one family of cell masses."""
+    cells = widths.size
+    if kind == "constant":  # prefix collinear on any grid
+        return np.full(cells, rng.uniform(0.1, 10.0))
+    if kind == "equal":  # the same mass in every cell
+        return rng.uniform(0.1, 10.0) * widths[0] / widths
+    if kind == "zero":  # flat runs between equal-mass runs
+        runs = np.repeat(rng.random(cells // 4 + 1) < 0.5, 4)[:cells]
+        return np.where(runs, 0.0, 1.0)
+    if kind == "integer":  # many exact ties
+        return rng.integers(0, 4, cells).astype(float)
+    if kind == "spike":
+        vals = np.where(rng.random(cells) < 0.5, 0.0, 1.0)
+        vals[rng.integers(cells)] = 10.0 ** rng.integers(2, 9)
+        return vals
+    return rng.pareto(0.7, cells)  # heavy-tailed
+
+
+@st.composite
+def maximal_cases(draw):
+    """A piecewise constant f on the grid ``_maximal_on_points`` builds, with
+    the evaluation points on a uniform grid or making the grid random; the
+    ends a and b are always evaluated."""
+    a = draw(st.sampled_from([0.0, -1.0, 0.3, 1e3]))
+    b = a + draw(st.sampled_from([1.0, 0.1, 7.0, 1.0 / 3.0]))
+    grid_size = draw(st.integers(16, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = np.linspace(a, b, grid_size + 1)
+    if draw(st.booleans()):
+        inner = uniform[rng.choice(grid_size + 1, rng.integers(1, grid_size + 2))]
+    else:
+        inner = rng.uniform(a, b, rng.integers(1, 3 * grid_size))
+    xs = np.concatenate([[a, b], inner])
+    grid = np.union1d(uniform, xs)
+    vals = cell_masses(draw(st.sampled_from(
+        ["constant", "equal", "zero", "integer", "spike", "heavy"])), np.diff(grid), rng)
+    # Gauss nodes lie inside the cells, so each cell sees one value
+    f = TestFunction(lambda x: vals[np.clip(np.searchsorted(grid, x) - 1, 0, vals.size - 1)],
+                     name="cells")
+    return f, xs, (a, b), grid_size
+
+
+@settings(parent=PROPS, max_examples=300)
+@given(maximal_cases())
+def test_maximal_sweeps_equal_per_point_scan(case):
+    f, xs, interval, grid_size = case
+    ref = reference_maximal(f, xs, interval, grid_size)
+    new = analysis._maximal_on_points(f, xs, interval, grid_size)
+    assert np.all(np.abs(new - ref) <= 4 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("name, points, grid_size", [
+    ("abspow:0:-0.5", 4096, 16384), ("step:0.4375", 4096, 4096),
+    ("abspow:0.5:-0.3", 512, 4096)])
+def test_maximal_sweeps_equal_scan_on_benchmark_inputs(name, points, grid_size):
+    f = parse_function(name)
+    xs = analysis.midpoints(0.0, 1.0, points)
+    ref = reference_maximal(f, xs, (0.0, 1.0), grid_size)
+    assert np.array_equal(analysis._maximal_on_points(f, xs, (0.0, 1.0), grid_size), ref)
