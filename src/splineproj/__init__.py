@@ -36,6 +36,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
     QuadratureNonConvergence,
+    RefinementFailure,
     SplineProjError,
     SymmetryViolation,
     ZeroIntervals,

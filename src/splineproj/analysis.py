@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .bspline import eval_basis_many, span_gauss_blocks
 from .errors import LengthMismatch, OutOfDomain, QuadratureNonConvergence
 from .functions import TestFunction
-from .gram import GramMatrix, InverseGram, inverse_blocks, refine_block
+from .gram import GramMatrix, inverse_columns
 from .knots import KnotSequence
 from .projection import kernel_from_basis, l1_norm, project
 from .quadrature import gauss_points, integrate_adaptive
@@ -47,9 +47,12 @@ ZERO_FLOOR = 1e-300
 #: Cell rows of the kernel sample table that ``kernel_bound_report`` holds
 #: at once; it bounds the table's memory at 64 s^2 S doubles.
 _KERNEL_ROWS = 64
-#: Columns of the inverse that ``decay_report`` reduces at once: its working
-#: memory is a few n x 32 arrays, whether it reads or solves them.
-_DECAY_COLUMNS = 32
+#: Columns of the inverse that ``decay_report`` and the row scans solve and
+#: reduce at once: their working memory is a few n x 32 arrays.
+_COLUMNS = 32
+#: Cells whose 16 Gauss nodes ``_prefix_abs_integral`` evaluates at once; a
+#: multiple of 4 keeps a one-thread BLAS product bitwise that over all cells.
+_PREFIX_CELLS = 4096
 #: Spans whose spline values ``stability_constant`` holds at once.
 _STABILITY_SPANS = 256
 
@@ -92,8 +95,8 @@ class DecayReport:
     exactly at the asymptotic rate is a running maximum over ~n comparable
     terms and cannot be stable across sizes on irregular meshes.  ``k0``
     bounds the second profile with the same certificate rate.
-    ``inverse_residual`` is ``max |G0 A - I|`` of the inverse the profiles
-    were read from.
+    ``inverse_residual`` is the largest ``max |G0 X - I[:, cols]|`` of the
+    column blocks ``X`` the profiles were read from.
     """
 
     order: int
@@ -132,33 +135,26 @@ def _envelope_constant(offsets, profile, gamma):
     return float(np.exp(logs.max()))
 
 
-def decay_report(A: InverseGram | GramMatrix, K: KnotSequence) -> DecayReport:
+def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     """Per-offset decay profiles of the inverse Gram matrix and their fit.
 
-    ``A`` is a dense inverse, read ``_DECAY_COLUMNS`` columns at a time, or
-    the Gram matrix itself, whose inverse is then solved and refined that
-    many columns at a time and never held whole.  Each entry ``(i, c)`` of
-    the upper triangle enters the profiles at offset ``c - i``, so they are
-    the same maxima whichever way the columns come.  With fewer than ``3k``
-    basis functions no rate is fitted and the report carries the profiles
-    only.  For order 1 every off-diagonal entry is exactly zero and the
-    report is flagged diagonal.
+    The inverse of ``G0`` is solved and refined ``_COLUMNS`` columns at a
+    time and never held whole.  Each entry ``(i, c)`` of the upper triangle
+    enters the profiles at offset ``c - i``.  With fewer than ``3k`` basis
+    functions no rate is fitted and the report carries the profiles only.
+    For order 1 every off-diagonal entry is exactly zero and the report is
+    flagged diagonal.
     """
     n, k = K.n, K.k
-    if A.n != n:
-        raise LengthMismatch(f"matrix dimension {A.n} != spline dimension {n}")
+    if G0.n != n:
+        raise LengthMismatch(f"matrix dimension {G0.n} != spline dimension {n}")
     kap = K.kappa
     offsets = np.arange(n)
-    if isinstance(A, InverseGram):
-        blocks = ((j, A.entries[:, j: j + _DECAY_COLUMNS], A.residual)
-                  for j in range(0, n, _DECAY_COLUMNS))
-    else:
-        blocks = ((j, X, refine_block(A, j, X))
-                  for j, X in inverse_blocks(A, _DECAY_COLUMNS))
     prof_a = np.zeros(n)
     prof_b = np.zeros(n)
     inverse_residual = 0.0
-    for j, X, block_residual in blocks:
+    for j in range(0, n, _COLUMNS):
+        X, block_residual = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, n)))
         inverse_residual = max(inverse_residual, block_residual)
         w = X.shape[1]
         rows = j + w  # rows 0 .. c hold the upper triangle of each column c
@@ -226,12 +222,12 @@ class KernelBoundReport:
     samples_per_cell: int
 
 
-def kernel_bound_report(A: InverseGram, K: KnotSequence,
+def kernel_bound_report(G0: GramMatrix, K: KnotSequence,
                         samples_per_cell: int = 3) -> KernelBoundReport:
     """Stratified sampling of the kernel over all pairs of knot intervals."""
     if samples_per_cell < 2:
         raise ValueError("samples_per_cell must be >= 2")
-    dec = decay_report(A, K)
+    dec = decay_report(G0, K)
     gamma = dec.gamma if dec.fitted else 0.0
     grid = np.arange(0.05, 1.0, 0.05)
     grid = grid[grid > gamma]
@@ -253,7 +249,7 @@ def kernel_bound_report(A: InverseGram, K: KnotSequence,
     for r in range(0, S, _KERNEL_ROWS):
         rows = slice(r * samples_per_cell, (r + _KERNEL_ROWS) * samples_per_cell)
         cell_max = np.abs(kernel_from_basis(
-            A, (first[rows], basis[rows]), (first, basis))).reshape(
+            G0, (first[rows], basis[rows]), (first, basis))).reshape(
             -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
         mask = cell_max > ZERO_FLOOR
         if not mask.any():
@@ -297,7 +293,16 @@ class InverseBoundConstants:
     skipped: tuple = ()
 
 
-def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
+def _inverse_rows(G0: GramMatrix):
+    """``(i, row i)`` of the inverse for every i, solved ``_COLUMNS`` at a
+    time as columns: the inverse is symmetric."""
+    for j in range(0, G0.n, _COLUMNS):
+        X, _ = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, G0.n)))
+        for c in range(X.shape[1]):
+            yield j + c, X[:, c]
+
+
+def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
     """Entrywise check of the decay bound assembled from the three
     structural constants, cross-validating ``decay_report``.
 
@@ -308,13 +313,13 @@ def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
     Returns the largest ratio of an entry to its bound; at most 1 (up to
     roundoff) when the constants were measured on the same instance.
     """
-    con = lemma_constants(A, K, gamma)
+    con = lemma_constants(G0, K, gamma)
     n, k = K.n, K.k
     chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
              * con.k1 * gamma ** (1 - k))
     powers = np.array([gamma ** d for d in range(n)])
     worst = 0.0
-    for i in range(n):
+    for i, row in _inverse_rows(G0):
         d = np.arange(n - i)
         acc = np.maximum.accumulate(K.h[i:])
         hij = acc[d + k - 1]
@@ -323,12 +328,12 @@ def chained_decay_check(A: InverseGram, K: KnotSequence, gamma: float) -> float:
         in_support = (d < k) | (acc[k - 1] == hij) | (acc[d - 1] < hij)
         bound = np.where(in_support, con.k1, chain) * powers[d] / hij
         ok = (bound > 0) & np.isfinite(bound)
-        row = np.abs(A.entries[i, i:])
+        row = np.abs(row[i:])
         worst = max(worst, (row[ok] / bound[ok]).max(initial=0.0))
     return float(worst)
 
 
-def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBoundConstants:
+def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBoundConstants:
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     n, k = K.n, K.k
@@ -340,8 +345,8 @@ def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBou
     k1_best = k2_best = -np.inf
     k3_best = 0.0
     skipped = []
-    for i in range(n):
-        row = np.abs(A.entries[i])
+    for i, row in _inverse_rows(G0):
+        row = np.abs(row)
         row[~(row > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
         with np.errstate(divide="ignore"):
             lg = np.log(row * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg
@@ -381,8 +386,8 @@ def lemma_constants(A: InverseGram, K: KnotSequence, gamma: float) -> InverseBou
 def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
     """Cumulative integral of |f| at the grid points.
 
-    Plain cells get a fixed 16-point Gauss rule evaluated in one sweep;
-    cells containing a marker are redone adaptively.  Cells holding an
+    Plain cells get a fixed 16-point Gauss rule, ``_PREFIX_CELLS`` cells at
+    a time; cells containing a marker are redone adaptively.  Cells holding an
     integrable singularity get a relaxed tolerance (1e-9 absolute, which
     the dyadically graded pieces can actually reach); the maximal-function
     values built on top are O(1) or larger, so this is far below their
@@ -391,9 +396,12 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
     """
     lo, hi = grid[:-1], grid[1:]
     x, w = gauss_points(0.0, 1.0, 16)
-    pts = lo[:, None] + (hi - lo)[:, None] * x[None, :]
-    vals = np.abs(f(pts.ravel())).reshape(pts.shape)
-    cell = (hi - lo) * (vals @ w)
+    cell = np.empty(lo.size)
+    for s in range(0, lo.size, _PREFIX_CELLS):
+        part = slice(s, s + _PREFIX_CELLS)
+        pts = lo[part, None] + (hi - lo)[part, None] * x[None, :]
+        cell[part] = np.abs(f(pts.ravel())).reshape(pts.shape) @ w
+    cell *= hi - lo
     singular_points = {p for p, _ in f.singularities}
     for mkr in f.markers:
         tol = 1e-9 if mkr in singular_points else 1e-12

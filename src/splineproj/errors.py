@@ -46,6 +46,10 @@ class SymmetryViolation(SplineProjError, ArithmeticError):
     """A matrix that must be symmetric came out asymmetric beyond tolerance."""
 
 
+class RefinementFailure(SplineProjError, ArithmeticError):
+    """Iterative refinement of a solve ended above its residual target."""
+
+
 class QuadratureNonConvergence(SplineProjError, ArithmeticError):
     """Adaptive quadrature exhausted its budget above the requested tolerance."""
 

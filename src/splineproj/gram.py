@@ -7,12 +7,11 @@ k-point Gauss rule per interval assembles each entry exactly up to
 roundoff.  Storage is the LAPACK upper symmetric-banded layout, which feeds
 straight into the banded Cholesky solver.
 
-The inverse is ``n`` banded solves against identity columns, taken a
-column block at a time by ``inverse_blocks``; a caller that reduces each
-block as it comes never holds the whole inverse.  The inverse is dense by
-nature, its entries merely decay away from the diagonal; symmetry of the
-result is a theorem, so an asymmetry beyond tolerance aborts instead of
-being averaged away silently.
+The inverse is dense by nature, its entries merely decay away from the
+diagonal.  ``inverse_columns`` solves and refines only the columns asked
+for, which are also rows, the matrix being symmetric; only ``invert_gram``
+forms the whole inverse.  Symmetry of the result is a theorem, so an
+asymmetry beyond tolerance aborts instead of being averaged away silently.
 """
 
 from __future__ import annotations
@@ -23,19 +22,19 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .bspline import span_gauss_blocks
-from .errors import LengthMismatch, NotPositiveDefinite, SymmetryViolation
+from .errors import (LengthMismatch, NotPositiveDefinite, RefinementFailure,
+                     SymmetryViolation)
 from .knots import KnotSequence
 
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
-           "solve_banded", "inverse_blocks", "refine_block", "invert_gram"]
+           "solve_banded", "inverse_columns", "invert_gram"]
 
 # Relative asymmetry of a computed inverse above which we refuse to average.
 ASYMMETRY_LIMIT = 1e-8
 #: Largest ``max |G0 A - I|`` that ends iterative refinement early.
 RESIDUAL_TARGET = 1e-9
-#: Side of the square blocks ``invert_gram`` certifies and symmetrizes and
-#: width of the column blocks it refines: n x 256 doubles at a time beside
-#: the inverse.
+#: Side of the square blocks ``invert_gram`` symmetrizes and width of the
+#: column blocks it refines: n x 256 doubles at a time beside the inverse.
 _BLOCK = 256
 
 
@@ -187,43 +186,37 @@ def _symmetrize(A: np.ndarray):
     return scale, diff
 
 
-def inverse_blocks(G0: GramMatrix, width: int = _BLOCK):
-    """``(j, X)`` for each column block ``X`` of the inverse, columns
-    ``j .. j + width - 1``, solved against those identity columns when asked
-    for.  The banded solve treats each column on its own, so the blocks are
-    bitwise the columns of one solve against the whole identity.  Every
-    block is solved in one n x width buffer: a block holds until the next
-    is asked for.
-    """
-    n = G0.n
-    fac = G0.factor()
-    buf = np.empty((n, min(width, n)), order="F")
-    for j in range(0, n, width):
-        X = buf[:, : min(width, n - j)]
-        X.fill(0.0)
-        cols = np.arange(X.shape[1])
-        X[j + cols, cols] = 1.0
-        yield j, cho_solve_banded((fac, False), X, overwrite_b=True)
-
-
-def _block_residual(G0: GramMatrix, j: int, X: np.ndarray) -> np.ndarray:
-    """``G0 X - I[:, j: j + w]`` for the column block ``X`` starting at j."""
+def _residual(G0: GramMatrix, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``G0 X - I[:, cols]`` for the columns ``X`` of the inverse."""
     R = G0.matvec(X)
-    cols = np.arange(R.shape[1])
-    R[j + cols, cols] -= 1.0
+    R[cols, np.arange(cols.size)] -= 1.0
     return R
 
 
-def refine_block(G0: GramMatrix, j: int, X: np.ndarray) -> float:
-    """Refine the column block ``X`` of the inverse in place, up to three
-    sweeps while ``max |G0 X - I[:, j: j + w]|`` is above the target, and
-    return that residual as it ends."""
+def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
+    """Columns ``cols`` of the inverse as an n x len(cols) array, and the
+    residual ``max |G0 X - I[:, cols]|`` they end with.
+
+    Each column is solved against its identity column from the cached
+    banded factor, on its own, so it is bitwise that column of one solve
+    against the whole identity; then the block is refined in place for up to
+    three sweeps while the residual is above ``RESIDUAL_TARGET``.  A
+    residual still above it raises RefinementFailure.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
     fac = G0.factor()
+    X = np.zeros((G0.n, cols.size), order="F")
+    X[cols, np.arange(cols.size)] = 1.0
+    X = cho_solve_banded((fac, False), X, overwrite_b=True)
     for sweep in range(4):
-        R = _block_residual(G0, j, X)
-        residual = np.abs(R).max()
-        if residual <= RESIDUAL_TARGET or sweep == 3:
-            return float(residual)
+        R = _residual(G0, cols, X)
+        residual = float(np.abs(R).max(initial=0.0))
+        if residual <= RESIDUAL_TARGET:
+            return X, residual
+        if sweep == 3:
+            raise RefinementFailure(
+                f"inverse residual {residual:.3e} above {RESIDUAL_TARGET:.0e} "
+                "after three refinement sweeps")
         X -= cho_solve_banded((fac, False), R, overwrite_b=True)
 
 
@@ -231,7 +224,8 @@ def _residual_blocks(G0: GramMatrix, A: np.ndarray):
     """``(j, R)`` for each column block ``R = (G0 A - I)[:, j: j + _BLOCK]``,
     computed when asked for, so a caller may update block j before the next."""
     for j in range(0, G0.n, _BLOCK):
-        yield j, _block_residual(G0, j, A[:, j: j + _BLOCK])
+        X = A[:, j: j + _BLOCK]
+        yield j, _residual(G0, np.arange(j, j + X.shape[1]), X)
 
 
 def invert_gram(G0: GramMatrix) -> InverseGram:
@@ -243,17 +237,13 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
     Iterative refinement is applied until the residual ``max |G0 A - I|``
     drops below 1e-9, for at most three sweeps.
 
-    The columns come from ``inverse_blocks`` into one Fortran-ordered array,
-    and certification, symmetrization and refinement work on
-    ``_BLOCK``-wide blocks of it, so the inverse is the only n x n array
-    held.
+    The inverse is one in-place solve against a Fortran-ordered identity,
+    and symmetrization and refinement work on ``_BLOCK``-wide blocks of it,
+    so the inverse is the only n x n array held.
     """
     n = G0.n
     fac = G0.factor()
-    A = np.empty((n, n), order="F")
-    for j, X in inverse_blocks(G0):
-        A[:, j: j + X.shape[1]] = X
-    del X  # the solve's n x _BLOCK buffer, not needed past here
+    A = cho_solve_banded((fac, False), np.eye(n, order="F"), overwrite_b=True)
     scale, diff = _symmetrize(A)
     asym = diff / scale if scale > 0 else 0.0
     if asym > ASYMMETRY_LIMIT:

@@ -18,7 +18,7 @@ import numpy as np
 from .bspline import (eval_basis_many, eval_spline_many, gauss_blocks,
                       span_gauss_blocks)
 from .functions import TestFunction
-from .gram import GramMatrix, InverseGram, assemble_gram, solve_banded
+from .gram import GramMatrix, assemble_gram, inverse_columns, solve_banded
 from .knots import KnotSequence
 from .quadrature import Piece, integrate_adaptive, refine_pieces
 
@@ -116,33 +116,36 @@ def project(K: KnotSequence, f: TestFunction,
     return Projection(K, c, est)
 
 
-def kernel_values(A: InverseGram, K: KnotSequence, x, y) -> np.ndarray:
+def kernel_values(G0: GramMatrix, K: KnotSequence, x, y) -> np.ndarray:
     """Reproducing kernel table ``Kd(x[p], y[q])``, shape ``(len(x), len(y))``.
 
     The basis is evaluated once per point set; see ``kernel_from_basis``.
     """
-    return kernel_from_basis(A, eval_basis_many(K, np.ravel(x)),
+    return kernel_from_basis(G0, eval_basis_many(K, np.ravel(x)),
                              eval_basis_many(K, np.ravel(y)))
 
 
-def kernel_from_basis(A: InverseGram, x_basis, y_basis) -> np.ndarray:
+def kernel_from_basis(G0: GramMatrix, x_basis, y_basis) -> np.ndarray:
     """``kernel_values`` from the ``eval_basis_many`` results of both point
     sets, so a caller that tabulates against the same ``y`` many times
-    evaluates its basis once.  The k^2 terms ``N_l(x) a_lm N_m(y)`` are
-    summed in (l, m) order.
+    evaluates its basis once.  Only the inverse rows ``fx .. fx + k - 1``
+    are solved, as columns: the inverse is symmetric.  The k^2 terms
+    ``N_l(x) a_lm N_m(y)`` are summed in (l, m) order.
     """
     fx, bx = x_basis
     fy, by = y_basis
     k = bx.shape[1]
+    need = np.unique(fx[:, None] + np.arange(k))
+    X, _ = inverse_columns(G0, need)
     out = np.zeros((fx.size, fy.size))
     for l in range(k):
-        rows = bx[:, l, None] * A.entries[fx + l]
+        rows = bx[:, l, None] * X.T[np.searchsorted(need, fx + l)]
         for m in range(k):
             out += rows[:, fy + m] * by[:, m]
     return out
 
 
-def kernel_constant_integral(A: InverseGram, K: KnotSequence, x) -> np.ndarray:
+def kernel_constant_integral(G0: GramMatrix, K: KnotSequence, x) -> np.ndarray:
     """``int Kd(x[p], y) dy`` over [a, b] for each point, by exact
     per-interval Gauss rules, from one kernel table.
 
@@ -150,7 +153,7 @@ def kernel_constant_integral(A: InverseGram, K: KnotSequence, x) -> np.ndarray:
     computed value differs only by roundoff.
     """
     ys, w, _ = span_gauss_blocks(K)
-    table = kernel_values(A, K, x, ys.ravel()).reshape(-1, *ys.shape)
+    table = kernel_values(G0, K, x, ys.ravel()).reshape(-1, *ys.shape)
     return np.sum(w * table, axis=(1, 2))
 
 

@@ -40,6 +40,11 @@ def inverse_for(k, family, n, seed=1234):
     return sp.invert_gram(sp.assemble_gram(K)), K
 
 
+def gram_for(k, family, n, seed=1234):
+    K = partition_for(k, family, n, seed)
+    return sp.assemble_gram(K), K
+
+
 CORPUS = ("x", "x^2", "sin", "cos", "runge", "step:0.5", "absdist:0.3",
           "abspow:0:-0.5")
 
@@ -135,8 +140,8 @@ def test_criterion_04_inverse_decay():
         for k in (2, 3, 4, 5):
             kk = []
             for n in (50, 100, 200, 400):
-                A, K = inverse_for(k, family, n)
-                rep = sp.decay_report(A, K)
+                G0, K = gram_for(k, family, n)
+                rep = sp.decay_report(G0, K)
                 assert rep.fitted and rep.residual_factor <= 1 + 1e-9
                 worst_gamma = max(worst_gamma, rep.gamma)
                 kk.append(rep.big_k)
@@ -149,8 +154,8 @@ def test_criterion_04_inverse_decay():
     T[0, 0] = T[-1, -1] = h / 3
     Tinv = np.linalg.inv(T)
     oracle = abs(Tinv[200, 221] / Tinv[200, 220])
-    A, K = inverse_for(2, "uniform", 400)
-    rep = sp.decay_report(A, K)
+    G0, K = gram_for(2, "uniform", 400)
+    rep = sp.decay_report(G0, K)
     rate_dev = max(abs(rep.gamma - oracle), abs(rep.gamma - (2 - np.sqrt(3))))
     elapsed = time.monotonic() - start
     ok = (worst_gamma < 0.95 and worst_jump <= 2.0
@@ -199,28 +204,28 @@ def test_criterion_06_kernel():
     rng = np.random.default_rng(5)
     worst_int = 0.0
     for k, family, n in ((3, "random", 50), (2, "uniform", 64)):
-        A, K = inverse_for(k, family, n)
-        ints = sp.kernel_constant_integral(A, K, rng.uniform(K.a, K.b, 100))
+        G0, K = gram_for(k, family, n)
+        ints = sp.kernel_constant_integral(G0, K, rng.uniform(K.a, K.b, 100))
         worst_int = max(worst_int, float(np.abs(ints - 1.0).max()))
     worst_theta, worst_jump = 0.0, 1.0
     for k in (2, 3):
         for family in ("uniform", "random"):
             cs = []
             for n in (64, 128):
-                A, K = inverse_for(k, family, n)
-                rep = sp.kernel_bound_report(A, K, samples_per_cell=3)
+                G0, K = gram_for(k, family, n)
+                rep = sp.kernel_bound_report(G0, K, samples_per_cell=3)
                 worst_theta = max(worst_theta, rep.theta_hat)
                 cs.append(rep.c_hat)
             worst_jump = max(worst_jump, cs[1] / cs[0], cs[0] / cs[1])
     # order-one closed form: kernel is 1/h on diagonal cells, 0 elsewhere
-    A, K = inverse_for(1, "random", 30)
+    G0, K = gram_for(1, "random", 30)
     t = K.t
     mids = 0.5 * (t[:-1] + t[1:])
     closed = 0.0
     for i, x in enumerate(mids):
         for j, y in enumerate(mids[: i + 1]):
             expect = 1.0 / (t[i + 1] - t[i]) if i == j else 0.0
-            closed = max(closed, abs(sp.kernel_values(A, K, x, y)[0, 0] - expect)
+            closed = max(closed, abs(sp.kernel_values(G0, K, x, y)[0, 0] - expect)
                          * (t[i + 1] - t[i] if i == j else 1.0))
     ok = (worst_int <= 1e-9 and worst_theta < 1.0 and worst_jump <= 2.0
           and closed <= 1e-12)
@@ -334,12 +339,12 @@ def test_criterion_11_structural_constants():
         for family in ("uniform", "random"):
             vals = {}
             for n in (100, 200):
-                A, K = inverse_for(k, family, n)
-                dec = sp.decay_report(A, K)
+                G0, K = gram_for(k, family, n)
+                dec = sp.decay_report(G0, K)
                 # the certificate rate, not the raw fit: constants taken at
                 # the critical rate are running maxima and cannot be stable
                 gamma = max(dec.gamma_cert, 0.5)
-                c = sp.lemma_constants(A, K, gamma)
+                c = sp.lemma_constants(G0, K, gamma)
                 assert all(np.isfinite(v) for v in (c.k1, c.k2, c.k3))
                 vals[n] = (c.k1, c.k2, c.k3)
             for i in range(3):

@@ -21,11 +21,12 @@ from splineproj import (
     weak_type_report,
 )
 from splineproj.analysis import _maximal_on_points, column_gaps
+from test_gram import dense_inverse
 
 
-def inverse_for(spec, k):
+def gram_for(spec, k):
     K = generate_partition(spec, k)
-    return invert_gram(assemble_gram(K)), K
+    return assemble_gram(K), K
 
 
 # -- decay ------------------------------------------------------------------
@@ -40,8 +41,8 @@ def test_column_gaps_match_largest_gap():
 
 
 def test_decay_order_one_diagonal():
-    A, K = inverse_for(PartitionSpec("random", 20, seed=1), 1)
-    rep = decay_report(A, K)
+    G0, K = gram_for(PartitionSpec("random", 20, seed=1), 1)
+    rep = decay_report(G0, K)
     assert rep.diagonal
     assert np.all(rep.profile_scaled[1:] == 0.0)
 
@@ -55,32 +56,34 @@ def test_decay_uniform_hat_rate_matches_toeplitz_oracle():
     Tinv = np.linalg.inv(T)
     oracle_ratio = abs(Tinv[200, 211] / Tinv[200, 210])
 
-    A, K = inverse_for(PartitionSpec("uniform", 399), 2)
-    measured = abs(A.entries[200, 211] / A.entries[200, 210])
+    G0, K = gram_for(PartitionSpec("uniform", 399), 2)
+    A = dense_inverse(G0)
+    measured = abs(A[200, 211] / A[200, 210])
     assert measured == pytest.approx(oracle_ratio, rel=1e-9)
     assert measured == pytest.approx(2 - np.sqrt(3), rel=1e-10)
 
-    rep = decay_report(A, K)
+    rep = decay_report(G0, K)
     assert rep.fitted
     assert abs(rep.gamma - (2 - np.sqrt(3))) / (2 - np.sqrt(3)) < 0.01
 
 
 def test_decay_geometric_bound_holds_entrywise():
-    A, K = inverse_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
-    rep = decay_report(A, K)
+    G0, K = gram_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
+    rep = decay_report(G0, K)
     assert rep.fitted and rep.gamma < 1
     gaps = column_gaps(K, 0, K.n)
+    A = dense_inverse(G0)
     for d in range(K.n):
         bound = rep.big_k * rep.gamma_cert ** d
-        vals = np.abs(np.diagonal(A.entries, offset=d)) * np.diagonal(gaps, d)
+        vals = np.abs(np.diagonal(A, offset=d)) * np.diagonal(gaps, d)
         assert np.all(vals <= bound * (1 + 1e-9))
     assert rep.residual_factor <= 1 + 1e-9
 
 
 def test_decay_scaled_inverse_profile_bounded():
-    A, K = inverse_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
-    rep = decay_report(A, K)
-    b = np.abs(A.entries * (K.kappa / K.k)[None, :])
+    G0, K = gram_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
+    rep = decay_report(G0, K)
+    b = np.abs(dense_inverse(G0) * (K.kappa / K.k)[None, :])
     for d in range(K.n):
         bound = rep.k0 * rep.gamma_cert ** d * (1 + 1e-9)
         assert np.all(np.diagonal(b, offset=d) <= bound)
@@ -88,8 +91,8 @@ def test_decay_scaled_inverse_profile_bounded():
 
 
 def test_decay_profile_only_when_too_small():
-    A, K = inverse_for(PartitionSpec("uniform", 4), 3)  # n = 6 < 9
-    rep = decay_report(A, K)
+    G0, K = gram_for(PartitionSpec("uniform", 4), 3)  # n = 6 < 9
+    rep = decay_report(G0, K)
     assert not rep.fitted
     assert rep.gamma is None
     assert rep.profile_scaled.size == K.n
@@ -98,10 +101,9 @@ def test_decay_profile_only_when_too_small():
 def test_scaled_inverse_consistency():
     # b entries via dense inversion of the rescaled Gram matrix
     from splineproj import scaled_gram
-    A, K = inverse_for(PartitionSpec("random", 40, seed=3), 3)
-    G = scaled_gram(assemble_gram(K), K)
-    b_direct = np.linalg.inv(G)
-    b_scaled = A.entries * (K.kappa / K.k)[None, :]
+    G0, K = gram_for(PartitionSpec("random", 40, seed=3), 3)
+    b_direct = np.linalg.inv(scaled_gram(G0, K))
+    b_scaled = invert_gram(G0).entries * (K.kappa / K.k)[None, :]
     scale = np.abs(b_direct).max()
     assert np.abs(b_direct - b_scaled).max() <= 1e-10 * scale
 
@@ -109,28 +111,28 @@ def test_scaled_inverse_consistency():
 # -- kernel bound -----------------------------------------------------------
 
 def test_kernel_bound_order_one_unit_constant():
-    A, K = inverse_for(PartitionSpec("random", 12, seed=2), 1)
-    rep = kernel_bound_report(A, K, samples_per_cell=3)
+    G0, K = gram_for(PartitionSpec("random", 12, seed=2), 1)
+    rep = kernel_bound_report(G0, K, samples_per_cell=3)
     assert rep.c_hat == pytest.approx(1.0, rel=1e-10)
     assert 0 < rep.theta_hat < 1
 
 
 def test_kernel_bound_corner_decay():
-    A, K = inverse_for(PartitionSpec("uniform", 63), 2)
-    rep = kernel_bound_report(A, K, samples_per_cell=2)
+    G0, K = gram_for(PartitionSpec("uniform", 63), 2)
+    rep = kernel_bound_report(G0, K, samples_per_cell=2)
     # the fitted bound at the far corner is an instance of the sampled max
     from splineproj.projection import kernel_values
     x, y = 1e-3, 1.0 - 1e-3
-    val = abs(kernel_values(A, K, x, y)[0, 0])
+    val = abs(kernel_values(G0, K, x, y)[0, 0])
     sx, sy = K.span_indices([x, y])
     hull = K.t[max(sx, sy) + 1] - K.t[min(sx, sy)]
     assert val <= rep.c_hat * rep.theta_hat ** abs(sx - sy) / hull
 
 
 def test_kernel_bound_rejects_single_sample():
-    A, K = inverse_for(PartitionSpec("uniform", 8), 2)
+    G0, K = gram_for(PartitionSpec("uniform", 8), 2)
     with pytest.raises(ValueError):
-        kernel_bound_report(A, K, samples_per_cell=1)
+        kernel_bound_report(G0, K, samples_per_cell=1)
 
 
 # -- structural constants ---------------------------------------------------
@@ -138,9 +140,9 @@ def test_kernel_bound_rejects_single_sample():
 def test_lemma_constants_finite_and_stable():
     vals = {}
     for n in (50, 200):
-        A, K = inverse_for(PartitionSpec("uniform", n - 1), 2)
-        dec = decay_report(A, K)
-        c = lemma_constants(A, K, max(dec.gamma, 0.5))
+        G0, K = gram_for(PartitionSpec("uniform", n - 1), 2)
+        dec = decay_report(G0, K)
+        c = lemma_constants(G0, K, max(dec.gamma, 0.5))
         assert np.isfinite(c.k1) and np.isfinite(c.k2) and np.isfinite(c.k3)
         vals[n] = c
     assert vals[200].k1 / vals[50].k1 <= 2.0
@@ -148,10 +150,11 @@ def test_lemma_constants_finite_and_stable():
 
 
 def test_lemma_k3_dominates_adjacent_ratio():
-    A, K = inverse_for(PartitionSpec("uniform", 49), 3)
-    c = lemma_constants(A, K, 0.5)
+    G0, K = gram_for(PartitionSpec("uniform", 49), 3)
+    c = lemma_constants(G0, K, 0.5)
+    rows = dense_inverse(G0).T  # the scans read columns as rows
     i = K.n // 2
-    assert c.k3 >= abs(A.entries[i, i + 1]) / abs(A.entries[i, i])
+    assert c.k3 >= abs(rows[i, i + 1]) / abs(rows[i, i])
 
 
 def test_chained_bound_cross_validates_decay():
@@ -159,25 +162,25 @@ def test_chained_bound_cross_validates_decay():
     for k, spec in ((2, PartitionSpec("uniform", 79)),
                     (3, PartitionSpec("random", 60, seed=7)),
                     (4, PartitionSpec("geometric", 50, ratio=3.0))):
-        A, K = inverse_for(spec, k)
-        dec = decay_report(A, K)
-        worst = chained_decay_check(A, K, max(dec.gamma_cert, 0.5))
+        G0, K = gram_for(spec, k)
+        dec = decay_report(G0, K)
+        worst = chained_decay_check(G0, K, max(dec.gamma_cert, 0.5))
         assert worst <= 1.0 + 1e-9, (k, worst)
 
 
 def test_lemma_constants_validate_inputs():
-    A, K = inverse_for(PartitionSpec("uniform", 30), 2)
+    G0, K = gram_for(PartitionSpec("uniform", 30), 2)
     with pytest.raises(ValueError):
-        lemma_constants(A, K, 1.5)
-    A2, K2 = inverse_for(PartitionSpec("uniform", 3), 2)
+        lemma_constants(G0, K, 1.5)
+    G2, K2 = gram_for(PartitionSpec("uniform", 3), 2)
     with pytest.raises(ValueError):
-        lemma_constants(A2, K2, 0.5)
+        lemma_constants(G2, K2, 0.5)
 
 
 def test_lemma_constants_order_one_flags():
     # no off-diagonal structure: the window constants are absent
-    A, K = inverse_for(PartitionSpec("uniform", 20), 1)
-    c = lemma_constants(A, K, 0.5)
+    G0, K = gram_for(PartitionSpec("uniform", 20), 1)
+    c = lemma_constants(G0, K, 0.5)
     assert c.k2 is None and c.k3 is None
     assert np.isfinite(c.k1)
 

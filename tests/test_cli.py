@@ -139,6 +139,26 @@ def test_verify_decay_cli(tmp_path):
     assert (tmp_path / "decay_profile.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify-decay", "verify-lemma",
+                                     "verify-kernel-bound", "kernel"])
+def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command):
+    # a cached factor with its diagonal scaled by 1.03: three refinement
+    # sweeps leave the inverse's columns at a residual near 1e-4, which is a
+    # numerical failure, not a certificate read from a wrong inverse
+    import splineproj.cli as cli
+
+    def inexact(K):
+        G = splineproj.assemble_gram(K)
+        fac = G.factor().copy()
+        fac[-1] *= 1.03
+        return splineproj.GramMatrix(G.order, G.bands, fac)
+    monkeypatch.setattr(cli, "assemble_gram", inexact)
+    argv = [command, "--k", "4", "--partition", "random:297:1", "-o", str(tmp_path)]
+    assert main(argv) == 3
+    assert "numerical failure: inverse residual" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_converge_cli(tmp_path):
     cfg = make_cfg(command="converge", k=2, partition=None,
                    function="step:0.5", levels=tuple(range(1, 7)))

@@ -1,6 +1,11 @@
+from contextlib import contextmanager
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
+from splineproj import analysis, projection
 from splineproj import (
     GramMatrix,
     NotPositiveDefinite,
@@ -33,6 +38,23 @@ def reference_gram(K, subdivisions=50, g=10):
                 blk = vals[p]
                 dense[f:f + K.k, f:f + K.k] += (half * weights[p]) * np.outer(blk, blk)
     return dense
+
+
+def dense_inverse(G):
+    """The whole inverse as one banded solve against the identity: bitwise
+    the columns ``inverse_columns`` returns when no refinement sweep runs."""
+    return cho_solve_banded((G.factor(), False), np.eye(G.n))
+
+
+@contextmanager
+def serve_inverse(A):
+    """Every consumer of ``inverse_columns`` gets columns of the matrix ``A``
+    as the inverse, with residual 0, whatever Gram matrix it was given."""
+    def columns(G0, cols):
+        return np.asfortranarray(A[:, np.asarray(cols)]), 0.0
+    with patch.object(analysis, "inverse_columns", columns), \
+            patch.object(projection, "inverse_columns", columns):
+        yield
 
 
 def small_cases():
