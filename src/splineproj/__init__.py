@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .bspline import eval_basis_many, eval_spline_many
 from .errors import (
+    DegenerateKernel,
     EmptyInterval,
     InvalidRatio,
     LengthMismatch,

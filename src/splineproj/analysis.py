@@ -27,7 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bspline import eval_basis_many, span_gauss_blocks
-from .errors import LengthMismatch, OutOfDomain, QuadratureNonConvergence
+from .errors import (DegenerateKernel, LengthMismatch, OutOfDomain,
+                     QuadratureNonConvergence)
 from .functions import TestFunction
 from .gram import GramMatrix, inverse_columns
 from .knots import KnotSequence
@@ -96,7 +97,9 @@ class DecayReport:
     terms and cannot be stable across sizes on irregular meshes.  ``k0``
     bounds the second profile with the same certificate rate.
     ``inverse_residual`` is the largest ``max |G0 X - I[:, cols]|`` of the
-    column blocks ``X`` the profiles were read from.
+    column blocks ``X`` the profiles were read from.  ``diagonal`` flags an
+    inverse with no nonzero entry beyond offset ``k - 1``: diagonal for
+    order 1, block-diagonal when every interior knot has multiplicity k.
     """
 
     order: int
@@ -142,8 +145,9 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     time and never held whole.  Each entry ``(i, c)`` of the upper triangle
     enters the profiles at offset ``c - i``.  With fewer than ``3k`` basis
     functions no rate is fitted and the report carries the profiles only.
-    For order 1 every off-diagonal entry is exactly zero and the report is
-    flagged diagonal.
+    When every entry beyond offset ``k - 1`` is exactly zero (order 1, or
+    every interior knot of multiplicity k) there is no offset to fit on and
+    the report is flagged diagonal.
     """
     n, k = K.n, K.k
     if G0.n != n:
@@ -177,7 +181,7 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
             vals[~(vals > ZERO_FLOOR)] = 0.0  # a NaN counts as zero too
             np.maximum(prof[:rows], skewed.max(axis=1), out=prof[:rows])
 
-    diagonal = bool(np.all(prof_a[1:] <= ZERO_FLOOR)) if n > 1 else True
+    diagonal = bool(np.all(prof_a[k:] <= ZERO_FLOOR))
     gamma = gamma_cert = big_k = gamma_b = k0 = residual = None
     fit_range = None
     fitted = False
@@ -222,6 +226,15 @@ class KernelBoundReport:
     samples_per_cell: int
 
 
+def _cell_maxima(table, s):
+    """Largest ``|table|`` over each s x s block of samples (a pair of cells),
+    with the absolute values taken in place.  A reduction along a short last
+    axis is slow, so the y samples of a cell are merged slice by slice."""
+    pair = np.abs(table, out=table).reshape(table.shape[0] // s, s, -1).max(axis=1)
+    pair = pair.reshape(pair.shape[0], -1, s)
+    return np.maximum.reduce([pair[:, :, q] for q in range(s)])
+
+
 def kernel_bound_report(G0: GramMatrix, K: KnotSequence,
                         samples_per_cell: int = 3) -> KernelBoundReport:
     """Stratified sampling of the kernel over all pairs of knot intervals."""
@@ -248,9 +261,8 @@ def kernel_bound_report(G0: GramMatrix, K: KnotSequence,
     log_c = np.full(grid.size, -np.inf)
     for r in range(0, S, _KERNEL_ROWS):
         rows = slice(r * samples_per_cell, (r + _KERNEL_ROWS) * samples_per_cell)
-        cell_max = np.abs(kernel_from_basis(
-            G0, (first[rows], basis[rows]), (first, basis))).reshape(
-            -1, samples_per_cell, S, samples_per_cell).max(axis=(1, 3))
+        cell_max = _cell_maxima(kernel_from_basis(
+            G0, (first[rows], basis[rows]), (first, basis)), samples_per_cell)
         mask = cell_max > ZERO_FLOOR
         if not mask.any():
             continue
@@ -260,7 +272,7 @@ def kernel_bound_report(G0: GramMatrix, K: KnotSequence,
         d = np.abs(row - spans)[mask]
         log_c = np.maximum(log_c, [(logs - d * np.log(th)).max() for th in grid])
     if np.isneginf(log_c).all():
-        raise ValueError(f"no sampled kernel value above {ZERO_FLOOR}")
+        raise DegenerateKernel(f"no sampled kernel value above {ZERO_FLOOR}")
     c_of_theta = np.exp(log_c)
     effective = c_of_theta * (1 + grid) / (1 - grid)
     best = int(np.argmin(effective))
@@ -293,13 +305,13 @@ class InverseBoundConstants:
     skipped: tuple = ()
 
 
-def _inverse_rows(G0: GramMatrix):
-    """``(i, row i)`` of the inverse for every i, solved ``_COLUMNS`` at a
-    time as columns: the inverse is symmetric."""
+def _inverse_row_blocks(G0: GramMatrix):
+    """``(j, R)`` for each block of ``_COLUMNS`` rows of the inverse, ``R``
+    holding rows ``j, j + 1, ...`` as one C-ordered array: they are solved
+    as columns, since the inverse is symmetric."""
     for j in range(0, G0.n, _COLUMNS):
         X, _ = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, G0.n)))
-        for c in range(X.shape[1]):
-            yield j + c, X[:, c]
+        yield j, X.T
 
 
 def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
@@ -314,65 +326,93 @@ def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
     roundoff) when the constants were measured on the same instance.
     """
     con = lemma_constants(G0, K, gamma)
-    n, k = K.n, K.k
+    n, k, h = K.n, K.k, K.h
     chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
              * con.k1 * gamma ** (1 - k))
     powers = np.array([gamma ** d for d in range(n)])
     worst = 0.0
-    for i, row in _inverse_rows(G0):
-        d = np.arange(n - i)
-        acc = np.maximum.accumulate(K.h[i:])
-        hij = acc[d + k - 1]
-        # the first largest interval of h[i : j+k] lies in the support of i
-        # (it is among the first k) or of j (none of the first d reach it)
-        in_support = (d < k) | (acc[k - 1] == hij) | (acc[d - 1] < hij)
-        bound = np.where(in_support, con.k1, chain) * powers[d] / hij
-        ok = (bound > 0) & np.isfinite(bound)
-        row = np.abs(row[i:])
-        worst = max(worst, (row[ok] / bound[ok]).max(initial=0.0))
+    for j, R in _inverse_row_blocks(G0):
+        # entries (i, c) with c >= j; d = c - i is negative below the diagonal
+        i = np.arange(j, j + R.shape[0])[:, None]
+        d = np.arange(j, n) - i
+        upper = d >= 0
+        # acc[r, p] = max h[i : j + p], with acc[r, 0] = 0: h >= 0, so the
+        # zeros before column i leave each maximum as it is
+        acc = np.zeros((i.size, h.size - j + 1))
+        acc[:, 1:] = np.where(np.arange(j, h.size) >= i, h[j:], 0.0)
+        np.maximum.accumulate(acc, axis=1, out=acc)
+        hij = acc[:, k: n - j + k]  # max h[i : c + k]
+        # the first largest interval of h[i : c+k] lies in the support of i
+        # (it is among the first k) or of c (none of the first d reach it)
+        first_k = np.take_along_axis(acc, i - j + k, axis=1)
+        in_support = (d < k) | (first_k == hij) | (acc[:, : n - j] < hij)
+        bound = np.where(in_support, con.k1, chain) * powers[np.maximum(d, 0)]
+        np.divide(bound, hij, out=bound, where=upper)
+        ok = upper & (bound > 0) & np.isfinite(bound)
+        worst = max(worst, (np.abs(R[:, j:][ok]) / bound[ok]).max(initial=0.0))
     return float(worst)
 
 
+def _lemma_rows(R, i, kap, logg, k):
+    """``(log k1, log k2, k3, skipped)`` over a block of consecutive rows of
+    the inverse: ``i`` holds the row indices as a column, ``R`` the rows'
+    absolute entries with those below ``ZERO_FLOOR`` set to zero.  Each
+    constant is reduced along axis 1 with the elementwise operations of a
+    scan row by row, in the same order, so it is bitwise that scan's.  A
+    constant with no entry is -inf (k1, k2) or 0 (k3)."""
+    n = R.shape[1]
+    cols = np.arange(n)
+    with np.errstate(divide="ignore"):
+        # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
+        k1 = (np.log(R * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg).max()
+        # suffix[:, j] = max_{m>=j} log |a_im| - m log gamma
+        suffix = np.maximum.accumulate(
+            (np.log(R) - cols * logg)[:, ::-1], axis=1)[:, ::-1]
+
+    # k2: max over i + k <= ell < j of |a_ij| / (gamma^(j-ell) * window
+    # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0
+    csum = np.zeros((i.size, n + 1))
+    np.cumsum(R, axis=1, out=csum[:, 1:])
+    ell = np.arange(i[0, 0] + k, n - 1)  # from the first row's i + k
+    s = csum[:, np.minimum(n, ell + k - 1)] - csum[:, ell - (k - 1)]
+    ok = (s > 0) & (ell >= i + k)
+    k2 = ((suffix[:, ell + 1] + ell * logg)[ok] - np.log(s[ok])).max(initial=-np.inf)
+    if k < 2:
+        return k1, k2, 0.0, []
+
+    # k3: max over mu > i of |a_i,mu| / max of the k-1 preceding row entries;
+    # denom[:, mu] = max R[:, mu-k+1 : mu], zero-padded on the left
+    padded = np.zeros((i.size, n + k - 2))
+    padded[:, k - 1:] = R[:, :-1]
+    denom = padded[:, :n].copy()
+    for q in range(1, k - 1):
+        np.maximum(denom, padded[:, q: q + n], out=denom)
+    later = cols > i
+    zero = denom <= 0.0
+    rows, mus = np.nonzero(later & zero & (R > 0.0))
+    keep = later & ~zero
+    k3 = (R[keep] / denom[keep]).max(initial=0.0)
+    return k1, k2, k3, list(zip(i[rows, 0].tolist(), mus.tolist()))
+
+
 def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBoundConstants:
+    """The three constants from the inverse's rows, scanned ``_COLUMNS``
+    rows at a time by ``_lemma_rows``."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     n, k = K.n, K.k
     if n < 3 * k:
         raise ValueError(f"need n >= 3k = {3 * k}, got {n}")
-    kap = K.kappa
-    logg = np.log(gamma)
-    cols = np.arange(n)
     k1_best = k2_best = -np.inf
     k3_best = 0.0
     skipped = []
-    for i, row in _inverse_rows(G0):
-        row = np.abs(row)
-        row[~(row > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
-        with np.errstate(divide="ignore"):
-            lg = np.log(row * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg
-            lr = np.log(row) - cols * logg
-        # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
-        k1_best = max(k1_best, lg.max())
-
-        # k2: max over i + k <= ell < j of |a_ij| / (gamma^(j-ell) * window
-        # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0
-        suffix = np.maximum.accumulate(lr[::-1])[::-1]  # suffix[j] = max_{m>=j} lr[m]
-        csum = np.concatenate([[0.0], np.cumsum(row)])
-        ell = np.arange(i + k, n - 1)
-        s = csum[np.minimum(n, ell + k - 1)] - csum[ell - (k - 1)]
-        ell, s = ell[s > 0], s[s > 0]
-        val = suffix[ell + 1] + ell * logg - np.log(s)
-        k2_best = max(k2_best, val.max(initial=-np.inf))
-
-        # k3: max over mu > i of |a_i,mu| / max of the k-1 preceding row entries
-        if k >= 2:
-            padded = np.concatenate([np.zeros(k - 1), row[:-1]])
-            denom = sliding_window_view(padded, k - 1).max(axis=1)[i + 1:]
-            num = row[i + 1:]
-            zero = denom <= 0.0
-            mus = i + 1 + np.flatnonzero(zero & (num > 0.0))
-            skipped += zip([i] * mus.size, mus.tolist())
-            k3_best = max(k3_best, (num[~zero] / denom[~zero]).max(initial=0.0))
+    for j, X in _inverse_row_blocks(G0):
+        R = np.abs(X)
+        R[~(R > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
+        k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None],
+                                        K.kappa, np.log(gamma), k)
+        k1_best, k2_best, k3_best = max(k1_best, k1), max(k2_best, k2), max(k3_best, k3)
+        skipped += pairs
     k1 = float(np.exp(k1_best))
     k2 = float(np.exp(k2_best)) if np.isfinite(k2_best) else None
     k3 = float(k3_best) if k >= 2 else None

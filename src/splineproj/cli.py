@@ -233,16 +233,29 @@ def write_csv(path: str, header, rows) -> None:
     """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``.
 
     Rows are formatted and written ``_CSV_ROWS`` at a time, so the Python
-    floats and text of one slice are all that is held beside ``rows``.
+    floats and text of one slice are all that is held beside ``rows``.  A
+    column of a slice with at most half as many distinct bit patterns as
+    rows (a key column such as a grid coordinate or an index) formats each
+    pattern once and gathers the strings; -0.0 and 0.0 are distinct
+    patterns, so each keeps its own text.
     """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    ncols = rows.shape[1]
 
     def chunks():
         yield ",".join(header) + "\n"
         for s in range(0, rows.shape[0], _CSV_ROWS):
             part = rows[s: s + _CSV_ROWS]
-            yield (line * part.shape[0]) % tuple(part.ravel().tolist())
+            cells = part.ravel().tolist()
+            spec = ["%.17g"] * ncols
+            for c in range(ncols):
+                keys, which = np.unique(part[:, c].view(np.int64), return_inverse=True)
+                if 2 * keys.size <= part.shape[0]:
+                    text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
+                                    dtype=object)
+                    cells[c::ncols] = text[which].tolist()
+                    spec[c] = "%s"
+            yield ((",".join(spec) + "\n") * part.shape[0]) % tuple(cells)
 
     _atomic_write(path, chunks())
 
@@ -394,13 +407,29 @@ def run_project(cfg, K, f):
             {"projection.csv": (("x", "f", "Pf"), rows)})
 
 
+def _diagonal_check(K):
+    """The one check of an inverse with no nonzero entry beyond offset k - 1,
+    on which the decay rate and the window constants are vacuous."""
+    if K.k == 1:
+        return ("diagonal_inverse", True, "order 1: all off-diagonal entries zero")
+    return ("block_diagonal_inverse", True,
+            f"block-diagonal: all entries beyond offset k - 1 = {K.k - 1} are zero")
+
+
+def _four_digits(v) -> str:
+    return "None" if v is None else f"{v:.4g}"
+
+
 def run_verify_decay(cfg, K):
     rep = analysis.decay_report(assemble_gram(K), K)
     rows = np.column_stack([rep.offsets, rep.profile_scaled, rep.profile_b])
     if rep.diagonal:
-        checks = [("diagonal_inverse", True, "order 1: all off-diagonal entries zero")]
+        checks = [_diagonal_check(K)]
     elif not rep.fitted:
-        checks = [("fit_available", False, f"too small for a fit: n = {K.n} < 3k")]
+        why = (f"too small for a fit: n = {K.n} < 3k" if K.n < 3 * K.k
+               else "fewer than 3 nonzero profile values at offsets >= k"
+               if rep.gamma is None else f"fitted gamma = {rep.gamma:.4f} not below 1")
+        checks = [("fit_available", False, why)]
     else:
         checks = [
             ("gamma_below_0.95", rep.gamma < 0.95, f"gamma = {rep.gamma:.4f}"),
@@ -426,9 +455,14 @@ def run_verify_lemma(cfg, K):
     dec = analysis.decay_report(G0, K)
     gamma = max(dec.gamma_cert if dec.fitted else 0.5, 0.5)
     rep = analysis.lemma_constants(G0, K, gamma)
-    finite = all(v is not None and np.isfinite(v) for v in (rep.k1, rep.k2, rep.k3))
-    checks = [("constants_finite", finite,
-               f"K1 = {rep.k1:.4g}, K2 = {rep.k2}, K3 = {rep.k3}")]
+    if dec.diagonal:
+        name, ok, why = _diagonal_check(K)
+        checks = [(name, ok, f"{why}; K1 = {rep.k1:.4g}, K2 and K3 vacuous")]
+    else:
+        finite = all(v is not None and np.isfinite(v) for v in (rep.k1, rep.k2, rep.k3))
+        checks = [("constants_finite", finite,
+                   f"K1 = {rep.k1:.4g}, K2 = {_four_digits(rep.k2)}, "
+                   f"K3 = {_four_digits(rep.k3)}")]
     return {"constants": rep}, checks, {}
 
 

@@ -54,5 +54,9 @@ class QuadratureNonConvergence(SplineProjError, ArithmeticError):
     """Adaptive quadrature exhausted its budget above the requested tolerance."""
 
 
+class DegenerateKernel(SplineProjError, ArithmeticError):
+    """Every sampled value of the reproducing kernel lies below the zero floor."""
+
+
 class NonIntegrableMarker(SplineProjError, ValueError):
     """A declared singularity has exponent <= -1, so f is not integrable."""

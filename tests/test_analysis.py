@@ -15,6 +15,7 @@ from splineproj import (
     invert_gram,
     kernel_bound_report,
     lemma_constants,
+    make_knot_sequence,
     modulus_of_smoothness,
     parse_function,
     stability_constant,
@@ -45,6 +46,16 @@ def test_decay_order_one_diagonal():
     rep = decay_report(G0, K)
     assert rep.diagonal
     assert np.all(rep.profile_scaled[1:] == 0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_decay_block_diagonal_full_multiplicity(k):
+    # every interior knot of multiplicity k: k x k diagonal blocks
+    K = make_knot_sequence(np.linspace(0.0, 1.0, 31), [k] * 29, k)
+    rep = decay_report(assemble_gram(K), K)
+    assert rep.diagonal and not rep.fitted
+    assert rep.profile_scaled[k - 1] > 0.0
+    assert np.all(rep.profile_scaled[k:] == 0.0)
 
 
 def test_decay_uniform_hat_rate_matches_toeplitz_oracle():

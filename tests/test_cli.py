@@ -159,6 +159,57 @@ def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not any(tmp_path.iterdir())
 
 
+def test_zero_kernel_is_exit_3(tmp_path, capsys, monkeypatch):
+    # an inverse served as zero columns leaves no sampled kernel value above
+    # the zero floor: a numerical failure, not an input error
+    from splineproj import analysis, projection
+
+    def zero_columns(G0, cols):
+        return np.zeros((G0.n, len(cols)), order="F"), 0.0
+    for module in (analysis, projection):
+        monkeypatch.setattr(module, "inverse_columns", zero_columns)
+    argv = ["verify-kernel-bound", "--k", "3", "--partition", "random:30:1",
+            "-o", str(tmp_path)]
+    assert main(argv) == 3
+    assert "numerical failure: no sampled kernel value" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_block_diagonal_inverse_passes(tmp_path, k):
+    # order 1, or every interior knot of multiplicity k on 60 random
+    # intervals: the inverse is zero beyond offset k - 1, so the decay rate
+    # and the window constants K2, K3 are vacuous, not a failed fit
+    partition = "uniform:20"
+    if k > 1:
+        rng = np.random.default_rng(k)
+        breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 60))])
+        K = splineproj.make_knot_sequence(breaks / breaks[-1], [k] * 59, k)
+        partition = tmp_path / "knots.txt"
+        partition.write_text(K.to_text())
+    name = "diagonal_inverse" if k == 1 else "block_diagonal_inverse"
+    for command in ("verify-decay", "verify-lemma"):
+        out = tmp_path / command
+        argv = [command, "--k", str(k), "--partition", str(partition), "-o", str(out)]
+        assert main(argv) == 0
+        rep = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
+        assert [(c["name"], c["passed"]) for c in rep["checks"]] == [(name, True)]
+
+
+def test_decay_and_lemma_details(tmp_path):
+    # "n < 3k" only when it holds; K1, K2 and K3 all to four digits
+    assert main(["verify-decay", "--k", "3", "--partition", "uniform:4",
+                 "-o", str(tmp_path)]) == 1
+    rep = json.loads((tmp_path / "verify_decay_report.json").read_text())
+    assert rep["checks"][0]["detail"] == "too small for a fit: n = 6 < 3k"
+    assert main(["verify-lemma", "--k", "3", "--partition", "random:60:1",
+                 "-o", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "verify_lemma_report.json").read_text())
+    c = rep["constants"]
+    assert rep["checks"][0]["detail"] == \
+        f"K1 = {c['k1']:.4g}, K2 = {c['k2']:.4g}, K3 = {c['k3']:.4g}"
+
+
 def test_converge_cli(tmp_path):
     cfg = make_cfg(command="converge", k=2, partition=None,
                    function="step:0.5", levels=tuple(range(1, 7)))

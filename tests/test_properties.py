@@ -228,6 +228,20 @@ def test_scans_equal_references_on_sparse_rows(K, gamma, seed):
         assert_scans_match_references(assemble_gram(K), entries, K, gamma)
 
 
+@pytest.mark.parametrize("scan", [lemma_constants, chained_decay_check])
+def test_row_scans_solve_each_block_once(scan):
+    # one solve per block of 32 rows, the last one short, in order; the
+    # chained check runs the lemma's scan and then its own
+    K = generate_partition(PartitionSpec("random", 100, seed=3), 3)
+    G = assemble_gram(K)
+    with patch.object(analysis, "inverse_columns", wraps=gram.inverse_columns) as solve:
+        scan(G, K, 0.6)
+    blocks = [list(range(j, min(j + 32, K.n))) for j in range(0, K.n, 32)]
+    assert len(blocks) == -(-K.n // 32) and K.n % 32
+    calls = [c.args[1].tolist() for c in solve.call_args_list]
+    assert calls == blocks * (2 if scan is chained_decay_check else 1)
+
+
 def test_k3_skips_zero_windows():
     # k = 3: entry (i, i+3) follows the zero window (i, i+1), (i, i+2)
     K = make_knot_sequence(np.linspace(0.0, 1.0, 8), [1] * 6, 3)
@@ -272,6 +286,21 @@ def test_kernel_table_equals_paired_reference(K, x, y):
     assert table.tobytes() == ref.tobytes()
     swapped = kernel_values(G, K, y, x)
     assert np.abs(swapped - table.T).max() <= 1e-13 * np.abs(table).max()
+
+
+def test_kernel_runs_equal_paired_reference():
+    # y samples cell by cell gather the inverse once per cell; runs of
+    # unequal length (cut at either end) gather once per sample; both
+    # tables are bitwise the paired reference
+    K = generate_partition(PartitionSpec("random", 20, seed=2), 3)
+    G = assemble_gram(K)
+    x = np.linspace(0.0, 1.0, 17)
+    offs = (np.arange(3) + 0.5) / 3
+    cells = (K.t[K.spans][:, None] + np.outer(K.h[K.spans], offs)).ravel()
+    for y in (cells, cells[1:], cells[:-1]):
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        ref = reference_kernel_pairs(dense_inverse(G).T, K, X, Y)
+        assert kernel_values(G, K, x, y).tobytes() == ref.tobytes()
 
 
 @st.composite
@@ -1064,6 +1093,25 @@ def test_write_csv_slices_equal_one_shot(tmp_path, nrows):
     expect = "a,b,c\n" + (line * nrows) % tuple(rows.ravel().tolist())
     path = os.path.join(tmp_path, "t.csv")
     write_csv(path, ("a", "b", "c"), rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == expect.encode()
+
+
+@pytest.mark.parametrize("nrows", [8191, 8192, 8193, 3 * 8192 + 5])
+def test_write_csv_key_columns_equal_per_value_format(tmp_path, nrows):
+    # key columns of a few values, repeated across the slice boundaries:
+    # -0.0 beside 0.0, two nans, +-inf and 1e-300, beside distinct values
+    keys = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300,
+                     -1e-300, 5e-324, 0.1, 3.0])
+    rng = np.random.default_rng(nrows)
+    rows = np.column_stack([keys[np.arange(nrows) % keys.size],
+                            keys[rng.integers(0, keys.size, nrows)],
+                            np.repeat(keys, -(-nrows // keys.size))[:nrows],
+                            rng.standard_normal(nrows)])
+    expect = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in rows.tolist())
+    path = os.path.join(tmp_path, "t.csv")
+    write_csv(path, ("a", "b", "c", "d"), rows)
     with open(path, "rb") as fh:
         assert fh.read() == expect.encode()
 
