@@ -32,6 +32,7 @@ from .errors import (
     InvalidRatio,
     LengthMismatch,
     MultiplicityOutOfRange,
+    NonFiniteKnots,
     NonIntegrableMarker,
     NonMonotoneBreaks,
     NotPositiveDefinite,

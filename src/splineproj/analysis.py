@@ -138,6 +138,15 @@ def _envelope_constant(offsets, profile, gamma):
     return float(np.exp(logs.max()))
 
 
+def _inverse_row_blocks(G0: GramMatrix):
+    """``(j, X, residual)`` for each block of ``_COLUMNS`` columns of the
+    inverse from ``inverse_columns``; the inverse is symmetric, so ``X.T``
+    holds rows ``j, j + 1, ...`` as one C-ordered array."""
+    for j in range(0, G0.n, _COLUMNS):
+        X, residual = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, G0.n)))
+        yield j, X, residual
+
+
 def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     """Per-offset decay profiles of the inverse Gram matrix and their fit.
 
@@ -157,8 +166,7 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     prof_a = np.zeros(n)
     prof_b = np.zeros(n)
     inverse_residual = 0.0
-    for j in range(0, n, _COLUMNS):
-        X, block_residual = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, n)))
+    for j, X, block_residual in _inverse_row_blocks(G0):
         inverse_residual = max(inverse_residual, block_residual)
         w = X.shape[1]
         rows = j + w  # rows 0 .. c hold the upper triangle of each column c
@@ -305,15 +313,6 @@ class InverseBoundConstants:
     skipped: tuple = ()
 
 
-def _inverse_row_blocks(G0: GramMatrix):
-    """``(j, R)`` for each block of ``_COLUMNS`` rows of the inverse, ``R``
-    holding rows ``j, j + 1, ...`` as one C-ordered array: they are solved
-    as columns, since the inverse is symmetric."""
-    for j in range(0, G0.n, _COLUMNS):
-        X, _ = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, G0.n)))
-        yield j, X.T
-
-
 def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
     """Entrywise check of the decay bound assembled from the three
     structural constants, cross-validating ``decay_report``.
@@ -331,7 +330,8 @@ def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
              * con.k1 * gamma ** (1 - k))
     powers = np.array([gamma ** d for d in range(n)])
     worst = 0.0
-    for j, R in _inverse_row_blocks(G0):
+    for j, X, _ in _inverse_row_blocks(G0):
+        R = X.T
         # entries (i, c) with c >= j; d = c - i is negative below the diagonal
         i = np.arange(j, j + R.shape[0])[:, None]
         d = np.arange(j, n) - i
@@ -406,8 +406,8 @@ def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBou
     k1_best = k2_best = -np.inf
     k3_best = 0.0
     skipped = []
-    for j, X in _inverse_row_blocks(G0):
-        R = np.abs(X)
+    for j, X, _ in _inverse_row_blocks(G0):
+        R = np.abs(X.T)
         R[~(R > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
         k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None],
                                         K.kappa, np.log(gamma), k)

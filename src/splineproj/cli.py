@@ -168,22 +168,28 @@ def resolve_partition(cfg: ExperimentConfig) -> KnotSequence:
         if K.k != cfg.k:
             raise ValidationError(
                 "partition", f"knot file has order {K.k}, config says {cfg.k}")
+        if (K.a, K.b) != cfg.interval:
+            raise ValidationError(
+                "partition", f"knot file is on [{K.a!r}, {K.b!r}], "
+                f"config says {list(cfg.interval)!r}")
         return K
-    parts = text.split(":")
-    fam = parts[0]
+    fam, *fields = text.split(":")
+    # each family takes exactly its own fields: the count, then the ratio
+    # (geometric) or an optional seed (random)
+    arity = {"uniform": (1,), "dyadic": (1,), "geometric": (2,), "random": (1, 2)}
+    if fam not in arity:
+        raise ValidationError("partition", f"unknown family {fam!r}")
+    if len(fields) not in arity[fam]:
+        raise ValidationError("partition", f"bad spec {text!r}: wrong field count")
     try:
-        if fam in ("uniform", "dyadic"):
-            spec = PartitionSpec(fam, int(parts[1]))
-        elif fam == "geometric":
-            spec = PartitionSpec(fam, int(parts[1]), ratio=float(parts[2]))
+        if fam == "geometric":
+            spec = PartitionSpec(fam, int(fields[0]), ratio=float(fields[1]))
         elif fam == "random":
-            seed = int(parts[2]) if len(parts) > 2 else cfg.seed
-            spec = PartitionSpec(fam, int(parts[1]), seed=seed)
+            seed = int(fields[1]) if len(fields) > 1 else cfg.seed
+            spec = PartitionSpec(fam, int(fields[0]), seed=seed)
         else:
-            raise ValidationError("partition", f"unknown family {fam!r}")
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+            spec = PartitionSpec(fam, int(fields[0]))
+    except ValueError as exc:
         raise ValidationError("partition", f"bad spec {text!r}: {exc}") from exc
     return generate_partition(spec, cfg.k, cfg.interval)
 

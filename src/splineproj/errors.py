@@ -14,6 +14,10 @@ class NonMonotoneBreaks(SplineProjError, ValueError):
     """Breakpoints are not strictly increasing (or knots decrease)."""
 
 
+class NonFiniteKnots(SplineProjError, ValueError):
+    """A knot is NaN or infinite."""
+
+
 class MultiplicityOutOfRange(SplineProjError, ValueError):
     """A knot multiplicity is below 1 or exceeds the spline order."""
 

@@ -23,6 +23,7 @@ from .errors import (
     InvalidRatio,
     LengthMismatch,
     MultiplicityOutOfRange,
+    NonFiniteKnots,
     NonMonotoneBreaks,
     OutOfDomain,
     ZeroIntervals,
@@ -60,6 +61,8 @@ class KnotSequence:
             raise LengthMismatch(
                 f"knot vector needs at least 2k = {2 * self.k} entries, got {t.size}"
             )
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteKnots("knots must be finite")
         if np.any(np.diff(t) < 0):
             raise NonMonotoneBreaks("knot vector must be nondecreasing")
         if not t[0] < t[-1]:
@@ -131,8 +134,9 @@ class KnotSequence:
         except ``x = b`` which belongs to the last interval.
         """
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < self.a or x.max() > self.b):
-            bad = x[(x < self.a) | (x > self.b)][0]
+        outside = ~((self.a <= x) & (x <= self.b))  # a NaN is outside too
+        if outside.any():
+            bad = float(x[outside].flat[0])
             raise OutOfDomain(f"x = {bad!r} outside [{self.a!r}, {self.b!r}]")
         idx = np.searchsorted(self.t, x, side="right") - 1
         return np.minimum(idx, self.n - 1)

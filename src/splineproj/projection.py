@@ -131,38 +131,21 @@ def kernel_from_basis(G0: GramMatrix, x_basis, y_basis) -> np.ndarray:
     evaluates its basis once.  Only the inverse rows ``fx .. fx + k - 1``
     are solved, as columns: the inverse is symmetric.  The k^2 terms
     ``N_l(x) a_lm N_m(y)`` are summed in (l, m) order into one table.
-
-    When the ``y`` points come in runs of one length that share their
-    first basis index (samples or Gauss points cell by cell), each term
-    gathers the inverse once per run, not once per point; the products,
-    and so the table, are bitwise the same.
     """
     fx, bx = x_basis
     fy, by = y_basis
     k = bx.shape[1]
     need = np.unique(fx[:, None] + np.arange(k))
     X, _ = inverse_columns(G0, need)
-    starts = np.flatnonzero(np.diff(fy, prepend=-1))  # fy >= 0
-    y_run = fy.size // starts.size if starts.size else 1
-    # each term makes one multiply call per position in a run, so runs
-    # longer than their number (y points crowded in few spans) cost more
-    # calls than they save
-    if y_run > starts.size or not np.array_equal(starts, np.arange(0, fy.size, y_run)):
-        y_run = 1
-    fy = fy[::y_run]
-    by = by.reshape(fy.size, y_run, k)
-    out = np.zeros((fx.size, fy.size, y_run))
+    out = np.zeros((fx.size, fy.size))
     term = np.empty_like(out)
-    # with runs of one the gather goes straight into the term
-    gathered = term[:, :, 0] if y_run == 1 else np.empty(out.shape[:2])
     for l in range(k):
         rows = bx[:, l, None] * X.T[np.searchsorted(need, fx + l)]
         for m in range(k):
-            np.take(rows, fy + m, axis=1, out=gathered, mode="clip")
-            for q in range(y_run):
-                np.multiply(gathered, by[:, q, m], out=term[:, :, q])
+            np.take(rows, fy + m, axis=1, out=term, mode="clip")
+            term *= by[:, m]
             out += term
-    return out.reshape(fx.size, -1)
+    return out
 
 
 def kernel_constant_integral(G0: GramMatrix, K: KnotSequence, x) -> np.ndarray:

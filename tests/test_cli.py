@@ -234,6 +234,14 @@ def test_exit_code_input_error(tmp_path):
     cfg = make_cfg(command="project", partition="uniform:8",
                    function="abspow:0:-1.5", output_dir=str(tmp_path))
     assert run_experiment(cfg) == 2
+    # a NaN probe point and spec fields beyond the family's own are bad
+    # input too, and leave no output directory behind
+    out = tmp_path / "fresh"
+    assert main(["converge", "--k", "2", "--function", "sin", "--levels", "3",
+                 "--probes", "0.5;nan", "-o", str(out)]) == 2
+    for spec in ("uniform:8:junk", "random:8:3:junk"):
+        assert main(["gram", "--k", "2", "--partition", spec, "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_exit_code_numerical_failure(tmp_path, monkeypatch):
@@ -486,6 +494,20 @@ def test_cli_knot_file_partition(tmp_path):
     status = main(["gram", "--k", "3", "--partition", str(kf),
                    "-o", str(tmp_path)])
     assert status == 0
+    # a knot file off the configured interval, or with a NaN knot, is bad
+    # input and writes nothing
+    out = tmp_path / "fresh"
+    wide = generate_partition(PartitionSpec("random", 9, seed=4), 3, (0.0, 2.0))
+    kf.write_text(wide.to_text())
+    assert main(["project", "--k", "3", "--function", "x", "--partition", str(kf),
+                 "-o", str(out)]) == 2
+    lines = K.to_text().splitlines()
+    lines[4] = "nan"  # the first interior knot, after the header and k zeros
+    kf.write_text("\n".join(lines) + "\n")
+    assert main(["gram", "--k", "3", "--partition", str(kf), "-o", str(out)]) == 2
+    assert main(["project", "--k", "3", "--function", "x", "--partition", str(kf),
+                 "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_stability_cli(tmp_path):

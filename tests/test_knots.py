@@ -7,6 +7,7 @@ from splineproj import (
     KnotSequence,
     LengthMismatch,
     MultiplicityOutOfRange,
+    NonFiniteKnots,
     NonMonotoneBreaks,
     OutOfDomain,
     PartitionSpec,
@@ -55,6 +56,10 @@ def test_knot_vector_validation():
         KnotSequence(2, np.array([0, 0, 0.6, 0.4, 1, 1]))
     with pytest.raises(EmptyInterval):
         KnotSequence(1, np.array([1.0, 1.0]))
+    for t in ([0, 0, np.nan, 0.5, 1, 1], [-np.inf, -np.inf, 0.5, 1, 1],
+              [0, 0, 0.5, 1, np.inf, np.inf]):
+        with pytest.raises(NonFiniteKnots):
+            KnotSequence(2, np.array(t))
 
 
 def test_uniform_partition():
@@ -157,6 +162,11 @@ def test_span_index_conventions():
     assert K.span_indices(0.0) == K.k - 1
     with pytest.raises(OutOfDomain):
         K.span_indices(1.5)
+    # a NaN is outside [a, b] too; the message shows a plain float
+    with pytest.raises(OutOfDomain, match=r"x = nan outside"):
+        K.span_indices([0.5, np.nan])
+    with pytest.raises(OutOfDomain, match=r"x = 2\.0 outside"):
+        K.span_indices(np.array([0.5, 2.0]))
 
 
 def test_dyadic_ladder_mesh_halves():

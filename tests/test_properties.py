@@ -289,9 +289,8 @@ def test_kernel_table_equals_paired_reference(K, x, y):
 
 
 def test_kernel_runs_equal_paired_reference():
-    # y samples cell by cell gather the inverse once per cell; runs of
-    # unequal length (cut at either end) gather once per sample; both
-    # tables are bitwise the paired reference
+    # y samples cell by cell, whole or cut at either end so the runs per
+    # cell have unequal length: the table is bitwise the paired reference
     K = generate_partition(PartitionSpec("random", 20, seed=2), 3)
     G = assemble_gram(K)
     x = np.linspace(0.0, 1.0, 17)
