@@ -427,11 +427,12 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
     """Cumulative integral of |f| at the grid points.
 
     Plain cells get a fixed 16-point Gauss rule, ``_PREFIX_CELLS`` cells at
-    a time; cells containing a marker are redone adaptively.  Cells holding an
-    integrable singularity get a relaxed tolerance (1e-9 absolute, which
-    the dyadically graded pieces can actually reach); the maximal-function
-    values built on top are O(1) or larger, so this is far below their
-    grid resolution error.  A cell integral that is not finite raises
+    a time; a cell containing a marker is redone once, adaptively, cut at
+    every marker of f.  A cell holding an integrable singularity gets a
+    relaxed tolerance (1e-9 absolute, which the dyadically graded pieces can
+    actually reach), any other 1e-12; the maximal-function values built on
+    top are O(1) or larger, so this is far below their grid resolution
+    error.  A cell integral that is not finite raises
     QuadratureNonConvergence.
     """
     lo, hi = grid[:-1], grid[1:]
@@ -442,14 +443,12 @@ def _prefix_abs_integral(f: TestFunction, grid: np.ndarray):
         pts = lo[part, None] + (hi - lo)[part, None] * x[None, :]
         cell[part] = np.abs(f(pts.ravel())).reshape(pts.shape) @ w
     cell *= hi - lo
-    singular_points = {p for p, _ in f.singularities}
-    for mkr in f.markers:
-        tol = 1e-9 if mkr in singular_points else 1e-12
-        touched = np.nonzero((lo <= mkr) & (mkr <= hi))[0]
-        for c in touched:
-            v, _ = integrate_adaptive(lambda u: np.abs(f(u)), lo[c], hi[c],
-                                      markers=(mkr,), tol=tol)
-            cell[c] = v
+    markers = np.array(f.markers, dtype=float)
+    touched = ((lo[:, None] <= markers) & (markers <= hi[:, None])).any(axis=1)
+    for c in np.flatnonzero(touched):
+        tol = 1e-9 if any(lo[c] <= p <= hi[c] for p, _ in f.singularities) else 1e-12
+        cell[c], _ = integrate_adaptive(lambda u: np.abs(f(u)), lo[c], hi[c],
+                                        markers=f.markers, tol=tol)
     bad = np.flatnonzero(~np.isfinite(cell))
     if bad.size:
         c = bad[0]

@@ -21,7 +21,7 @@ from .errors import LengthMismatch
 from .knots import KnotSequence
 from .quadrature import gauss_points
 
-__all__ = ["eval_basis_many", "eval_spline_many", "gauss_blocks",
+__all__ = ["eval_basis_many", "eval_spline_many", "node_blocks",
            "span_gauss_blocks"]
 
 
@@ -49,27 +49,23 @@ def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.nd
     return vals
 
 
-def gauss_blocks(K: KnotSequence, lo, hi, spans, g: int):
-    """The g-point Gauss rule and the basis blocks on pieces of spans.
-
-    Piece ``p`` is ``[lo[p], hi[p]]`` inside span ``spans[p]``.  Returns
-    ``(x, w, blocks)`` with shapes ``(P, g)``, ``(P, g)`` and ``(P, g, k)``:
-    the rule of ``quadrature.gauss_points`` on each piece, and in
-    ``blocks[p, q]`` functions ``spans[p]-k+1 .. spans[p]`` at ``x[p, q]``.
-    """
-    x, w = gauss_points(lo, hi, g)
-    blocks = _blocks_at_spans(K, x.ravel(), np.repeat(spans, g))
-    return x, w, blocks.reshape(x.shape + (K.k,))
+def node_blocks(K: KnotSequence, x: np.ndarray, spans) -> np.ndarray:
+    """Basis blocks at a ``(P, g)`` array of nodes, row ``p`` inside span
+    ``spans[p]``: shape ``(P, g, k)``, ``[p, q]`` holding functions
+    ``spans[p]-k+1 .. spans[p]`` at ``x[p, q]``."""
+    blocks = _blocks_at_spans(K, x.ravel(), np.repeat(spans, x.shape[1]))
+    return blocks.reshape(x.shape + (K.k,))
 
 
 def span_gauss_blocks(K: KnotSequence):
-    """``gauss_blocks`` on every nondegenerate span ``K.spans`` with k points.
-
+    """``(x, w, blocks)``: the k-point rule of ``quadrature.gauss_points`` on
+    every nondegenerate span ``K.spans`` and the basis blocks at its nodes.
     The rule integrates every product of two basis functions exactly up to
     roundoff.
     """
     spans, t = K.spans, K.t
-    return gauss_blocks(K, t[spans], t[spans + 1], spans, K.k)
+    x, w = gauss_points(t[spans], t[spans + 1], K.k)
+    return x, w, node_blocks(K, x, spans)
 
 
 def eval_basis_many(K: KnotSequence, x) -> tuple[np.ndarray, np.ndarray]:

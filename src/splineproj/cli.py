@@ -36,7 +36,6 @@ from .projection import (
 )
 
 SCHEMA_VERSION = 1
-OUTPUT_ENV_VAR = "SPLINEPROJ_OUT"
 #: Largest n for which ``invert`` forms and writes the dense inverse.
 MAX_INVERT_N = 2000
 #: Rows of a CSV table formatted at once by ``write_csv``.
@@ -277,7 +276,7 @@ def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
         "passed": all(ok for _, ok, _ in checks),
         **payload,
     }
-    path = os.path.join(_outdir(cfg), f"{cfg.command.replace('-', '_')}_report.json")
+    path = os.path.join(cfg.output_dir, f"{cfg.command.replace('-', '_')}_report.json")
     _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2,
                                     default=_json_default) + "\n"])
     return path
@@ -292,12 +291,6 @@ def _json_default(v):
     if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
     raise TypeError(f"not JSON serializable: {type(v)}")
-
-
-def _outdir(cfg):
-    outdir = os.environ.get(OUTPUT_ENV_VAR, cfg.output_dir)
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +601,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        outdir = _outdir(cfg)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         for name, (header, rows) in tables.items():
-            write_csv(os.path.join(outdir, name), header, rows)
+            write_csv(os.path.join(cfg.output_dir, name), header, rows)
         path = write_report(cfg, payload, checks)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
@@ -655,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
         p.add_argument("--seed", type=int)
         p.add_argument("--output", "-o", dest="output_dir", metavar="DIR",
-                       help=f"output directory (env {OUTPUT_ENV_VAR} overrides)")
+                       help="output directory")
         for key in command.inputs:
             flag, text = FLAGS[key]
             p.add_argument(flag, type=int if key == "levels" else str, help=text)

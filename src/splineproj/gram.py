@@ -145,7 +145,8 @@ def scaled_gram(G0: GramMatrix, K: KnotSequence) -> np.ndarray:
 
 
 def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
-    """Solve ``G0 c = rhs`` by banded Cholesky, with one refinement sweep.
+    """Solve ``G0 c = rhs`` by banded Cholesky and ``_refine`` to a residual
+    of ``1e-10 * max |rhs|``.
 
     Work is O(n k^2) per right-hand side.  Raises NotPositiveDefinite on
     factorization breakdown, which for an assembled Gram matrix signals an
@@ -154,14 +155,28 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G0.n:
         raise LengthMismatch(f"rhs length {rhs.shape[0]} != dimension {G0.n}")
+    c = cho_solve_banded((G0.factor(), False), rhs)
+    target = 1e-10 * np.abs(rhs).max(initial=0.0)
+    return _refine(G0, c, lambda c: G0.matvec(c) - rhs, target, "solve")[0]
+
+
+def _refine(G0: GramMatrix, X: np.ndarray, residual_of, target, what: str):
+    """Refine ``X`` in place while ``max |residual_of(X)|``, the residual
+    ``G0 X - B`` of the system it solves, is above ``target``: at most three
+    sweeps, each subtracting the banded solve against that residual.  Returns
+    ``(X, residual)``; a residual still above ``target`` raises
+    RefinementFailure."""
     fac = G0.factor()
-    c = cho_solve_banded((fac, False), rhs)
-    scale = np.abs(rhs).max() if rhs.size else 0.0
-    if scale > 0:
-        resid = rhs - G0.matvec(c)
-        if np.abs(resid).max() > 1e-10 * scale:
-            c = c + cho_solve_banded((fac, False), resid)
-    return c
+    for sweep in range(4):
+        R = residual_of(X)
+        residual = float(np.abs(R).max(initial=0.0))
+        if residual <= target:
+            return X, residual
+        if sweep == 3:
+            raise RefinementFailure(
+                f"{what} residual {residual:.3e} above {target:.3g} "
+                "after three refinement sweeps")
+        X -= cho_solve_banded((fac, False), R, overwrite_b=True)
 
 
 def _symmetrize(A: np.ndarray):
@@ -199,25 +214,15 @@ def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
 
     Each column is solved against its identity column from the cached
     banded factor, on its own, so it is bitwise that column of one solve
-    against the whole identity; then the block is refined in place for up to
-    three sweeps while the residual is above ``RESIDUAL_TARGET``.  A
-    residual still above it raises RefinementFailure.
+    against the whole identity; then ``_refine`` refines the block in place
+    while the residual is above ``RESIDUAL_TARGET``.
     """
     cols = np.asarray(cols, dtype=np.intp)
-    fac = G0.factor()
     X = np.zeros((G0.n, cols.size), order="F")
     X[cols, np.arange(cols.size)] = 1.0
-    X = cho_solve_banded((fac, False), X, overwrite_b=True)
-    for sweep in range(4):
-        R = _residual(G0, cols, X)
-        residual = float(np.abs(R).max(initial=0.0))
-        if residual <= RESIDUAL_TARGET:
-            return X, residual
-        if sweep == 3:
-            raise RefinementFailure(
-                f"inverse residual {residual:.3e} above {RESIDUAL_TARGET:.0e} "
-                "after three refinement sweeps")
-        X -= cho_solve_banded((fac, False), R, overwrite_b=True)
+    X = cho_solve_banded((G0.factor(), False), X, overwrite_b=True)
+    return _refine(G0, X, lambda X: _residual(G0, cols, X), RESIDUAL_TARGET,
+                   "inverse")
 
 
 def _residual_blocks(G0: GramMatrix, A: np.ndarray):

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import (eval_basis_many, eval_spline_many, gauss_blocks,
+from .bspline import (eval_basis_many, eval_spline_many, node_blocks,
                       span_gauss_blocks)
 from .functions import TestFunction
 from .gram import GramMatrix, assemble_gram, inverse_columns, solve_banded
 from .knots import KnotSequence
-from .quadrature import Piece, integrate_adaptive, refine_pieces
+from .quadrature import Piece, gauss_pair, integrate_adaptive, refine_pieces
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
            "kernel_values", "kernel_from_basis", "l1_norm"]
@@ -58,8 +58,8 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     """Moment vector ``b_j = <f, N_j>`` and its quadrature error estimate.
 
     The interval is cut at every break and declared marker, and each piece
-    is handed to the adaptive engine; the per-piece integrand is the k-vector
-    ``f * (local basis block)``.  The returned estimate aggregates all
+    is handed to the adaptive engine; ``quadrature.gauss_pair`` measures the
+    k-vector ``f * (local basis block)`` on it.  The returned estimate aggregates all
     pieces, so it covers every single moment.  It is an estimate, not a
     rigorous bound: on slowly converging singular tails it tracks the true
     error to within a few percent.
@@ -69,32 +69,13 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     if base_order is None:
         base_order = max(K.k, 4) + 4
 
-    def eval_pair(batch):
-        lo = np.array([p.lo for p in batch])
-        hi = np.array([p.hi for p in batch])
-        spans = np.array([p.payload for p in batch])
-        vals = []
-        # a value of f that is not finite makes the estimate so, which
-        # refine_pieces raises as a numerical failure: no warning on the way
-        with np.errstate(invalid="ignore"):
-            for g in (batch[0].order, 2 * batch[0].order):
-                x, w, blocks = gauss_blocks(K, lo, hi, spans, g)
-                fx = f(x.ravel()).reshape(x.shape)
-                # stacked (1, g) @ (g, k) products: bitwise equal to the
-                # per-piece (w * fx) @ blocks, which einsum is not
-                vals.append(np.matmul((w * fx)[:, None, :], blocks)[:, 0])
-            # the order-2g sum of |f| sets each piece's roundoff floor
-            mag = np.matmul((w * np.abs(fx))[:, None, :], blocks)[:, 0].max(axis=1)
-            est = np.abs(vals[1] - vals[0]).max(axis=1)
-        for p, v, e, m in zip(batch, vals[1], est.tolist(), mag.tolist()):
-            p.measure((v, e), magnitude=m)
-
     cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
     spans = K.span_indices(cuts[:-1]).tolist()
     cuts = cuts.tolist()
     pieces = [Piece(lo, hi, order=base_order, payload=span)
               for lo, hi, span in zip(cuts, cuts[1:], spans)]
-    done, est = refine_pieces(pieces, eval_pair, tol)
+    done, est = refine_pieces(
+        pieces, gauss_pair(f, basis=lambda x, s: node_blocks(K, x, s)), tol)
     # np.add.at adds in piece order, as a loop over the pieces would
     first = np.array([p.payload for p in done]) - (K.k - 1)
     b = np.zeros(K.n)

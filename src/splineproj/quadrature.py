@@ -1,9 +1,10 @@
 """Gauss-Legendre rules and a work-list adaptive integrator.
 
 Every piece of an integration job carries a pair of nested Gauss values
-(order ``g`` and ``2g``); their difference is the piece's error estimate.
-The work list refines the worst piece first: by bisection until a fixed
-depth, then by doubling the rule order up to a cap.  Bisection grades
+(order ``g`` and ``2g``), measured by ``gauss_pair`` for every caller; their
+difference is the piece's error estimate.  The work list refines the worst
+piece first: by bisection until a fixed depth, then by doubling the rule
+order up to a cap.  Bisection grades
 dyadically into endpoint singularities, which keeps the scheme generic (no
 singularity-specific rules); the final error estimate is returned so callers
 can verify the achieved tolerance a posteriori.
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence
 
-__all__ = ["gauss_rule", "integrate_adaptive", "Piece", "refine_pieces",
-           "MAX_DEPTH", "MAX_ORDER"]
+__all__ = ["gauss_rule", "gauss_pair", "integrate_adaptive", "Piece",
+           "refine_pieces", "MAX_DEPTH", "MAX_ORDER"]
 
 MAX_DEPTH = 40
 MAX_ORDER = 1024
@@ -150,6 +151,44 @@ def refine_pieces(pieces, eval_pair, tol):
     return [p for _, _, p in live] + frozen, live_est + frozen_est
 
 
+def _weighted_sums(w, f, blocks):
+    """``w @ f`` per piece as a one-column row without ``blocks``, else
+    ``(w * f) @ blocks``: stacked products, bitwise the per-piece ones, which
+    einsum is not.  The two forms differ in the last bit; each keeps its own."""
+    left, right = (w, f[:, :, None]) if blocks is None else (w * f, blocks)
+    return np.matmul(left[:, None, :], right)[:, 0]
+
+
+def gauss_pair(fn, basis=None):
+    """The one pair evaluator: ``eval_pair(batch)`` measures each piece with
+    the Gauss rules of orders g and 2g.  A piece's value is ``int fn``, or,
+    with ``basis(x, payloads)`` mapping ``(P, g)`` nodes to ``(P, g, m)``
+    blocks, the m-vector ``int fn * blocks``, whose estimate and roundoff
+    magnitude are the largest over its entries.
+    """
+    def eval_pair(batch):
+        lo = np.array([p.lo for p in batch])
+        hi = np.array([p.hi for p in batch])
+        payloads = None if basis is None else np.array([p.payload for p in batch])
+        sums = []
+        # a value of fn that is not finite makes the estimate so, which
+        # refine_pieces raises as a numerical failure: no warning on the way
+        with np.errstate(invalid="ignore"):
+            for g in (batch[0].order, 2 * batch[0].order):
+                x, w = gauss_points(lo, hi, g)
+                fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+                blocks = None if basis is None else basis(x, payloads)
+                sums.append(_weighted_sums(w, fx, blocks))
+            # the order-2g sum of |fn| sets each piece's roundoff floor
+            mag = _weighted_sums(w, np.abs(fx), blocks).max(axis=1)
+            est = np.abs(sums[1] - sums[0]).max(axis=1)
+        values = sums[1][:, 0].tolist() if basis is None else sums[1]
+        for p, v, e, m in zip(batch, values, est.tolist(), mag.tolist()):
+            p.measure((v, e), magnitude=m)
+
+    return eval_pair
+
+
 def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12):
     """Adaptive integral of a vectorized scalar function over [lo, hi].
 
@@ -158,25 +197,7 @@ def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12):
     """
     if hi <= lo:
         return 0.0, 0.0
-
-    def eval_pair(batch):
-        lo = np.array([p.lo for p in batch])
-        hi = np.array([p.hi for p in batch])
-        x1, w1 = gauss_points(lo, hi, batch[0].order)
-        x2, w2 = gauss_points(lo, hi, 2 * batch[0].order)
-        f2 = np.asarray(fn(x2.ravel()), dtype=float).reshape(x2.shape)
-        f1 = np.asarray(fn(x1.ravel()), dtype=float).reshape(x1.shape)
-        # a value of fn that is not finite makes the estimate so, which
-        # refine_pieces raises as a numerical failure: no warning on the way
-        with np.errstate(invalid="ignore"):
-            # stacked (1, g) @ (g, 1) products: bitwise equal to w @ f per piece
-            v1 = np.matmul(w1[:, None, :], f1[:, :, None])[:, 0, 0]
-            v2 = np.matmul(w2[:, None, :], f2[:, :, None])[:, 0, 0]
-            mag = np.matmul(w2[:, None, :], np.abs(f2)[:, :, None])[:, 0, 0]
-        for p, a, b, m in zip(batch, v2.tolist(), v1.tolist(), mag.tolist()):
-            p.measure((a, abs(a - b)), magnitude=m)
-
     cuts = np.union1d([lo, hi], [m for m in markers if lo < m < hi]).tolist()
     done, est = refine_pieces([Piece(a, b) for a, b in zip(cuts, cuts[1:])],
-                              eval_pair, tol)
+                              gauss_pair(fn), tol)
     return float(sum(p.value for p in done)), float(est)

@@ -231,6 +231,16 @@ def test_maximal_brute_force_oracle():
             if grid[p] <= x <= grid[q]:
                 best = max(best, (mass[q] - mass[p]) / (grid[q] - grid[p]))
     assert maximal_at(f, x, gs) == pytest.approx(best, abs=1e-12)
+    # a jump and a singularity in one cell of 16: the cell is integrated once,
+    # cut at both markers, to the singular tolerance
+    f = TestFunction(lambda x: np.abs(x) ** -0.5 + np.where(x < 0.01, 0.0, 1.0),
+                     name="pow+jump", discontinuities=(0.01,),
+                     singularities=((0.0, -0.5),))
+    grid = np.linspace(0, 1, 17)
+    mass = 2 * np.sqrt(grid) + np.maximum(grid - 0.01, 0.0)
+    best = max((mass[q] - mass[p]) / (grid[q] - grid[p])
+               for p in range(9) for q in range(8, 17) if p < q)
+    assert maximal_at(f, 0.5, 16) == pytest.approx(best, abs=1e-8)
 
 
 def test_maximal_monotone_under_refinement():

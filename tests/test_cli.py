@@ -159,6 +159,31 @@ def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["project", "--k", "4", "--partition", "random:297:1", "--function", "sin"],
+    ["converge", "--k", "4", "--function", "sin", "--levels", "8"],
+    ["dominate", "--k", "3", "--function", "sin", "--levels", "6"],
+    ["weak11", "--k", "3", "--function", "step:0.3", "--levels", "6"],
+], ids=lambda argv: argv[0])
+def test_unrefined_solve_is_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # the same inexact factor under the projection's banded solve: three
+    # refinement sweeps leave coefficients with a residual far above
+    # 1e-10 max |b|, a numerical failure, not errors read from a wrong spline
+    import splineproj.cli as cli
+    from splineproj import projection
+
+    def inexact(K):
+        G = splineproj.assemble_gram(K)
+        fac = G.factor().copy()
+        fac[-1] *= 1.03
+        return splineproj.GramMatrix(G.order, G.bands, fac)
+    for module in (cli, projection):
+        monkeypatch.setattr(module, "assemble_gram", inexact)
+    assert main(argv + ["-o", str(tmp_path)]) == 3
+    assert "numerical failure: solve residual" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_zero_kernel_is_exit_3(tmp_path, capsys, monkeypatch):
     # an inverse served as zero columns leaves no sampled kernel value above
     # the zero floor: a numerical failure, not an input error
@@ -462,14 +487,17 @@ def test_gram_row_sums_within_roundoff(tmp_path, monkeypatch, scale, status):
     assert check["passed"] == (status == 0)
 
 
-def test_cli_main_and_env_override(tmp_path, monkeypatch):
-    outdir = tmp_path / "envout"
-    monkeypatch.setenv("SPLINEPROJ_OUT", str(outdir))
-    status = main(["gram", "--k", "2", "--partition", "uniform:8",
-                   "-o", str(tmp_path / "ignored")])
+def test_cli_output_goes_to_dash_o(tmp_path, monkeypatch):
+    # no environment variable redirects the files: they land in -o, the
+    # directory the report names
+    monkeypatch.setenv("SPLINEPROJ_OUT", str(tmp_path / "envout"))
+    outdir = tmp_path / "out"
+    status = main(["gram", "--k", "2", "--partition", "uniform:8", "-o", str(outdir)])
     assert status == 0
-    assert (outdir / "gram_report.json").exists()
-    assert not (tmp_path / "ignored").exists()
+    rep = json.loads((outdir / "gram_report.json").read_text())
+    assert rep["config"]["output_dir"] == str(outdir)
+    assert (outdir / "gram_banded.csv").exists()
+    assert not (tmp_path / "envout").exists()
 
 
 def test_cli_family_flags(tmp_path):

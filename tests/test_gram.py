@@ -10,6 +10,7 @@ from splineproj import (
     GramMatrix,
     NotPositiveDefinite,
     PartitionSpec,
+    RefinementFailure,
     assemble_gram,
     eval_basis_many,
     generate_partition,
@@ -199,6 +200,25 @@ def test_refinement_sweeps(eps, converges):
     assert np.array_equal(A.entries, A.entries.T)
     # row-major like the unrefined inverse, so sums over it keep their order
     assert A.entries.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("eps,converges", [(1e-7, True), (1e-4, True), (3e-2, False)])
+def test_solve_refinement_sweeps(eps, converges):
+    # the same inexact factor under solve_banded: refinement against the true
+    # bands reaches 1e-10 max |rhs| within three sweeps, or raises; a
+    # residual above the target is never returned as a solution
+    K = generate_partition(PartitionSpec("random", 60, seed=4), 3)
+    G = assemble_gram(K)
+    fac = G.factor().copy()
+    fac[-1] *= 1 + eps
+    rhs = np.random.default_rng(1).standard_normal(K.n)
+    if not converges:
+        with pytest.raises(RefinementFailure,
+                           match="solve residual .* after three refinement sweeps"):
+            solve_banded(GramMatrix(G.order, G.bands, fac), rhs)
+        return
+    c = solve_banded(GramMatrix(G.order, G.bands, fac), rhs)
+    assert np.abs(rhs - G.matvec(c)).max() <= 1e-10 * np.abs(rhs).max()
 
 
 def test_invert_order_one():
