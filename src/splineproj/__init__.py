@@ -40,7 +40,6 @@ from .errors import (
     QuadratureNonConvergence,
     RefinementFailure,
     SplineProjError,
-    SymmetryViolation,
     ZeroIntervals,
 )
 from .functions import TestFunction, default_probes, parse_function

@@ -313,46 +313,6 @@ class InverseBoundConstants:
     skipped: tuple = ()
 
 
-def chained_decay_check(G0: GramMatrix, K: KnotSequence, gamma: float) -> float:
-    """Entrywise check of the decay bound assembled from the three
-    structural constants, cross-validating ``decay_report``.
-
-    For each pair, if a largest interval of the joint support lies inside
-    either support, the support-scaled constant alone bounds the entry;
-    otherwise the entry is bounded through the intermediate window:
-    ``|a_ij| <= 2(k-1) k2 max(k3, 1)^(k-2) k1 gamma^(1-k) gamma^|i-j| / h_ij``.
-    Returns the largest ratio of an entry to its bound; at most 1 (up to
-    roundoff) when the constants were measured on the same instance.
-    """
-    con = lemma_constants(G0, K, gamma)
-    n, k, h = K.n, K.k, K.h
-    chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
-             * con.k1 * gamma ** (1 - k))
-    powers = np.array([gamma ** d for d in range(n)])
-    worst = 0.0
-    for j, X, _ in _inverse_row_blocks(G0):
-        R = X.T
-        # entries (i, c) with c >= j; d = c - i is negative below the diagonal
-        i = np.arange(j, j + R.shape[0])[:, None]
-        d = np.arange(j, n) - i
-        upper = d >= 0
-        # acc[r, p] = max h[i : j + p], with acc[r, 0] = 0: h >= 0, so the
-        # zeros before column i leave each maximum as it is
-        acc = np.zeros((i.size, h.size - j + 1))
-        acc[:, 1:] = np.where(np.arange(j, h.size) >= i, h[j:], 0.0)
-        np.maximum.accumulate(acc, axis=1, out=acc)
-        hij = acc[:, k: n - j + k]  # max h[i : c + k]
-        # the first largest interval of h[i : c+k] lies in the support of i
-        # (it is among the first k) or of c (none of the first d reach it)
-        first_k = np.take_along_axis(acc, i - j + k, axis=1)
-        in_support = (d < k) | (first_k == hij) | (acc[:, : n - j] < hij)
-        bound = np.where(in_support, con.k1, chain) * powers[np.maximum(d, 0)]
-        np.divide(bound, hij, out=bound, where=upper)
-        ok = upper & (bound > 0) & np.isfinite(bound)
-        worst = max(worst, (np.abs(R[:, j:][ok]) / bound[ok]).max(initial=0.0))
-    return float(worst)
-
-
 def _lemma_rows(R, i, kap, logg, k):
     """``(log k1, log k2, k3, skipped)`` over a block of consecutive rows of
     the inverse: ``i`` holds the row indices as a column, ``R`` the rows'

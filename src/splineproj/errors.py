@@ -46,10 +46,6 @@ class NotPositiveDefinite(SplineProjError, ArithmeticError):
     """Banded Cholesky factorization broke down; the matrix is not SPD."""
 
 
-class SymmetryViolation(SplineProjError, ArithmeticError):
-    """A matrix that must be symmetric came out asymmetric beyond tolerance."""
-
-
 class RefinementFailure(SplineProjError, ArithmeticError):
     """Iterative refinement of a solve ended above its residual target."""
 

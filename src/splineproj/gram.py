@@ -9,9 +9,9 @@ straight into the banded Cholesky solver.
 
 The inverse is dense by nature, its entries merely decay away from the
 diagonal.  ``inverse_columns`` solves and refines only the columns asked
-for, which are also rows, the matrix being symmetric; only ``invert_gram``
-forms the whole inverse.  Symmetry of the result is a theorem, so an
-asymmetry beyond tolerance aborts instead of being averaged away silently.
+for, which are also rows, the matrix being symmetric.  ``invert_gram``
+forms the whole inverse from those same columns, block by block, and
+measures how far they are from symmetric.
 """
 
 from __future__ import annotations
@@ -22,19 +22,16 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .bspline import span_gauss_blocks
-from .errors import (LengthMismatch, NotPositiveDefinite, RefinementFailure,
-                     SymmetryViolation)
+from .errors import LengthMismatch, NotPositiveDefinite, RefinementFailure
 from .knots import KnotSequence
 
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
            "solve_banded", "inverse_columns", "invert_gram"]
 
-# Relative asymmetry of a computed inverse above which we refuse to average.
-ASYMMETRY_LIMIT = 1e-8
 #: Largest ``max |G0 A - I|`` that ends iterative refinement early.
 RESIDUAL_TARGET = 1e-9
-#: Side of the square blocks ``invert_gram`` symmetrizes and width of the
-#: column blocks it refines: n x 256 doubles at a time beside the inverse.
+#: Width of the column blocks ``invert_gram`` solves and refines: n x 256
+#: doubles at a time beside the inverse.
 _BLOCK = 256
 
 
@@ -104,9 +101,9 @@ class InverseGram:
     """Dense inverse of a Gram matrix with its quality certificates.
 
     ``residual`` is ``max |(G0 A - I)_ij|`` after any refinement;
-    ``asymmetry`` is the pre-averaging relative asymmetry of the computed
-    inverse.  Rows of ``entries`` are the coefficient vectors of the basis
-    dual to the B-splines.
+    ``asymmetry`` is the relative asymmetry ``max |A - A.T| / max |A|`` of
+    the computed inverse.  Rows of ``entries`` are the coefficient vectors
+    of the basis dual to the B-splines.
     """
 
     entries: np.ndarray
@@ -179,28 +176,6 @@ def _refine(G0: GramMatrix, X: np.ndarray, residual_of, target, what: str):
         X -= cho_solve_banded((fac, False), R, overwrite_b=True)
 
 
-def _symmetrize(A: np.ndarray):
-    """Average ``A`` with its transpose in place, one pair of square blocks
-    ``(I, J)``, ``(J, I)`` at a time; elementwise ``(a_ij + a_ji) * 0.5``.
-
-    Returns ``max |A|`` and ``max |A - A.T|`` as they were before averaging.
-    """
-    n = A.shape[0]
-    scale = diff = np.float64(0.0)
-    for i in range(0, n, _BLOCK):
-        for j in range(i, n, _BLOCK):
-            upper = A[i: i + _BLOCK, j: j + _BLOCK]
-            lower = A[j: j + _BLOCK, i: i + _BLOCK].T
-            scale = np.maximum(scale, np.maximum(np.abs(upper).max(),
-                                                 np.abs(lower).max()))
-            diff = np.maximum(diff, np.abs(upper - lower).max())
-            avg = upper + lower
-            avg *= 0.5
-            upper[...] = avg
-            lower[...] = avg
-    return scale, diff
-
-
 def _residual(G0: GramMatrix, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``G0 X - I[:, cols]`` for the columns ``X`` of the inverse."""
     R = G0.matvec(X)
@@ -225,48 +200,26 @@ def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
                    "inverse")
 
 
-def _residual_blocks(G0: GramMatrix, A: np.ndarray):
-    """``(j, R)`` for each column block ``R = (G0 A - I)[:, j: j + _BLOCK]``,
-    computed when asked for, so a caller may update block j before the next."""
-    for j in range(0, G0.n, _BLOCK):
-        X = A[:, j: j + _BLOCK]
-        yield j, _residual(G0, np.arange(j, j + X.shape[1]), X)
-
-
 def invert_gram(G0: GramMatrix) -> InverseGram:
-    """Dense inverse via n banded solves, symmetrized and certified.
+    """Dense inverse from ``inverse_columns``, ``_BLOCK`` columns at a time.
 
-    The computed inverse is averaged with its transpose only when the
-    relative asymmetry is below 1e-8; a larger asymmetry means something is
-    broken (the exact inverse is symmetric) and raises SymmetryViolation.
-    Iterative refinement is applied until the residual ``max |G0 A - I|``
-    drops below 1e-9, for at most three sweeps.
-
-    The inverse is one in-place solve against a Fortran-ordered identity,
-    and symmetrization and refinement work on ``_BLOCK``-wide blocks of it,
-    so the inverse is the only n x n array held.
+    Each refined column block ``X`` is written as rows ``j, j + 1, ...`` of
+    one C-ordered n x n array, the inverse being symmetric, so the inverse
+    is the only n x n array held.  ``residual`` is the largest block
+    residual; a block above ``RESIDUAL_TARGET`` raises RefinementFailure.
+    ``asymmetry`` compares each new row block with the columns it mirrors
+    among the rows written so far, and is left for the caller to judge.
     """
     n = G0.n
-    fac = G0.factor()
-    A = cho_solve_banded((fac, False), np.eye(n, order="F"), overwrite_b=True)
-    scale, diff = _symmetrize(A)
-    asym = diff / scale if scale > 0 else 0.0
-    if asym > ASYMMETRY_LIMIT:
-        raise SymmetryViolation(
-            f"inverse asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT:.0e}; "
-            "the Gram matrix or its solve is broken"
-        )
-    # max |G0 A - I|; up to three refinement sweeps, then the final residual
-    for sweep in range(4):
-        residual = np.float64(0.0)
-        for _, R in _residual_blocks(G0, A):
-            residual = np.maximum(residual, np.abs(R).max())
-        if residual <= RESIDUAL_TARGET or sweep == 3:
-            break
-        # each block's R again: keeping them all would be a second n x n array
-        for j, R in _residual_blocks(G0, A):
-            A[:, j: j + _BLOCK] -= cho_solve_banded((fac, False), R, overwrite_b=True)
-        _symmetrize(A)
-    # A is symmetric and Fortran-ordered: its transpose is the same matrix,
-    # C-ordered, so later row and column sums keep their order
-    return InverseGram(A.T, float(residual), float(asym))
+    A = np.empty((n, n))
+    residual = scale = diff = 0.0
+    for j in range(0, n, _BLOCK):
+        X, block_residual = inverse_columns(G0, np.arange(j, min(j + _BLOCK, n)))
+        e = j + X.shape[1]
+        A[j: e] = X.T
+        del X  # before the next block is solved
+        residual = max(residual, block_residual)
+        scale = max(scale, float(np.abs(A[j: e]).max()))
+        # every pair (i, c) with max(i, c) in this block, against its mirror
+        diff = max(diff, float(np.abs(A[j: e, :e] - A[:e, j: e].T).max()))
+    return InverseGram(A, residual, diff / scale if scale > 0 else 0.0)

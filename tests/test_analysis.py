@@ -169,7 +169,7 @@ def test_lemma_k3_dominates_adjacent_ratio():
 
 
 def test_chained_bound_cross_validates_decay():
-    from splineproj.analysis import chained_decay_check
+    from test_properties import chained_decay_check
     for k, spec in ((2, PartitionSpec("uniform", 79)),
                     (3, PartitionSpec("random", 60, seed=7)),
                     (4, PartitionSpec("geometric", 50, ratio=3.0))):

@@ -140,7 +140,7 @@ def test_verify_decay_cli(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify-decay", "verify-lemma",
-                                     "verify-kernel-bound", "kernel"])
+                                     "verify-kernel-bound", "kernel", "invert"])
 def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command):
     # a cached factor with its diagonal scaled by 1.03: three refinement
     # sweeps leave the inverse's columns at a residual near 1e-4, which is a

@@ -19,7 +19,6 @@ from splineproj import (
     scaled_gram,
     solve_banded,
 )
-from splineproj.gram import SymmetryViolation
 
 
 def reference_gram(K, subdivisions=50, g=10):
@@ -163,9 +162,10 @@ def test_not_positive_definite_detected():
         G.factor()
 
 
-def test_symmetry_guard_fails_loudly(monkeypatch):
-    # a gram inverse is symmetric by theorem; a visibly asymmetric result
-    # must abort rather than be averaged away
+def test_corrupted_inverse_fails_loudly(monkeypatch):
+    # every banded solve, refinement sweeps included, comes back with one
+    # corner entry scaled by 1.5: the residual against the true bands shows
+    # it, and the inverse is refused rather than returned
     import splineproj.gram as gram_mod
 
     K = generate_partition(PartitionSpec("uniform", 10), 2)
@@ -180,7 +180,7 @@ def test_symmetry_guard_fails_loudly(monkeypatch):
         return out
 
     monkeypatch.setattr(gram_mod, "cho_solve_banded", skewed)
-    with pytest.raises(SymmetryViolation):
+    with pytest.raises(RefinementFailure, match="inverse residual"):
         invert_gram(G)
 
 
@@ -188,17 +188,24 @@ def test_symmetry_guard_fails_loudly(monkeypatch):
 def test_refinement_sweeps(eps, converges):
     # a cached factor with its diagonal scaled by 1 + eps makes every solve
     # inexact; refinement against the true bands repairs a small error within
-    # the three-sweep budget and reports a large one as its residual, without
-    # raising
+    # the three-sweep budget, and a large one raises instead of being
+    # returned as an inverse
     K = generate_partition(PartitionSpec("random", 60, seed=4), 3)
     G = assemble_gram(K)
     fac = G.factor().copy()
     fac[-1] *= 1 + eps
-    A = invert_gram(GramMatrix(G.order, G.bands, fac))
-    assert (A.residual <= 1e-9) == converges
-    assert A.residual == np.abs(G.matvec(A.entries) - np.eye(K.n)).max()
-    assert np.array_equal(A.entries, A.entries.T)
-    # row-major like the unrefined inverse, so sums over it keep their order
+    inexact = GramMatrix(G.order, G.bands, fac)
+    if not converges:
+        with pytest.raises(RefinementFailure,
+                           match="inverse residual .* after three refinement sweeps"):
+            invert_gram(inexact)
+        return
+    A = invert_gram(inexact)
+    assert A.residual <= 1e-9
+    # rows of the entries are columns of the inverse
+    assert A.residual == np.abs(G.matvec(A.entries.T) - np.eye(K.n)).max()
+    assert A.asymmetry <= 1e-10
+    # row-major, so sums over it run along the rows
     assert A.entries.flags["C_CONTIGUOUS"]
 
 

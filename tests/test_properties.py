@@ -14,7 +14,6 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve_banded
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
@@ -39,8 +38,7 @@ from splineproj import (
     stability_constant,
 )
 from splineproj import analysis, cli, gram, projection, quadrature
-from splineproj.analysis import (ZERO_FLOOR, chained_decay_check, column_gaps,
-                                 decay_report)
+from splineproj.analysis import ZERO_FLOOR, column_gaps, decay_report
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import ExperimentConfig, write_csv
 from splineproj.quadrature import Piece, gauss_rule, integrate_adaptive
@@ -169,6 +167,49 @@ def reference_chained_decay(rows, K, gamma):
             if bound > 0 and np.isfinite(bound):
                 worst = max(worst, absA[i, j] / bound)
     return worst
+
+
+def chained_decay_check(G0, K, gamma):
+    """Entrywise check of the decay bound assembled from the three
+    structural constants, cross-validating ``decay_report``.
+
+    For each pair, if a largest interval of the joint support lies inside
+    either support, the support-scaled constant alone bounds the entry;
+    otherwise the entry is bounded through the intermediate window:
+    ``|a_ij| <= 2(k-1) k2 max(k3, 1)^(k-2) k1 gamma^(1-k) gamma^|i-j| / h_ij``.
+    Returns the largest ratio of an entry to its bound; at most 1 (up to
+    roundoff) when the constants were measured on the same instance.  The
+    rows come in 32-row blocks through ``analysis._inverse_row_blocks``, as
+    in ``lemma_constants``, and the block reductions equal
+    ``reference_chained_decay``'s loop.
+    """
+    con = lemma_constants(G0, K, gamma)
+    n, k, h = K.n, K.k, K.h
+    chain = (2 * (k - 1) * (con.k2 or 0.0) * max(con.k3 or 1.0, 1.0) ** (k - 2)
+             * con.k1 * gamma ** (1 - k))
+    powers = np.array([gamma ** d for d in range(n)])
+    worst = 0.0
+    for j, X, _ in analysis._inverse_row_blocks(G0):
+        R = X.T
+        # entries (i, c) with c >= j; d = c - i is negative below the diagonal
+        i = np.arange(j, j + R.shape[0])[:, None]
+        d = np.arange(j, n) - i
+        upper = d >= 0
+        # acc[r, p] = max h[i : j + p], with acc[r, 0] = 0: h >= 0, so the
+        # zeros before column i leave each maximum as it is
+        acc = np.zeros((i.size, h.size - j + 1))
+        acc[:, 1:] = np.where(np.arange(j, h.size) >= i, h[j:], 0.0)
+        np.maximum.accumulate(acc, axis=1, out=acc)
+        hij = acc[:, k: n - j + k]  # max h[i : c + k]
+        # the first largest interval of h[i : c+k] lies in the support of i
+        # (it is among the first k) or of c (none of the first d reach it)
+        first_k = np.take_along_axis(acc, i - j + k, axis=1)
+        in_support = (d < k) | (first_k == hij) | (acc[:, : n - j] < hij)
+        bound = np.where(in_support, con.k1, chain) * powers[np.maximum(d, 0)]
+        np.divide(bound, hij, out=bound, where=upper)
+        ok = upper & (bound > 0) & np.isfinite(bound)
+        worst = max(worst, (np.abs(R[:, j:][ok]) / bound[ok]).max(initial=0.0))
+    return float(worst)
 
 
 def reference_stability(K, trials, seed):
@@ -759,28 +800,6 @@ def test_kernel_bound_slices_equal_one_table(intervals, k, samples, seed):
 
 # -- blocked dense inverse and sliced CSV writer ----------------------------
 
-def reference_invert_gram(G0):
-    """The dense inverse as computed with whole n x n temporaries: one solve
-    against the identity, ``A + A.T``, and full residuals per sweep."""
-    n = G0.n
-    fac = G0.factor()
-    A = cho_solve_banded((fac, False), np.eye(n))
-    scale = np.abs(A).max()
-    asym = np.abs(A - A.T).max() / scale if scale > 0 else 0.0
-    A = A + A.T
-    A *= 0.5
-    for sweep in range(4):
-        R = G0.matvec(A)
-        R.flat[:: n + 1] -= 1.0
-        residual = np.abs(R).max()
-        if residual <= 1e-9 or sweep == 3:
-            break
-        A -= cho_solve_banded((fac, False), R)
-        A += A.T
-        A *= 0.5
-    return A, float(residual), float(asym)
-
-
 def knots_of_dimension(n, k, seed):
     """Random breaks with mesh ratio at most 10 and interior multiplicities
     in 1..k that make the spline dimension exactly n."""
@@ -799,20 +818,30 @@ def knots_of_dimension(n, k, seed):
        st.sampled_from([1, 2, 3, 4, 5, 6, 10]),
        st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 1e-7, 1e-4, 3e-2]))
-def test_blocked_inverse_equals_dense_reference(n, k, seed, eps):
+def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
     # n on both sides of the 256-wide block; a cached factor with its
-    # diagonal scaled by 1 + eps drives the refinement sweeps, up to running
-    # out of them at 3e-2
+    # diagonal scaled by 1 + eps drives the refinement sweeps of each block,
+    # up to a block that runs out of them, which fails the whole inverse
     assert gram._BLOCK == 256
     K = knots_of_dimension(n, k, seed)
     G = assemble_gram(K)
     fac = G.factor().copy()
     fac[-1] *= 1 + eps
-    A = invert_gram(GramMatrix(k, G.bands, fac))
-    entries, residual, asym = reference_invert_gram(GramMatrix(k, G.bands, fac))
-    assert A.entries.tobytes() == entries.tobytes()
-    assert (A.residual, A.asymmetry) == (residual, asym)
-    assert A.entries.flags["C_CONTIGUOUS"]
+    inexact = GramMatrix(k, G.bands, fac)
+    try:
+        blocks = [gram.inverse_columns(inexact, np.arange(j, min(j + 256, n)))
+                  for j in range(0, n, 256)]
+    except RefinementFailure:
+        with pytest.raises(RefinementFailure, match="inverse residual"):
+            invert_gram(inexact)
+        return
+    A = invert_gram(inexact)
+    for j, (X, _) in zip(range(0, n, 256), blocks):
+        assert A.entries[j: j + 256].tobytes() == X.T.tobytes()
+    assert A.residual == max(residual for _, residual in blocks)
+    E = A.entries
+    assert A.asymmetry == np.abs(E - E.T).max() / np.abs(E).max()
+    assert E.flags["C_CONTIGUOUS"]
 
 
 @contextmanager
