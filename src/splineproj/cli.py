@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analysis
+from . import analysis, csvtext
 from .bspline import eval_basis_many
 from .errors import NonIntegrableMarker, SplineProjError
 from .functions import TestFunction, default_probes, parse_function
@@ -217,7 +217,7 @@ def opt(cfg, name):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to a temporary file, then rename it."""
+    """Write the bytes of ``chunks`` to a temporary file, then rename it."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
@@ -225,7 +225,7 @@ def _atomic_write(path: str, chunks) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -237,30 +237,38 @@ def _atomic_write(path: str, chunks) -> None:
 def write_csv(path: str, header, rows) -> None:
     """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``.
 
-    Rows are formatted and written ``_CSV_ROWS`` at a time, so the Python
-    floats and text of one slice are all that is held beside ``rows``.  A
-    column of a slice with at most half as many distinct bit patterns as
-    rows (a key column such as a grid coordinate or an index) formats each
-    pattern once and gathers the strings; -0.0 and 0.0 are distinct
-    patterns, so each keeps its own text.
+    Rows are formatted and written ``_CSV_ROWS`` at a time: each cell of a
+    slice gets a template row of ``csvtext.cell_templates`` and the slice is
+    written as one compress of the templates by their keep-masks.  A column
+    of a slice with at most half as many distinct bit patterns as rows (a
+    key column such as a grid coordinate or an index) formats each pattern
+    once and gathers its template rows; -0.0 and 0.0 are distinct patterns,
+    so each keeps its own text.
     """
     rows = np.asarray(rows, dtype=float)
     ncols = rows.shape[1]
 
+    def templates(col):
+        bits = col.view(np.int64)
+        keys = np.sort(bits)
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        if 2 * keys.size > bits.size:
+            return csvtext.cell_templates(col)
+        chars, keep = csvtext.cell_templates(keys.view(float))
+        which = np.searchsorted(keys, bits)
+        return np.take(chars, which, axis=0), np.take(keep, which, axis=0)
+
     def chunks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         for s in range(0, rows.shape[0], _CSV_ROWS):
             part = rows[s: s + _CSV_ROWS]
-            cells = part.ravel().tolist()
-            spec = ["%.17g"] * ncols
+            chars = np.empty((part.shape[0], ncols, csvtext.WIDTH), np.uint8)
+            keep = np.empty(chars.shape, bool)
             for c in range(ncols):
-                keys, which = np.unique(part[:, c].view(np.int64), return_inverse=True)
-                if 2 * keys.size <= part.shape[0]:
-                    text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
-                                    dtype=object)
-                    cells[c::ncols] = text[which].tolist()
-                    spec[c] = "%s"
-            yield ((",".join(spec) + "\n") * part.shape[0]) % tuple(cells)
+                chars[:, c], keep[:, c] = templates(part[:, c])
+            chars[:, :, -1] = ord(",")
+            chars[:, -1, -1] = ord("\n")
+            yield np.compress(keep.ravel(), chars.ravel()).tobytes()
 
     _atomic_write(path, chunks())
 
@@ -277,9 +285,28 @@ def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
         **payload,
     }
     path = os.path.join(cfg.output_dir, f"{cfg.command.replace('-', '_')}_report.json")
-    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2,
-                                    default=_json_default) + "\n"])
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError:
+        # strict JSON has no Infinity or NaN: such a value is written as a
+        # string, with the text its CSV cell has
+        doc = _nonfinite_as_text(json.loads(json.dumps(doc, default=_json_default)))
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write(path, [(text + "\n").encode()])
     return path
+
+
+def _nonfinite_as_text(v):
+    """``v`` with each non-finite float in it replaced by ``"%.17g" % x``
+    (``"inf"``, ``"-inf"`` or ``"nan"``)."""
+    if isinstance(v, dict):
+        return {key: _nonfinite_as_text(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_nonfinite_as_text(x) for x in v]
+    if isinstance(v, float) and not np.isfinite(v):
+        return "%.17g" % v
+    return v
 
 
 def _json_default(v):

@@ -245,6 +245,34 @@ def test_converge_cli(tmp_path):
     assert all(np.isfinite(lv["sup_error"]) for lv in rep["convergence"]["levels"])
 
 
+def strict_json(path):
+    """The JSON document at ``path``; Infinity, -Infinity and NaN raise."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_non_finite_report_values_are_strict_json(tmp_path):
+    # omega_k of an unbounded f is inf at every level: the report writes the
+    # text of its CSV cell as a string, not the bare token Infinity
+    assert main(["converge", "--k", "2", "--function", "abspow:0:-0.5",
+                 "--levels", "4", "-o", str(tmp_path)]) == 0
+    rep = strict_json(tmp_path / "converge_report.json")
+    assert [lv["omega_k"] for lv in rep["convergence"]["levels"]] == ["inf"] * 4
+    assert all(np.isfinite(lv["sup_error"]) for lv in rep["convergence"]["levels"])
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["inf"] * 4
+
+
+def test_finite_report_is_plain_json_dumps(tmp_path):
+    cfg, status = run_in(tmp_path, make_cfg(command="gram"))
+    assert status == 0
+    text = (tmp_path / "gram_report.json").read_text()
+    assert text == json.dumps(strict_json(tmp_path / "gram_report.json"),
+                              sort_keys=True, indent=2) + "\n"
+
+
 def test_exit_code_input_error(tmp_path):
     cfg = make_cfg(command="project", partition="nosuchfamily:4",
                    function="sin", output_dir=str(tmp_path))
