@@ -217,7 +217,7 @@ def opt(cfg, name):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the bytes of ``chunks`` to a temporary file, then rename it."""
+    """Write ``chunks``, bytes-like objects, to a temporary file, then rename it."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
@@ -239,24 +239,10 @@ def write_csv(path: str, header, rows) -> None:
 
     Rows are formatted and written ``_CSV_ROWS`` at a time: each cell of a
     slice gets a template row of ``csvtext.cell_templates`` and the slice is
-    written as one compress of the templates by their keep-masks.  A column
-    of a slice with at most half as many distinct bit patterns as rows (a
-    key column such as a grid coordinate or an index) formats each pattern
-    once and gathers its template rows; -0.0 and 0.0 are distinct patterns,
-    so each keeps its own text.
+    written as one compress of the templates by their keep-masks.
     """
     rows = np.asarray(rows, dtype=float)
     ncols = rows.shape[1]
-
-    def templates(col):
-        bits = col.view(np.int64)
-        keys = np.sort(bits)
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        if 2 * keys.size > bits.size:
-            return csvtext.cell_templates(col)
-        chars, keep = csvtext.cell_templates(keys.view(float))
-        which = np.searchsorted(keys, bits)
-        return np.take(chars, which, axis=0), np.take(keep, which, axis=0)
 
     def chunks():
         yield (",".join(header) + "\n").encode()
@@ -265,10 +251,10 @@ def write_csv(path: str, header, rows) -> None:
             chars = np.empty((part.shape[0], ncols, csvtext.WIDTH), np.uint8)
             keep = np.empty(chars.shape, bool)
             for c in range(ncols):
-                chars[:, c], keep[:, c] = templates(part[:, c])
+                chars[:, c], keep[:, c] = csvtext.cell_templates(part[:, c])
             chars[:, :, -1] = ord(",")
             chars[:, -1, -1] = ord("\n")
-            yield np.compress(keep.ravel(), chars.ravel()).tobytes()
+            yield np.compress(keep.ravel(), chars.ravel())
 
     _atomic_write(path, chunks())
 

@@ -118,13 +118,3 @@ def test_inverse_table_takes_no_fallback(tmp_path):
         % tuple(rows.ravel().tolist())
     with open(os.path.join(tmp_path, "inverse_full.csv"), "rb") as fh:
         assert fh.read() == expect.encode()
-
-
-def test_key_column_formats_distinct_values_only(tmp_path):
-    # per 8192-row slice: 8 distinct values in column a, 8192 in column b
-    rows = np.column_stack([np.arange(10_000) % 8 * 0.25,
-                            np.random.default_rng(0).standard_normal(10_000)])
-    with patch.object(csvtext, "cell_templates", wraps=csvtext.cell_templates) as fmt:
-        cli.write_csv(os.path.join(tmp_path, "t.csv"), ("a", "b"), rows)
-    sizes = [np.asarray(call.args[0]).size for call in fmt.call_args_list]
-    assert sizes == [8, 8192, 8, 1808]
