@@ -30,7 +30,7 @@ from .bspline import eval_basis_many, span_gauss_blocks
 from .errors import (DegenerateKernel, LengthMismatch, OutOfDomain,
                      QuadratureNonConvergence)
 from .functions import TestFunction
-from .gram import GramMatrix, inverse_columns
+from .gram import GramMatrix, inverse_rows
 from .knots import KnotSequence
 from .projection import kernel_from_basis, l1_norm, project
 from .quadrature import gauss_points, integrate_adaptive
@@ -48,9 +48,6 @@ ZERO_FLOOR = 1e-300
 #: Cell rows of the kernel sample table that ``kernel_bound_report`` holds
 #: at once; it bounds the table's memory at 64 s^2 S doubles.
 _KERNEL_ROWS = 64
-#: Columns of the inverse that ``decay_report`` and the row scans solve and
-#: reduce at once: their working memory is a few n x 32 arrays.
-_COLUMNS = 32
 #: Cells whose 16 Gauss nodes ``_prefix_abs_integral`` evaluates at once; a
 #: multiple of 4 keeps a one-thread BLAS product bitwise that over all cells.
 _PREFIX_CELLS = 4096
@@ -67,16 +64,22 @@ def midpoints(a: float, b: float, m: int) -> np.ndarray:
     return a + (b - a) * (np.arange(m) + 0.5) / m
 
 
-def column_gaps(K: KnotSequence, j: int, w: int) -> np.ndarray:
-    """Largest-gap values for the columns ``c = j .. j+w-1``: entry
-    ``[i, c - j]`` is ``h_ic``, the largest interval length in the window
-    ``h[i : c + k]``, for every row ``i <= c``."""
-    h, k = K.h, K.k
-    rows = np.arange(j + w + k - 1)[:, None]
-    # h >= 0, so a zero past the window's end leaves every maximum as it is
-    gaps = np.where(rows < j + np.arange(w) + k, h[: j + w + k - 1, None], 0.0)
-    up = gaps[::-1]
-    np.maximum.accumulate(up, axis=0, out=up)
+def row_gaps(K: KnotSequence, j: int, e: int) -> np.ndarray:
+    """Largest-gap values for the rows ``i = j .. j+e-1``: entry
+    ``[i - j, c - j]`` is ``h_ic``, the largest interval length in the
+    window ``h[i : c + k]``, for every column ``c >= i``; zero left of the
+    diagonal."""
+    h, k, n = K.h, K.k, K.n
+    gaps = np.empty((e, n - j))
+    # the first e columns: a running maximum along each row from
+    # max h[i : i + k] on its diagonal
+    block = np.where(np.tri(e, e, -1, dtype=bool), 0.0, h[j + k - 1: j + e + k - 1])
+    block[np.diag_indices(e)] = sliding_window_view(h[j: j + e + k - 1], k).max(axis=1)
+    np.maximum.accumulate(block, axis=1, out=gaps[:, :e])
+    # further right, the maximum of h[i : j + e + k - 1], which ends each
+    # row of the block, and of h[j + e + k - 1 : c + k], shared by the rows
+    np.maximum(gaps[:, e - 1: e], np.maximum.accumulate(h[j + e + k - 1: n + k - 1]),
+               out=gaps[:, e:])
     return gaps
 
 
@@ -96,8 +99,9 @@ class DecayReport:
     exactly at the asymptotic rate is a running maximum over ~n comparable
     terms and cannot be stable across sizes on irregular meshes.  ``k0``
     bounds the second profile with the same certificate rate.
-    ``inverse_residual`` is the largest ``max |G0 X - I[:, cols]|`` of the
-    column blocks ``X`` the profiles were read from.  ``diagonal`` flags an
+    ``inverse_residual`` is the largest block residual of the row stream
+    the profiles were read from, ``max |G0 A - I|`` over every entry.
+    ``diagonal`` flags an
     inverse with no nonzero entry beyond offset ``k - 1``: diagonal for
     order 1, block-diagonal when every interior knot has multiplicity k.
     """
@@ -138,21 +142,22 @@ def _envelope_constant(offsets, profile, gamma):
     return float(np.exp(logs.max()))
 
 
-def _inverse_row_blocks(G0: GramMatrix):
-    """``(j, X, residual)`` for each block of ``_COLUMNS`` columns of the
-    inverse from ``inverse_columns``; the inverse is symmetric, so ``X.T``
-    holds rows ``j, j + 1, ...`` as one C-ordered array."""
-    for j in range(0, G0.n, _COLUMNS):
-        X, residual = inverse_columns(G0, np.arange(j, min(j + _COLUMNS, G0.n)))
-        yield j, X, residual
+def _offset_maxima(table, m, prof):
+    """``prof[d] = fmax(prof[d], table[r, r + d])`` over the rows ``r`` of
+    ``table``, for the offsets ``d < m``: read through a skewed view, with
+    the columns past ``m - 1`` of each row zero.  ``fmax`` skips a NaN."""
+    s0, s1 = table.strides
+    skewed = as_strided(table, shape=(table.shape[0], m), strides=(s0 + s1, s1),
+                        writeable=False)
+    np.fmax(prof[:m], np.fmax.reduce(skewed, axis=0), out=prof[:m])
 
 
 def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     """Per-offset decay profiles of the inverse Gram matrix and their fit.
 
-    The inverse of ``G0`` is solved and refined ``_COLUMNS`` columns at a
-    time and never held whole.  Each entry ``(i, c)`` of the upper triangle
-    enters the profiles at offset ``c - i``.  With fewer than ``3k`` basis
+    The inverse of ``G0`` is read as the row stream of ``inverse_rows`` and
+    never held whole.  Each entry ``(i, c)`` of the upper triangle enters
+    the profiles at offset ``c - i``.  With fewer than ``3k`` basis
     functions no rate is fitted and the report carries the profiles only.
     When every entry beyond offset ``k - 1`` is exactly zero (order 1, or
     every interior knot of multiplicity k) there is no offset to fit on and
@@ -163,31 +168,29 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
         raise LengthMismatch(f"matrix dimension {G0.n} != spline dimension {n}")
     kap = K.kappa
     offsets = np.arange(n)
+    # per-offset maxima of |a_ic| h_ic and of |a_ic| max(kappa_i, kappa_c):
+    # b_ic = a_ic kappa_c / k and b_ci = a_ic kappa_i / k of the row-rescaled
+    # matrix, which is not symmetric.  The zero floor and the division by k
+    # come after the maxima: both are monotone, so this is bitwise the same
     prof_a = np.zeros(n)
     prof_b = np.zeros(n)
     inverse_residual = 0.0
-    for j, X, block_residual in _inverse_row_blocks(G0):
+    for j, rows, block_residual in inverse_rows(G0):
         inverse_residual = max(inverse_residual, block_residual)
-        w = X.shape[1]
-        rows = j + w  # rows 0 .. c hold the upper triangle of each column c
-        # vals[i, c - j] = |a_ic| times a scale, below w zero rows; row d of
-        # the skewed view is the entries (c - d, c) at offset d, and the rows
-        # c - d < 0 land on the zeros
-        padded = np.zeros((w + rows, w), order="F")
-        vals = padded[w:]
-        s0, s1 = padded.strides
-        skewed = as_strided(padded[rows:], shape=(rows, w),
-                            strides=(-s0, s0 + s1), writeable=False)
-        # h_ic for the first profile; b_ic = a_ic * kappa_c / k and b_ci for
-        # the second, since the row-rescaled matrix is not symmetric
-        for prof, scale, divisor in ((prof_a, column_gaps(K, j, w)[:rows], 1),
-                                     (prof_b, kap[j: rows], k),
-                                     (prof_b, kap[:rows, None], k)):
-            np.abs(X[:rows], out=vals)
-            vals *= scale
-            vals /= divisor
-            vals[~(vals > ZERO_FLOOR)] = 0.0  # a NaN counts as zero too
-            np.maximum(prof[:rows], skewed.max(axis=1), out=prof[:rows])
+        e, m = rows.shape[0], n - j
+        absa = np.abs(rows[:, j:])
+        # [r, c - j] holds the scaled entry (j + r, c); the last e columns
+        # stay zero for the skewed view
+        scaled = np.zeros((e, m + e))
+        part = scaled[:, :m]
+        np.multiply(row_gaps(K, j, e), absa, out=part)
+        _offset_maxima(scaled, m, prof_a)
+        np.maximum(kap[j: j + e, None], kap[j:], out=part)
+        part *= absa
+        _offset_maxima(scaled, m, prof_b)
+    prof_b /= k
+    for prof in (prof_a, prof_b):
+        prof[~(prof > ZERO_FLOOR)] = 0.0  # a NaN counts as zero too
 
     diagonal = bool(np.all(prof_a[k:] <= ZERO_FLOOR))
     gamma = gamma_cert = big_k = gamma_b = k0 = residual = None
@@ -313,51 +316,60 @@ class InverseBoundConstants:
     skipped: tuple = ()
 
 
-def _lemma_rows(R, i, kap, logg, k):
+def _lemma_rows(R, i, c0, kap, logg, k):
     """``(log k1, log k2, k3, skipped)`` over a block of consecutive rows of
     the inverse: ``i`` holds the row indices as a column, ``R`` the rows'
-    absolute entries with those below ``ZERO_FLOOR`` set to zero.  Each
-    constant is reduced along axis 1 with the elementwise operations of a
-    scan row by row, in the same order, so it is bitwise that scan's.  A
-    constant with no entry is -inf (k1, k2) or 0 (k3)."""
-    n = R.shape[1]
-    cols = np.arange(n)
+    absolute entries from column ``c0`` on, with those below ``ZERO_FLOOR``
+    set to zero; every entry left of ``c0`` is zero.  Each constant is
+    reduced along axis 1 with the elementwise operations of a scan row by
+    row over whole rows, in the same order, so it is bitwise that scan's.
+    A constant with no entry is -inf (k1, k2) or 0 (k3)."""
+    width = R.shape[1]
+    n = c0 + width
+    cols = np.arange(c0, n)
     with np.errstate(divide="ignore"):
         # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
-        k1 = (np.log(R * np.maximum(kap[i], kap)) - np.abs(i - cols) * logg).max()
-        # suffix[:, j] = max_{m>=j} log |a_im| - m log gamma
+        k1 = (np.log(R * np.maximum(kap[i], kap[c0:])) - np.abs(i - cols) * logg).max()
+        # suffix[:, m - c0] = max_{m'>=m} log |a_im'| - m' log gamma
         suffix = np.maximum.accumulate(
             (np.log(R) - cols * logg)[:, ::-1], axis=1)[:, ::-1]
 
     # k2: max over i + k <= ell < j of |a_ij| / (gamma^(j-ell) * window
-    # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0
-    csum = np.zeros((i.size, n + 1))
-    np.cumsum(R, axis=1, out=csum[:, 1:])
+    # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0.
+    # Each window is summed term by term from the left: a difference of
+    # prefix sums cancels once the window is below eps times the row's sum
     ell = np.arange(i[0, 0] + k, n - 1)  # from the first row's i + k
-    s = csum[:, np.minimum(n, ell + k - 1)] - csum[:, ell - (k - 1)]
+    s = np.zeros((i.size, ell.size))
+    for t in range(i[0, 0] + 1 - c0, i[0, 0] + 2 * k - 1 - c0):
+        # one term of every window: column c0 + t for ell[0], one column
+        # further right for each later ell; windows past column n - 1 are short
+        part = R[:, t: t + ell.size]
+        s[:, : part.shape[1]] += part
     ok = (s > 0) & (ell >= i + k)
-    k2 = ((suffix[:, ell + 1] + ell * logg)[ok] - np.log(s[ok])).max(initial=-np.inf)
+    k2 = ((suffix[:, ell + 1 - c0] + ell * logg)[ok] - np.log(s[ok])).max(initial=-np.inf)
     if k < 2:
         return k1, k2, 0.0, []
 
     # k3: max over mu > i of |a_i,mu| / max of the k-1 preceding row entries;
-    # denom[:, mu] = max R[:, mu-k+1 : mu], zero-padded on the left
-    padded = np.zeros((i.size, n + k - 2))
+    # denom[:, mu - c0] = max R[:, mu-k+1 : mu], zero-padded on the left
+    padded = np.zeros((i.size, width + k - 2))
     padded[:, k - 1:] = R[:, :-1]
-    denom = padded[:, :n].copy()
+    denom = padded[:, :width].copy()
     for q in range(1, k - 1):
-        np.maximum(denom, padded[:, q: q + n], out=denom)
+        np.maximum(denom, padded[:, q: q + width], out=denom)
     later = cols > i
     zero = denom <= 0.0
     rows, mus = np.nonzero(later & zero & (R > 0.0))
     keep = later & ~zero
     k3 = (R[keep] / denom[keep]).max(initial=0.0)
-    return k1, k2, k3, list(zip(i[rows, 0].tolist(), mus.tolist()))
+    return k1, k2, k3, list(zip(i[rows, 0].tolist(), (mus + c0).tolist()))
 
 
 def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBoundConstants:
-    """The three constants from the inverse's rows, scanned ``_COLUMNS``
-    rows at a time by ``_lemma_rows``."""
+    """The three constants from the row stream of ``inverse_rows``, reduced
+    a block at a time by ``_lemma_rows`` from ``k - 1`` columns left of the
+    block's first row on: the stream holds zeros further left, and no
+    constant reads past the mirrored band there."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     n, k = K.n, K.k
@@ -366,17 +378,19 @@ def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBou
     k1_best = k2_best = -np.inf
     k3_best = 0.0
     skipped = []
-    for j, X, _ in _inverse_row_blocks(G0):
-        R = np.abs(X.T)
+    for j, rows, _ in inverse_rows(G0):
+        c0 = max(j - (k - 1), 0)
+        R = np.abs(rows[:, c0:])
         R[~(R > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
-        k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None],
+        k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None], c0,
                                         K.kappa, np.log(gamma), k)
         k1_best, k2_best, k3_best = max(k1_best, k1), max(k2_best, k2), max(k3_best, k3)
         skipped += pairs
     k1 = float(np.exp(k1_best))
     k2 = float(np.exp(k2_best)) if np.isfinite(k2_best) else None
     k3 = float(k3_best) if k >= 2 else None
-    return InverseBoundConstants(k, n, gamma, k1, k2, k3, tuple(skipped))
+    # the blocks come bottom-up; the pairs of a row scan come row-major
+    return InverseBoundConstants(k, n, gamma, k1, k2, k3, tuple(sorted(skipped)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ SCHEMA_VERSION = 1
 MAX_INVERT_N = 2000
 #: Rows of a CSV table formatted at once by ``write_csv``.
 _CSV_ROWS = 8192
+#: Rows of a formatted slice that ``write_csv`` compresses to text at once.
+_COMPRESS_ROWS = 1024
 #: Rows of the inverse that ``invert`` scales for its norms at once.
 _NORM_ROWS = 64
 
@@ -246,15 +248,21 @@ def write_csv(path: str, header, rows) -> None:
 
     def chunks():
         yield (",".join(header) + "\n").encode()
+        # one pair of template arrays, refilled slice by slice
+        shape = (min(_CSV_ROWS, rows.shape[0]), ncols, csvtext.WIDTH)
+        all_chars, all_keep = np.empty(shape, np.uint8), np.empty(shape, bool)
         for s in range(0, rows.shape[0], _CSV_ROWS):
             part = rows[s: s + _CSV_ROWS]
-            chars = np.empty((part.shape[0], ncols, csvtext.WIDTH), np.uint8)
-            keep = np.empty(chars.shape, bool)
+            chars, keep = all_chars[: part.shape[0]], all_keep[: part.shape[0]]
             for c in range(ncols):
-                chars[:, c], keep[:, c] = csvtext.cell_templates(part[:, c])
+                csvtext.cell_templates(part[:, c], chars[:, c], keep[:, c])
             chars[:, :, -1] = ord(",")
             chars[:, -1, -1] = ord("\n")
-            yield np.compress(keep.ravel(), chars.ravel())
+            # compress builds an index array of 8 bytes per kept byte, so a
+            # slice is compressed _COMPRESS_ROWS rows at a time
+            for r in range(0, part.shape[0], _COMPRESS_ROWS):
+                yield np.compress(keep[r: r + _COMPRESS_ROWS].ravel(),
+                                  chars[r: r + _COMPRESS_ROWS].ravel())
 
     _atomic_write(path, chunks())
 

@@ -1,7 +1,7 @@
 """``%.17g`` text of float64 arrays without a Python call per value.
 
-``cell_templates(v)`` gives each value a fixed-width row of bytes and a
-keep-mask; the kept bytes of a row, in order, are ``"%.17g" % v`` and its
+``cell_templates(v, chars, keep)`` gives each value a fixed-width row of
+bytes and a keep-mask; the kept bytes of a row, in order, are ``"%.17g" % v`` and its
 last byte is a separator slot.  ``np.compress(keep.ravel(), chars.ravel())``
 over many rows is their text, one after the other.
 
@@ -139,57 +139,95 @@ def _special_rows():
     return _text_rows(["0", "-0", "inf", "-inf", "nan"])
 
 
-def cell_templates(values):
-    """``(chars, keep)``: a uint8 and a bool array of shape ``(len(values),
-    WIDTH)`` whose kept bytes in each row are ``"%.17g" % value`` followed by
-    the separator slot ``chars[:, -1]``, which the caller fills."""
+def cell_templates(values, chars, keep):
+    """Fill ``chars`` and ``keep``, a uint8 and a bool array of shape
+    ``(len(values), WIDTH)`` whose rows may be strided but whose bytes within
+    a row are contiguous: the kept bytes of each row are ``"%.17g" % value``
+    followed by the separator slot ``chars[:, -1]``, which the caller fills.
+
+    Each per-value temporary is freed, or reused in place, once the last
+    step that reads it is done, so few are alive at once."""
     v = np.asarray(values, dtype=float)
     hi_t, hh_t, hl_t, lo_t, e0_t = _scales()
     head, quads, last, expo, keep_t = _layout()
-    a = np.abs(v)
-    regular = np.isfinite(v) & (a != 0)
-    f, e = np.frexp(np.where(regular, a, 1.0))
-    m = np.ldexp(f, 53)
+    m = np.abs(v)
+    regular = np.isfinite(v) & (m != 0)
+    m[~regular] = 1.0
+    m, e = np.frexp(m)
+    np.ldexp(m, 53, out=m)
     e -= _E_MIN
     p = m * np.take(hi_t, e)
-    bh, bl = np.take(hh_t, e), np.take(hl_t, e)
+    # r = (((mh bh - p) + mh bl + ml bh) + ml bl) + m lo, one term at a time
+    bh = np.take(hh_t, e)
     mh, ml = _split(m)
-    r = (((mh * bh - p) + mh * bl + ml * bh) + ml * bl) + m * np.take(lo_t, e)
+    r = mh * bh
+    r -= p
+    bl = np.take(hl_t, e)
+    mh *= bl
+    r += mh
+    del mh
+    bh *= ml
+    r += bh
+    del bh
+    ml *= bl
+    r += ml
+    del ml, bl
+    lo = np.take(lo_t, e)
+    lo *= m
+    r += lo
+    del lo, m
     fl = np.floor(r)
-    n = p.astype(np.int64) + fl.astype(np.int64)
-    frac = r - fl
+    n = p.astype(np.int64)
+    del p
+    n += fl.astype(np.int64)
+    r -= fl
+    frac = r
+    del fl, r
     # E = E0 + 1 when x >= 10^17: then x / 10, integer part and fraction
     big = n >= 10 ** 17
-    E = np.take(e0_t, e) + big
+    E = np.take(e0_t, e)
+    del e
+    E += big
     s = np.where(big, 10, 1)
+    del big
     q = n // s
-    frac = (n - q * s + frac) / s
-    n = q + (frac > 0.5)
+    n -= q * s
+    frac += n
+    frac /= s
+    del s
+    q += frac > 0.5
+    n = q
     over = n == 10 ** 17
     n[over] = 10 ** 16
     E += over
-    # N = d0 c1 c2 c3 c4 in digit groups of 1, 4, 4, 4, 4
-    hi8 = n // 10 ** 8
-    lo8 = n - hi8 * 10 ** 8
-    d0 = hi8 // 10 ** 8
-    mid = hi8 - d0 * 10 ** 8
+    del over
+    # N = d0 c1 c2 c3 c4 in digit groups of 1, 4, 4, 4, 4: mid holds d0 c1
+    # c2, then c1 c2, then c2; n holds c3 c4, then c4
+    mid = n // 10 ** 8
+    n -= mid * 10 ** 8
+    c3 = n // 10 ** 4
+    n -= c3 * 10 ** 4
+    c4 = n
+    d0 = mid // 10 ** 8
+    mid -= d0 * 10 ** 8
     c1 = mid // 10 ** 4
-    c2 = mid - c1 * 10 ** 4
-    c3 = lo8 // 10 ** 4
-    c4 = lo8 - c3 * 10 ** 4
+    mid -= c1 * 10 ** 4
+    c2 = mid
     t = np.maximum(np.maximum(np.take(last[0], c1), np.take(last[1], c2)),
                    np.maximum(np.take(last[2], c3), np.take(last[3], c4)))
     np.maximum(t, 1, out=t)
     case = np.where((E >= -4) & (E <= 16), E + 4, 21 + (np.abs(E) >= 100))
-    words = np.empty((v.size, WIDTH // 8), np.uint64)
-    words[:, 0] = np.take(head, d0)
-    words[:, 1] = np.take(quads, c1)
-    words[:, 2] = np.take(quads, c2)
-    words[:, 3] = np.take(quads, c3)
-    words[:, 4] = np.take(quads, c4)
-    words[:, 5] = np.take(expo, E + 400)
-    chars = words.view(np.uint8)
-    keep = np.take(keep_t, (case * 18 + t) * 2 + np.signbit(v), axis=0)
+    words = chars.view(np.uint64)
+    for w, (table, index) in enumerate(((head, d0), (quads, c1), (quads, c2),
+                                        (quads, c3), (quads, c4), (expo, E + 400))):
+        words[:, w] = np.take(table, index)
+    del d0, c1, c2, c3, c4, E
+    case *= 18
+    case += t
+    case *= 2
+    case += np.signbit(v)
+    np.take(keep_t, case, axis=0, out=keep, mode="clip")
+    del case, t
     tie = regular & (np.abs(frac - 0.5) <= _TIE_BAND)
     if tie.any():
         rows = np.flatnonzero(tie)
@@ -201,4 +239,3 @@ def cell_templates(values):
                         np.where(special == 0, 0, 2) + np.signbit(special))
         special_chars, special_keep = _special_rows()
         chars[rows], keep[rows] = special_chars[kind], special_keep[kind]
-    return chars, keep

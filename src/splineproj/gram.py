@@ -8,10 +8,13 @@ roundoff.  Storage is the LAPACK upper symmetric-banded layout, which feeds
 straight into the banded Cholesky solver.
 
 The inverse is dense by nature, its entries merely decay away from the
-diagonal.  ``inverse_columns`` solves and refines only the columns asked
-for, which are also rows, the matrix being symmetric.  ``invert_gram``
-forms the whole inverse from those same columns, block by block, and
-measures how far they are from symmetric.
+diagonal.  It has two producers.  ``inverse_columns`` solves and refines
+only the columns asked for, which are also rows, the matrix being
+symmetric; ``invert_gram`` forms the whole inverse from those same columns,
+block by block, and measures how far they are from symmetric.
+``inverse_rows`` streams every row's upper triangle, bottom-up, by the
+back-substitution recurrence of the banded factor, in O(n) memory and with
+a residual over every entry, but with no refinement.
 """
 
 from __future__ import annotations
@@ -26,13 +29,19 @@ from .errors import LengthMismatch, NotPositiveDefinite, RefinementFailure
 from .knots import KnotSequence
 
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
-           "solve_banded", "inverse_columns", "invert_gram"]
+           "solve_banded", "inverse_columns", "inverse_rows", "invert_gram"]
 
-#: Largest ``max |G0 A - I|`` that ends iterative refinement early.
+#: Largest ``max |G0 A - I|`` an inverse is accepted with: it ends the
+#: refinement of solved columns early, and bounds the unrefined row stream.
 RESIDUAL_TARGET = 1e-9
 #: Width of the column blocks ``invert_gram`` solves and refines: n x 256
 #: doubles at a time beside the inverse.
 _BLOCK = 256
+#: Rows of the inverse that ``inverse_rows`` yields at once.
+_ROWS = 32
+#: Columns of a row block whose residual is summed at once: two work
+#: arrays of _ROWS x 512 doubles, not of _ROWS x n.
+_RESIDUAL_COLUMNS = 512
 
 
 @dataclass(eq=False)
@@ -223,3 +232,103 @@ def invert_gram(G0: GramMatrix) -> InverseGram:
         # every pair (i, c) with max(i, c) in this block, against its mirror
         diff = max(diff, float(np.abs(A[j: e, :e] - A[:e, j: e].T).max()))
     return InverseGram(A, residual, diff / scale if scale > 0 else 0.0)
+
+
+def inverse_rows(G0: GramMatrix):
+    """The inverse's rows, ``_ROWS`` at a time from the last block up.
+
+    Yields ``(j, rows, residual)`` for the blocks ``j = ..., 64, 32, 0``:
+    ``rows[r]`` is row ``i = j + r`` of the inverse ``A``, an array of
+    length n that holds the upper triangle from column ``i`` on, the
+    ``p = k - 1`` entries left of the diagonal mirrored in, and zeros further
+    left.  ``rows`` is a view of a rolling buffer of ``_ROWS + 2p`` rows,
+    overwritten when the next block is asked for.
+
+    With the cached factor ``G0 = U^T U``, ``U A = U^-T`` is lower triangular
+    with diagonal ``1 / U_ii``, so row ``i`` follows from rows ``i+1 ..
+    i+p`` alone, nothing being solved per column:
+
+        a_ic = -sum_{d=1..p} U_i,i+d a_i+d,c / U_ii        for c > i,
+        a_ii = 1 / U_ii^2 - sum_{d=1..p} U_i,i+d a_i,i+d / U_ii.
+
+    ``residual`` is ``max |G0 A - I|`` over every entry of the block's rows
+    of ``G0 A`` from column ``j`` on, ``(G0 A)[i, c]`` for ``c >= i`` by the
+    stencil over rows ``i-p .. i+p``, and ``(G0 A)[c, i] = (A G0)[i, c]``
+    for ``c > i`` by the stencil along row ``i``: together every entry of
+    the matrix once the stream ends.  The stencils need the p rows above the
+    block, so a block is yielded once those exist.  A residual above
+    ``RESIDUAL_TARGET`` raises RefinementFailure; there are no refinement
+    sweeps, since a correction needs whole columns, which a bottom-up
+    stream does not hold until it ends.
+    """
+    n, p = G0.n, G0.order - 1
+    fac = G0.factor()
+    # coef[i, d - 1] = -U_i,i+d / U_ii, zero past the last row
+    coef = np.zeros((n, p))
+    for d in range(1, p + 1):
+        coef[: n - d, d - 1] = -fac[p - d, d:] / fac[p, : n - d]
+    inv_sq = 1.0 / fac[p] ** 2
+    # g[q + p, r] = G_r,r+q = G_r+q,r, zero outside the matrix
+    g = np.zeros((2 * p + 1, n))
+    for q in range(p + 1):
+        g[p + q, : n - q] = g[p - q, q:] = G0.bands[p - q, q:]
+    # buffer row s is row base + s of A, column c of A is column c + p; the
+    # rows and columns outside the matrix stay zero
+    buf = np.zeros((_ROWS + 2 * p, n + 2 * p))
+    done = n  # rows done .. n - 1 are computed
+    for j in range(_ROWS * ((n - 1) // _ROWS), -1, -_ROWS):
+        base = j - p
+        if done < n:
+            # rows j + _ROWS - p .. j + _ROWS + p - 1 move to the bottom
+            buf[_ROWS:] = buf[: 2 * p]
+        for i in range(done - 1, max(base, 0) - 1, -1):
+            b = i - base
+            band = buf[b, i + p + 1: i + 2 * p + 1]
+            np.dot(coef[i], buf[b + 1: b + p + 1, i + p + 1: n + p],
+                   out=buf[b, i + p + 1: n + p])
+            buf[b, i + p] = inv_sq[i] + coef[i] @ band
+            buf[b + 1: b + p + 1, i + p] = band
+        done = max(base, 0)
+        if base < 0:
+            buf[: -base] = 0.0
+        e = min(_ROWS, n - j)
+        residual = _row_block_residual(buf, g, j, e, p)
+        if not residual <= RESIDUAL_TARGET:
+            raise RefinementFailure(
+                f"inverse residual {residual:.3e} above {RESIDUAL_TARGET:.3g} "
+                f"in rows {j}..{j + e - 1}, with no refinement of a row stream")
+        yield j, buf[p: p + e, p: n + p], residual
+
+
+def _row_block_residual(buf, g, j, e, p):
+    """``max |G0 A - I|`` over rows ``j .. j+e-1`` of ``G0 A`` from column
+    ``j`` on (the upper triangle and the diagonal) and over the same part of
+    ``A G0`` without the diagonal, each sum taken term by term for ``q = -p
+    .. p``, ``_RESIDUAL_COLUMNS`` columns at a time; ``buf`` holds rows
+    ``j - p ..`` of ``A`` as ``inverse_rows`` lays them out.  A NaN
+    anywhere makes the residual NaN."""
+    n = g.shape[1]
+    out = np.empty((e, min(_RESIDUAL_COLUMNS, n - j)))
+    term = np.empty_like(out)
+    worst = []
+    for c0 in range(j, n, _RESIDUAL_COLUMNS):
+        c1 = min(c0 + _RESIDUAL_COLUMNS, n)
+        acc, tmp = out[:, : c1 - c0], term[:, : c1 - c0]
+        # (G0 A)[i, c] = sum_q G_i,i+q a_i+q,c, kept for c >= i
+        np.multiply(g[0, j: j + e, None], buf[: e, c0 + p: c1 + p], out=acc)
+        for q in range(1 - p, p + 1):
+            acc += np.multiply(g[q + p, j: j + e, None],
+                               buf[p + q: p + q + e, c0 + p: c1 + p], out=tmp)
+        if c0 == j:
+            acc[:, :e][np.tri(e, e, -1, dtype=bool)] = 0.0
+            acc[:, :e][np.diag_indices(e)] -= 1.0
+        worst.append(np.abs(acc, out=acc).max())
+        # (A G0)[i, c] = sum_q a_i,c+q G_c+q,c, kept for c > i
+        np.multiply(buf[p: p + e, c0: c1], g[0, c0: c1], out=acc)
+        for q in range(1 - p, p + 1):
+            acc += np.multiply(buf[p: p + e, c0 + p + q: c1 + p + q], g[q + p, c0: c1],
+                               out=tmp)
+        if c0 == j:
+            acc[:, :e][np.tri(e, e, 0, dtype=bool)] = 0.0
+        worst.append(np.abs(acc, out=acc).max())
+    return float(np.max(worst))

@@ -21,8 +21,8 @@ from splineproj import (
     stability_constant,
     weak_type_report,
 )
-from splineproj.analysis import _maximal_on_points, column_gaps
-from test_gram import dense_inverse
+from splineproj.analysis import _maximal_on_points, row_gaps
+from test_gram import dense_inverse, streamed_inverse
 
 
 def gram_for(spec, k):
@@ -32,13 +32,15 @@ def gram_for(spec, k):
 
 # -- decay ------------------------------------------------------------------
 
-def test_column_gaps_match_largest_gap():
+def test_row_gaps_match_largest_gap():
     K = generate_partition(PartitionSpec("random", 17, seed=0), 3)
-    for j, w in [(0, K.n), (0, 1), (5, 4), (K.n - 3, 3)]:
-        gaps = column_gaps(K, j, w)
-        for c in range(j, j + w):
-            for i in range(c + 1):
-                assert gaps[i, c - j] == K.largest_gap(i, c)
+    for j, e in [(0, K.n), (0, 1), (5, 4), (K.n - 3, 3)]:
+        gaps = row_gaps(K, j, e)
+        assert gaps.shape == (e, K.n - j)
+        for i in range(j, j + e):
+            assert not gaps[i - j, : i - j].any()
+            for c in range(i, K.n):
+                assert gaps[i - j, c - j] == K.largest_gap(i, c)
 
 
 def test_decay_order_one_diagonal():
@@ -82,7 +84,7 @@ def test_decay_geometric_bound_holds_entrywise():
     G0, K = gram_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
     rep = decay_report(G0, K)
     assert rep.fitted and rep.gamma < 1
-    gaps = column_gaps(K, 0, K.n)
+    gaps = row_gaps(K, 0, K.n)
     A = dense_inverse(G0)
     for d in range(K.n):
         bound = rep.big_k * rep.gamma_cert ** d
@@ -163,7 +165,7 @@ def test_lemma_constants_finite_and_stable():
 def test_lemma_k3_dominates_adjacent_ratio():
     G0, K = gram_for(PartitionSpec("uniform", 49), 3)
     c = lemma_constants(G0, K, 0.5)
-    rows = dense_inverse(G0).T  # the scans read columns as rows
+    rows = streamed_inverse(G0)  # the rows the scan reads
     i = K.n // 2
     assert c.k3 >= abs(rows[i, i + 1]) / abs(rows[i, i])
 

@@ -13,7 +13,9 @@ from splineproj import cli, csvtext
 
 def formatted(values):
     """The text of each value, through the templates and one compress."""
-    chars, keep = csvtext.cell_templates(values)
+    chars = np.empty((len(values), csvtext.WIDTH), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    csvtext.cell_templates(values, chars, keep)
     chars[:, -1] = ord("\n")
     return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().splitlines()
 

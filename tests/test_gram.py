@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from splineproj import analysis, projection
+from splineproj import analysis, gram, projection
 from splineproj import (
     GramMatrix,
     NotPositiveDefinite,
@@ -46,13 +46,30 @@ def dense_inverse(G):
     return cho_solve_banded((G.factor(), False), np.eye(G.n))
 
 
+def streamed_inverse(G):
+    """The rows ``gram.inverse_rows`` streams, as one n x n matrix: the upper
+    triangle, the k - 1 mirrored entries left of the diagonal, and zeros
+    further left."""
+    A = np.zeros((G.n, G.n))
+    for j, rows, _ in gram.inverse_rows(G):
+        A[j: j + rows.shape[0]] = rows
+    return A
+
+
 @contextmanager
 def serve_inverse(A):
-    """Every consumer of ``inverse_columns`` gets columns of the matrix ``A``
-    as the inverse, with residual 0, whatever Gram matrix it was given."""
+    """Every consumer of the inverse gets the matrix ``A``, with residual 0,
+    whatever Gram matrix it was given: ``inverse_columns`` serves its
+    columns, ``inverse_rows`` its rows as the stream lays them out (bottom-up
+    blocks of 32, zero left of the k - 1 entries left of the diagonal)."""
     def columns(G0, cols):
         return np.asfortranarray(A[:, np.asarray(cols)]), 0.0
-    with patch.object(analysis, "inverse_columns", columns), \
+
+    def rows(G0):
+        banded = np.triu(A, 1 - G0.order)
+        for j in range(32 * ((G0.n - 1) // 32), -1, -32):
+            yield j, banded[j: j + 32], 0.0
+    with patch.object(analysis, "inverse_rows", rows), \
             patch.object(projection, "inverse_columns", columns):
         yield
 
