@@ -615,7 +615,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         values = [resolve[name](cfg) for name in command.inputs]
         payload, checks, tables = command.handler(cfg, *values)
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught here first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (SplineProjError, FileNotFoundError, ValueError) as exc:

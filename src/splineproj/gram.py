@@ -12,9 +12,11 @@ diagonal.  It has two producers.  ``inverse_columns`` solves and refines
 only the columns asked for, which are also rows, the matrix being
 symmetric; ``invert_gram`` forms the whole inverse from those same columns,
 block by block, and measures how far they are from symmetric.
-``inverse_rows`` streams every row's upper triangle, bottom-up, by the
-back-substitution recurrence of the banded factor, in O(n) memory and with
-a residual over every entry, but with no refinement.
+``inverse_rows`` streams every row's upper triangle, bottom-up, by block
+back-substitution through the banded factor: each block of rows from the
+k - 1 rows below it, by one small triangular solve and one GEMM, in O(n)
+memory.  Its residual, two more GEMMs per block, still covers every entry
+of ``G0 A - I``; the stream has no refinement.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .bspline import span_gauss_blocks
 from .errors import LengthMismatch, NotPositiveDefinite, RefinementFailure
@@ -37,11 +40,9 @@ RESIDUAL_TARGET = 1e-9
 #: Width of the column blocks ``invert_gram`` solves and refines: n x 256
 #: doubles at a time beside the inverse.
 _BLOCK = 256
-#: Rows of the inverse that ``inverse_rows`` yields at once.
+#: Rows of the inverse that ``inverse_rows`` yields at once, and the width
+#: of the tiles of G0 its residual reads.
 _ROWS = 32
-#: Columns of a row block whose residual is summed at once: two work
-#: arrays of _ROWS x 512 doubles, not of _ROWS x n.
-_RESIDUAL_COLUMNS = 512
 
 
 @dataclass(eq=False)
@@ -244,55 +245,53 @@ def inverse_rows(G0: GramMatrix):
     left.  ``rows`` is a view of a rolling buffer of ``_ROWS + 2p`` rows,
     overwritten when the next block is asked for.
 
-    With the cached factor ``G0 = U^T U``, ``U A = U^-T`` is lower triangular
-    with diagonal ``1 / U_ii``, so row ``i`` follows from rows ``i+1 ..
-    i+p`` alone, nothing being solved per column:
+    With the cached factor ``G0 = U^T U``, ``U A = U^-T`` is lower triangular,
+    so a block B of rows follows from the p rows N below it alone, nothing
+    being solved per column.  With ``W = U_BB^-1`` and ``T = -U_BB^-1 U_BN``,
+    both from one triangular solve,
 
-        a_ic = -sum_{d=1..p} U_i,i+d a_i+d,c / U_ii        for c > i,
-        a_ii = 1 / U_ii^2 - sum_{d=1..p} U_i,i+d a_i,i+d / U_ii.
+        A[B, c] = T A[N, c]                    for the columns c right of B,
+        A[B, B] = W W^T + T A[N, N] T^T,
+
+    the first one GEMM by the rows of N, and ``T A[N, N]`` the first p
+    columns of its result.  The upper triangle of ``A[B, B]`` is kept; the
+    band left of the diagonal is copied in from the upper triangle, exactly.
 
     ``residual`` is ``max |G0 A - I|`` over every entry of the block's rows
-    of ``G0 A`` from column ``j`` on, ``(G0 A)[i, c]`` for ``c >= i`` by the
-    stencil over rows ``i-p .. i+p``, and ``(G0 A)[c, i] = (A G0)[i, c]``
-    for ``c > i`` by the stencil along row ``i``: together every entry of
-    the matrix once the stream ends.  The stencils need the p rows above the
-    block, so a block is yielded once those exist.  A residual above
-    ``RESIDUAL_TARGET`` raises RefinementFailure; there are no refinement
-    sweeps, since a correction needs whole columns, which a bottom-up
-    stream does not hold until it ends.
+    of ``G0 A`` from the diagonal on, and of ``A G0 = (G0 A)^T`` right of
+    the diagonal: together every entry of the matrix once the stream ends.
+    Each half is a GEMM (see ``_block_residual``), with no refinement.
+    ``G0 A`` reads the p rows above the block, so a block is yielded once
+    those exist.  A residual above ``RESIDUAL_TARGET`` (or NaN) raises
+    RefinementFailure; there are no refinement sweeps, since a correction
+    needs whole columns, which a bottom-up stream does not hold until it
+    ends.
     """
     n, p = G0.n, G0.order - 1
     fac = G0.factor()
-    # coef[i, d - 1] = -U_i,i+d / U_ii, zero past the last row
-    coef = np.zeros((n, p))
-    for d in range(1, p + 1):
-        coef[: n - d, d - 1] = -fac[p - d, d:] / fac[p, : n - d]
-    inv_sq = 1.0 / fac[p] ** 2
-    # g[q + p, r] = G_r,r+q = G_r+q,r, zero outside the matrix
-    g = np.zeros((2 * p + 1, n))
-    for q in range(p + 1):
-        g[p + q, : n - q] = g[p - q, q:] = G0.bands[p - q, q:]
+    # urow[i, d] = U_i,i+d, zero past the last column
+    urow = np.zeros((n, p + 1))
+    for d in range(p + 1):
+        urow[: n - d, d] = fac[p - d, d:]
+    tiles = _gram_tiles(G0)
     # buffer row s is row base + s of A, column c of A is column c + p; the
-    # rows and columns outside the matrix stay zero
-    buf = np.zeros((_ROWS + 2 * p, n + 2 * p))
+    # rows and columns outside the matrix stay zero, and the columns run on
+    # to the last whole tile of G0
+    buf = np.zeros((_ROWS + 2 * p, _ROWS * tiles.shape[0] + 2 * p))
     done = n  # rows done .. n - 1 are computed
     for j in range(_ROWS * ((n - 1) // _ROWS), -1, -_ROWS):
         base = j - p
         if done < n:
             # rows j + _ROWS - p .. j + _ROWS + p - 1 move to the bottom
             buf[_ROWS:] = buf[: 2 * p]
-        for i in range(done - 1, max(base, 0) - 1, -1):
-            b = i - base
-            band = buf[b, i + p + 1: i + 2 * p + 1]
-            np.dot(coef[i], buf[b + 1: b + p + 1, i + p + 1: n + p],
-                   out=buf[b, i + p + 1: n + p])
-            buf[b, i + p] = inv_sq[i] + coef[i] @ band
-            buf[b + 1: b + p + 1, i + p] = band
-        done = max(base, 0)
+        lo = max(base, 0)
+        if lo < done:
+            _row_block(buf[lo - base:], urow[lo: done], lo + p, n + p)
+        done = lo
         if base < 0:
             buf[: -base] = 0.0
         e = min(_ROWS, n - j)
-        residual = _row_block_residual(buf, g, j, e, p)
+        residual = _block_residual(buf, tiles, j, e, p)
         if not residual <= RESIDUAL_TARGET:
             raise RefinementFailure(
                 f"inverse residual {residual:.3e} above {RESIDUAL_TARGET:.3g} "
@@ -300,35 +299,76 @@ def inverse_rows(G0: GramMatrix):
         yield j, buf[p: p + e, p: n + p], residual
 
 
-def _row_block_residual(buf, g, j, e, p):
-    """``max |G0 A - I|`` over rows ``j .. j+e-1`` of ``G0 A`` from column
-    ``j`` on (the upper triangle and the diagonal) and over the same part of
-    ``A G0`` without the diagonal, each sum taken term by term for ``q = -p
-    .. p``, ``_RESIDUAL_COLUMNS`` columns at a time; ``buf`` holds rows
-    ``j - p ..`` of ``A`` as ``inverse_rows`` lays them out.  A NaN
-    anywhere makes the residual NaN."""
-    n = g.shape[1]
-    out = np.empty((e, min(_RESIDUAL_COLUMNS, n - j)))
-    term = np.empty_like(out)
-    worst = []
-    for c0 in range(j, n, _RESIDUAL_COLUMNS):
-        c1 = min(c0 + _RESIDUAL_COLUMNS, n)
-        acc, tmp = out[:, : c1 - c0], term[:, : c1 - c0]
-        # (G0 A)[i, c] = sum_q G_i,i+q a_i+q,c, kept for c >= i
-        np.multiply(g[0, j: j + e, None], buf[: e, c0 + p: c1 + p], out=acc)
-        for q in range(1 - p, p + 1):
-            acc += np.multiply(g[q + p, j: j + e, None],
-                               buf[p + q: p + q + e, c0 + p: c1 + p], out=tmp)
-        if c0 == j:
-            acc[:, :e][np.tri(e, e, -1, dtype=bool)] = 0.0
-            acc[:, :e][np.diag_indices(e)] -= 1.0
-        worst.append(np.abs(acc, out=acc).max())
-        # (A G0)[i, c] = sum_q a_i,c+q G_c+q,c, kept for c > i
-        np.multiply(buf[p: p + e, c0: c1], g[0, c0: c1], out=acc)
-        for q in range(1 - p, p + 1):
-            acc += np.multiply(buf[p: p + e, c0 + p + q: c1 + p + q], g[q + p, c0: c1],
-                               out=tmp)
-        if c0 == j:
-            acc[:, :e][np.tri(e, e, 0, dtype=bool)] = 0.0
-        worst.append(np.abs(acc, out=acc).max())
-    return float(np.max(worst))
+def _band(a, c, width, below=False):
+    """Writeable view ``v[r, d] = a[r, c + r + d]``, the ``width`` entries
+    from the diagonal that starts at column ``c`` of ``a`` on to the right,
+    or with ``below`` ``a[r + d, c + r]``, the same count down from it."""
+    s0, s1 = a.strides
+    return as_strided(a[:, c:], shape=(a.shape[0] - (width - 1) * below, width),
+                      strides=(s0 + s1, s0 if below else s1))
+
+
+def _row_block(rows, urow, c, stop):
+    """The m rows of ``urow`` (``urow[r, d] = U_i,i+d`` for their rows i) as
+    the first m rows of the buffer view ``rows``, from the p rows below them,
+    by the block formulas of ``inverse_rows``.  Row r's diagonal sits at
+    column ``c + r``, and the rows end at column ``stop``.  Then the band
+    left of the diagonal is copied in from the upper triangle, in the block
+    and in the p rows below it."""
+    m, p = urow.shape[0], urow.shape[1] - 1
+    # U's rows of the block as one dense m x (m + p) array: U_BB, then U_BN
+    U = np.zeros((m, m + p))
+    _band(U, 0, p + 1)[:] = urow
+    rhs = np.eye(m, m + p)
+    rhs[:, m:] -= U[:, m:]
+    # [W | T]; check_finite=False lets a NaN through to the residual
+    WT = solve_triangular(U[:, :m], rhs, check_finite=False)
+    W, T = WT[:, :m], WT[:, m:]
+    block, below = rows[:m], rows[m: m + p]
+    np.matmul(T, below[:, c + m: stop], out=block[:, c + m: stop])
+    D = W @ W.T
+    D += block[:, c + m: c + m + p] @ T.T
+    block[:, c: c + m] = np.triu(D)
+    _band(rows[: m + p], c, p + 1, below=True)[:, 1:] = _band(rows[:m], c, p + 1)[:, 1:]
+
+
+def _gram_tiles(G0: GramMatrix) -> np.ndarray:
+    """``tiles[t] = G0[32t - p : 32t + 32 + p, 32t : 32t + 32]``, for
+    ``_ROWS = 32``, zero outside the matrix: the part of G0 that column tile
+    t of ``A G0`` reads and, transposed, the band of G0's rows in block t.
+    O(n) doubles."""
+    n, p = G0.n, G0.order - 1
+    count = -(-n // _ROWS)
+    # diag[p + q, c] = G_c+q,c, zero outside the matrix
+    diag = np.zeros((2 * p + 1, _ROWS * count))
+    for q in range(p + 1):
+        diag[p + q, : n - q] = diag[p - q, q: n] = G0.bands[p - q, q:]
+    tiles = np.zeros((count, _ROWS + 2 * p, _ROWS))
+    c = np.arange(_ROWS)
+    for q in range(2 * p + 1):
+        tiles[:, c + q, c] = diag[q].reshape(count, _ROWS)
+    return tiles
+
+
+def _block_residual(buf, tiles, j, e, p):
+    """``max |G0 A - I|`` over rows ``j .. j+e-1`` of ``G0 A`` from the
+    diagonal on, and over the same rows of ``A G0`` right of the diagonal;
+    ``buf`` holds rows ``j - p ..`` of ``A`` as ``inverse_rows`` lays them
+    out, and ``tiles`` is ``_gram_tiles(G0)``.  ``G0 A`` is one GEMM of
+    the block's band of G0 by the buffer's rows; ``A G0`` one batched
+    product of the block's rows, cut into tiles of ``_ROWS + 2p`` columns
+    that overlap by 2p, by the tiles of G0.  A NaN anywhere makes the
+    residual NaN."""
+    t = j // _ROWS
+    ga = tiles[t, :, :e].T @ buf[:, j + p: _ROWS * tiles.shape[0] + p]
+    ga[:, :e] = np.triu(ga[:, :e]) - np.eye(e)
+    worst = np.abs(ga, out=ga).max()
+    rows = buf[p: p + e, j:]
+    s0, s1 = rows.strides
+    count = tiles.shape[0] - t
+    windows = as_strided(rows, shape=(count, e, _ROWS + 2 * p),
+                         strides=(_ROWS * s1, s0, s1))
+    # A G0 has as many entries as G0 A, so it is written over it
+    ag = np.matmul(windows, tiles[t:], out=ga.reshape(count, e, _ROWS))
+    ag[0] = np.triu(ag[0], 1)
+    return float(np.maximum(worst, np.abs(ag, out=ag).max()))

@@ -110,22 +110,27 @@ def kernel_from_basis(G0: GramMatrix, x_basis, y_basis) -> np.ndarray:
     """``kernel_values`` from the ``eval_basis_many`` results of both point
     sets, so a caller that tabulates against the same ``y`` many times
     evaluates its basis once.  Only the inverse rows ``fx .. fx + k - 1``
-    are solved, as columns: the inverse is symmetric.  The k^2 terms
-    ``N_l(x) a_lm N_m(y)`` are summed in (l, m) order into one table.
+    are solved, as columns: the inverse is symmetric.  The contraction has
+    two stages of k passes each: ``R = sum_l N_l(x) a[fx + l]`` over whole
+    rows ``a`` of the inverse, then ``sum_m R[:, fy + m] N_m(y)``, each
+    term a gather of R's columns.
     """
     fx, bx = x_basis
     fy, by = y_basis
     k = bx.shape[1]
     need = np.unique(fx[:, None] + np.arange(k))
     X, _ = inverse_columns(G0, need)
+    R = np.zeros((fx.size, G0.n))
+    for l in range(k):
+        term = X.T[np.searchsorted(need, fx + l)]
+        term *= bx[:, l, None]
+        R += term
     out = np.zeros((fx.size, fy.size))
     term = np.empty_like(out)
-    for l in range(k):
-        rows = bx[:, l, None] * X.T[np.searchsorted(need, fx + l)]
-        for m in range(k):
-            np.take(rows, fy + m, axis=1, out=term, mode="clip")
-            term *= by[:, m]
-            out += term
+    for m in range(k):
+        np.take(R, fy + m, axis=1, out=term, mode="clip")
+        term *= by[:, m]
+        out += term
     return out
 
 

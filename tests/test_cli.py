@@ -272,6 +272,22 @@ def test_finite_report_is_plain_json_dumps(tmp_path):
                               sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("command", ["verify-decay", "verify-lemma"])
+def test_linalg_error_is_exit_3(tmp_path, capsys, monkeypatch, command):
+    # numpy's LinAlgError subclasses ValueError: a LAPACK breakdown inside a
+    # handler, here the triangular solve of the inverse's row stream, is a
+    # numerical failure, not an input error
+    from splineproj import gram
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal 3")
+    monkeypatch.setattr(gram, "solve_triangular", singular)
+    argv = [command, "--k", "3", "--partition", "random:30:1", "-o", str(tmp_path)]
+    assert main(argv) == 3
+    assert "numerical failure: singular matrix" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_input_error(tmp_path):
     cfg = make_cfg(command="project", partition="nosuchfamily:4",
                    function="sin", output_dir=str(tmp_path))
