@@ -20,7 +20,7 @@ from .bspline import (eval_basis_many, eval_spline_many, node_blocks,
 from .functions import TestFunction
 from .gram import GramMatrix, assemble_gram, inverse_columns, solve_banded
 from .knots import KnotSequence
-from .quadrature import Piece, gauss_pair, integrate_adaptive, refine_pieces
+from .quadrature import Pieces, gauss_pair, integrate_adaptive, refine_pieces
 
 __all__ = ["Projection", "moments", "project", "kernel_constant_integral",
            "kernel_values", "kernel_from_basis", "l1_norm"]
@@ -70,16 +70,14 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
         base_order = max(K.k, 4) + 4
 
     cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
-    spans = K.span_indices(cuts[:-1]).tolist()
-    cuts = cuts.tolist()
-    pieces = [Piece(lo, hi, order=base_order, payload=span)
-              for lo, hi, span in zip(cuts, cuts[1:], spans)]
+    pieces = Pieces(cuts[:-1], cuts[1:], order=base_order,
+                    payload=K.span_indices(cuts[:-1]))
     done, est = refine_pieces(
         pieces, gauss_pair(f, basis=lambda x, s: node_blocks(K, x, s)), tol)
     # np.add.at adds in piece order, as a loop over the pieces would
-    first = np.array([p.payload for p in done]) - (K.k - 1)
+    first = done.payload - (K.k - 1)
     b = np.zeros(K.n)
-    np.add.at(b, first[:, None] + np.arange(K.k), np.array([p.value for p in done]))
+    np.add.at(b, first[:, None] + np.arange(K.k), done.value)
     return b, float(est)
 
 

@@ -1,10 +1,12 @@
 """Gauss-Legendre rules and a work-list adaptive integrator.
 
-Every piece of an integration job carries a pair of nested Gauss values
-(order ``g`` and ``2g``), measured by ``gauss_pair`` for every caller; their
-difference is the piece's error estimate.  The work list refines the worst
-piece first: by bisection until a fixed depth, then by doubling the rule
-order up to a cap.  Bisection grades
+An integration job is a set of pieces held as arrays (``Pieces``).  Every
+piece carries a pair of nested Gauss values (order ``g`` and ``2g``),
+measured by ``gauss_pair`` for every caller; their difference is the
+piece's error estimate.  The work list refines the worst piece first: by
+bisection until a fixed depth, then by doubling the rule order up to a cap.
+Only the pieces it refines become Python objects (``Piece``); when the
+first measurement already meets the tolerance, none do.  Bisection grades
 dyadically into endpoint singularities, which keeps the scheme generic (no
 singularity-specific rules); the final error estimate is returned so callers
 can verify the achieved tolerance a posteriori.
@@ -12,16 +14,15 @@ can verify the achieved tolerance a posteriori.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 
 import numpy as np
 
 from .errors import QuadratureNonConvergence
 
-__all__ = ["gauss_rule", "gauss_pair", "integrate_adaptive", "Piece",
+__all__ = ["gauss_rule", "gauss_pair", "integrate_adaptive", "Piece", "Pieces",
            "refine_pieces", "MAX_DEPTH", "MAX_ORDER"]
 
 MAX_DEPTH = 40
@@ -41,20 +42,32 @@ def gauss_rule(g: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _pair_rule(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The g-point and 2g-point rules side by side: 3g nodes and weights."""
+    x, w = (np.concatenate(r) for r in zip(gauss_rule(g), gauss_rule(2 * g)))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _map_rule(lo, hi, x, w) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
+    return lo + half * (x + 1.0), half * w
+
+
 def gauss_points(lo, hi, g: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule mapped to [lo, hi]; nodes are strictly interior.
 
     With arrays of endpoints, row ``p`` of the ``(P, g)`` results holds the
     rule on ``[lo[p], hi[p]]``, bitwise equal to mapping it piece by piece.
     """
-    x, w = gauss_rule(g)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
-    return lo + half * (x + 1.0), half * w
+    return _map_rule(lo, hi, *gauss_rule(g))
 
 
 class Piece:
-    """One subinterval of an integration job.
+    """One subinterval of an integration job, as the work list refines it.
 
     ``floor`` is the roundoff level of the piece's quadrature sum; once the
     estimate reaches it, further refinement cannot help and the piece is
@@ -63,62 +76,124 @@ class Piece:
 
     __slots__ = ("lo", "hi", "depth", "order", "payload", "value", "est", "floor")
 
-    def __init__(self, lo, hi, depth=0, order=8, payload=None):
+    def __init__(self, lo, hi, depth=0, order=8, payload=None, value=None,
+                 est=None, floor=None):
         self.lo = lo
         self.hi = hi
         self.depth = depth
         self.order = order
         self.payload = payload
-        self.value = None
-        self.est = np.inf
-        self.floor = 0.0
-
-    def measure(self, pair_values, magnitude=0.0):
-        self.value, self.est = pair_values
-        self.floor = 8e-16 * magnitude
+        self.value = value
+        self.est = est
+        self.floor = floor
 
 
-def refine_pieces(pieces, eval_pair, tol):
+class Pieces:
+    """Pieces of an integration job as arrays, one entry per piece.
+
+    ``payload`` is None or what the evaluator reads per piece (the span of a
+    moment piece).  ``depth`` and ``order`` are one int for every piece, as
+    in the initial pieces and in each batch ``eval_pair`` measures, or one
+    per piece.  ``refine_pieces`` returns its pieces with ``value``, ``est``
+    and ``floor`` filled in.  Iterating gives each entry as a ``Piece``.
+    """
+
+    __slots__ = Piece.__slots__
+
+    def __init__(self, lo, hi, depth=0, order=8, payload=None, value=None,
+                 est=None, floor=None):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.depth = depth
+        self.order = order
+        self.payload = None if payload is None else np.asarray(payload)
+        self.value = value
+        self.est = est
+        self.floor = floor
+
+    def __len__(self):
+        return len(self.lo)
+
+    def columns(self):
+        """Each field as one entry per piece, or None."""
+        n = len(self)
+        for name in self.__slots__:
+            a = getattr(self, name)
+            yield None if a is None else np.broadcast_to(a, (n,) + np.shape(a)[1:])
+
+    def __getitem__(self, index):
+        """The pieces at a slice; a shared depth and order stay shared."""
+        return Pieces(*(a if a is None or np.ndim(a) == 0 else a[index]
+                        for a in (getattr(self, name) for name in self.__slots__)))
+
+    def __iter__(self):
+        columns = ([None] * len(self) if a is None else a.tolist() for a in self.columns())
+        for fields in zip(*columns):
+            yield Piece(*fields)
+
+
+def refine_pieces(pieces: Pieces, eval_pair, tol):
     """Drive the work list until the summed error estimate is below ``tol``.
 
-    ``eval_pair(batch)`` measures a list of pieces that share one rule
-    order: it must fill each piece's ``value`` (any numpy value or vector)
-    and ``est`` (a float).  The initial pieces, which must share one order,
+    ``eval_pair(batch)`` measures a ``Pieces`` batch that shares one depth
+    and rule order, and returns ``(values, est, magnitude)`` arrays: each
+    piece's value (a number or a vector), error estimate, and the size of
+    its quadrature sum, which sets the roundoff floor.  The initial pieces
     go in consecutive batches of at most ``_BATCH``; the two halves of a
     bisected piece go in one batch and an order-doubled piece alone.  The
-    worst piece comes off a heap keyed by (-est, entry number), so ties go
-    to the earliest entry.  Returns the live pieces in entry order, then
-    the frozen ones, and the total estimate; raises
+    worst piece is taken by (-est, entry number), so ties go to the earliest
+    entry: the initial pieces are entries ``0 .. n-1`` and are ranked once,
+    in an index the loop walks down, beside a heap of the refined pieces.
+    Returns ``Pieces`` in the order unpopped initial pieces, live refined
+    pieces by entry, frozen pieces, and the total estimate; raises
     QuadratureNonConvergence when the refinement budget is exhausted first,
-    or as soon as a piece's estimate is inf or NaN (an integrand value that
-    is not finite makes the estimate so).
+    or after a batch in which a piece's estimate is inf or NaN (an integrand
+    value that is not finite makes the estimate so), naming the first.
     """
-    if len({p.order for p in pieces}) > 1:
-        raise ValueError("initial pieces must share one rule order")
-
     def evaluate(batch):
-        eval_pair(batch)
-        for p in batch:
-            if not math.isfinite(p.est):
-                raise QuadratureNonConvergence(
-                    f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
+        value, est, mag = eval_pair(batch)
+        bad = np.flatnonzero(~np.isfinite(est))
+        if bad.size:
+            i = bad[0]
+            raise QuadratureNonConvergence(
+                f"non-finite error estimate {est[i]} on "
+                f"[{batch.lo[i]:.17g}, {batch.hi[i]:.17g}]")
+        return value, est, 8e-16 * mag
 
-    for s in range(0, len(pieces), _BATCH):
-        evaluate(pieces[s: s + _BATCH])
-    live = [(-p.est, i, p) for i, p in enumerate(pieces)]
-    heapify(live)
-    entries = count(len(live))
+    n = len(pieces)
+    measured = [evaluate(pieces[s: s + _BATCH]) for s in range(0, n, _BATCH)]
+    init = Pieces(pieces.lo, pieces.hi, pieces.depth, pieces.order, pieces.payload,
+                  *(np.concatenate(c) for c in zip(*measured)))
+    live_est = sum(init.est.tolist())
+    if not live_est > tol:  # nothing to refine: no piece becomes an object
+        return init, live_est
+
+    ranked = np.argsort(-init.est, kind="stable")  # by (-est, index)
+    taken = 0
+    refined: list[tuple[float, int, Piece]] = []
+    entries = count(n)
     frozen: list[Piece] = []
     frozen_est = 0.0
-    live_est = sum(p.est for p in pieces)
+
+    def push(p):
+        heappush(refined, (-p.est, next(entries), p))
+
     refinements = 0
     while live_est + frozen_est > tol:
-        if not live or frozen_est > tol or refinements >= _MAX_REFINEMENTS:
+        if (taken == n and not refined) or frozen_est > tol \
+                or refinements >= _MAX_REFINEMENTS:
             raise QuadratureNonConvergence(
                 f"estimate {live_est + frozen_est:.3g} above tolerance "
                 f"{tol:.3g} after {refinements} refinements"
             )
-        p = heappop(live)[2]
+        if taken < n and (not refined or init.est[ranked[taken]] >= -refined[0][0]):
+            i = ranked[taken]
+            taken += 1
+            p = Piece(init.lo[i].item(), init.hi[i].item(), init.depth, init.order,
+                      None if init.payload is None else init.payload[i],
+                      init.value[i], init.est[i].item(), init.floor[i].item())
+        else:
+            p = heappop(refined)[2]
         live_est -= p.est
         refinements += 1
         if p.est <= p.floor:
@@ -128,27 +203,35 @@ def refine_pieces(pieces, eval_pair, tol):
             mid = 0.5 * (p.lo + p.hi)
             if mid <= p.lo or mid >= p.hi:
                 p.depth = MAX_DEPTH  # interval at floating-point resolution
-                heappush(live, (-p.est, next(entries), p))
+                push(p)
                 live_est += p.est
                 continue
-            kids = [
-                Piece(p.lo, mid, p.depth + 1, p.order, p.payload),
-                Piece(mid, p.hi, p.depth + 1, p.order, p.payload),
-            ]
-            evaluate(kids)
-            for q in kids:
-                live_est += q.est
-                heappush(live, (-q.est, next(entries), q))
+            payload = None if p.payload is None else [p.payload] * 2
+            value, est, floor = evaluate(
+                Pieces([p.lo, mid], [mid, p.hi], p.depth + 1, p.order, payload))
+            for lo, hi, v, e, fl in zip((p.lo, mid), (mid, p.hi), value,
+                                         est.tolist(), floor.tolist()):
+                live_est += e
+                push(Piece(lo, hi, p.depth + 1, p.order, p.payload, v, e, fl))
         elif 2 * p.order <= MAX_ORDER:
             p.order *= 2
-            evaluate([p])
+            payload = None if p.payload is None else [p.payload]
+            value, est, floor = evaluate(Pieces([p.lo], [p.hi], p.depth, p.order, payload))
+            p.value, p.est, p.floor = value[0], est[0].item(), floor[0].item()
             live_est += p.est
-            heappush(live, (-p.est, next(entries), p))
+            push(p)
         else:
             frozen.append(p)
             frozen_est += p.est
-    live.sort(key=lambda e: e[1])
-    return [p for _, _, p in live] + frozen, live_est + frozen_est
+
+    keep = np.ones(n, dtype=bool)
+    keep[ranked[:taken]] = False
+    refined.sort(key=lambda e: e[1])
+    rest = [p for _, _, p in refined] + frozen
+    done = Pieces(*(
+        None if a is None else np.concatenate([a[keep], [getattr(p, name) for p in rest]])
+        for name, a in zip(Pieces.__slots__, init.columns())))
+    return done, live_est + frozen_est
 
 
 def _weighted_sums(w, f, blocks):
@@ -161,30 +244,28 @@ def _weighted_sums(w, f, blocks):
 
 def gauss_pair(fn, basis=None):
     """The one pair evaluator: ``eval_pair(batch)`` measures each piece with
-    the Gauss rules of orders g and 2g.  A piece's value is ``int fn``, or,
-    with ``basis(x, payloads)`` mapping ``(P, g)`` nodes to ``(P, g, m)``
+    the Gauss rules of orders g and 2g, from one call of ``fn`` and of
+    ``basis`` at the nodes of both.  A piece's value is ``int fn``, or,
+    with ``basis(x, payloads)`` mapping ``(P, q)`` nodes to ``(P, q, m)``
     blocks, the m-vector ``int fn * blocks``, whose estimate and roundoff
     magnitude are the largest over its entries.
     """
     def eval_pair(batch):
-        lo = np.array([p.lo for p in batch])
-        hi = np.array([p.hi for p in batch])
-        payloads = None if basis is None else np.array([p.payload for p in batch])
-        sums = []
+        g = batch.order
+        x, w = _map_rule(batch.lo, batch.hi, *_pair_rule(g))
         # a value of fn that is not finite makes the estimate so, which
         # refine_pieces raises as a numerical failure: no warning on the way
         with np.errstate(invalid="ignore"):
-            for g in (batch[0].order, 2 * batch[0].order):
-                x, w = gauss_points(lo, hi, g)
-                fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-                blocks = None if basis is None else basis(x, payloads)
-                sums.append(_weighted_sums(w, fx, blocks))
+            fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+            blocks = None if basis is None else basis(x, batch.payload)
+            (w1, f1, b1), (w2, f2, b2) = (
+                (w[r], fx[r], None if blocks is None else blocks[r])
+                for r in (np.s_[:, :g], np.s_[:, g:]))
+            low, high = _weighted_sums(w1, f1, b1), _weighted_sums(w2, f2, b2)
             # the order-2g sum of |fn| sets each piece's roundoff floor
-            mag = _weighted_sums(w, np.abs(fx), blocks).max(axis=1)
-            est = np.abs(sums[1] - sums[0]).max(axis=1)
-        values = sums[1][:, 0].tolist() if basis is None else sums[1]
-        for p, v, e, m in zip(batch, values, est.tolist(), mag.tolist()):
-            p.measure((v, e), magnitude=m)
+            mag = _weighted_sums(w2, np.abs(f2), b2).max(axis=1)
+            est = np.abs(high - low).max(axis=1)
+        return (high[:, 0] if basis is None else high), est, mag
 
     return eval_pair
 
@@ -197,7 +278,6 @@ def integrate_adaptive(fn, lo: float, hi: float, markers=(), tol=1e-12):
     """
     if hi <= lo:
         return 0.0, 0.0
-    cuts = np.union1d([lo, hi], [m for m in markers if lo < m < hi]).tolist()
-    done, est = refine_pieces([Piece(a, b) for a, b in zip(cuts, cuts[1:])],
-                              gauss_pair(fn), tol)
-    return float(sum(p.value for p in done)), float(est)
+    cuts = np.union1d([lo, hi], [m for m in markers if lo < m < hi])
+    done, est = refine_pieces(Pieces(cuts[:-1], cuts[1:]), gauss_pair(fn), tol)
+    return float(sum(done.value.tolist())), float(est)

@@ -16,7 +16,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splineproj import (
     GramMatrix,
@@ -25,6 +25,7 @@ from splineproj import (
     RefinementFailure,
     TestFunction,
     assemble_gram,
+    dyadic_ladder,
     generate_partition,
     invert_gram,
     kernel_bound_report,
@@ -35,13 +36,14 @@ from splineproj import (
     modulus_of_smoothness,
     moments,
     parse_function,
+    project,
     stability_constant,
 )
 from splineproj import analysis, cli, gram, projection, quadrature
 from splineproj.analysis import ZERO_FLOOR, decay_report, row_gaps
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import ExperimentConfig, write_csv
-from splineproj.quadrature import Piece, gauss_rule, integrate_adaptive
+from splineproj.quadrature import Piece, Pieces, gauss_rule, integrate_adaptive
 from test_gram import dense_inverse, reference_gram, serve_inverse, streamed_inverse
 
 PROPS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -405,8 +407,9 @@ def reference_gauss_points(lo, hi, g):
 
 
 def reference_moment_pair(K, f):
-    """The per-piece ``moments`` evaluator that the batched one replaced."""
-    def eval_pair(p):
+    """The per-piece ``moments`` evaluator that the batched one replaced:
+    ``(value, est, magnitude)`` of one piece."""
+    def measure(p):
         span = p.payload
         vals = []
         mag = 0.0
@@ -416,19 +419,27 @@ def reference_moment_pair(K, f):
             blocks = _blocks_at_spans(K, x, np.full(x.shape, span))
             vals.append((w * fx) @ blocks)
             mag = float(((w * np.abs(fx)) @ blocks).max())
-        p.measure((vals[1], float(np.abs(vals[1] - vals[0]).max())), magnitude=mag)
-    return eval_pair
+        return vals[1], float(np.abs(vals[1] - vals[0]).max()), mag
+    return measure
 
 
 def reference_integral_pair(fn):
-    """The per-piece ``integrate_adaptive`` evaluator that the batched one replaced."""
-    def eval_pair(p):
+    """The per-piece ``integrate_adaptive`` evaluator that the batched one
+    replaced: ``(value, est, magnitude)`` of one piece."""
+    def measure(p):
         x1, w1 = reference_gauss_points(p.lo, p.hi, p.order)
         x2, w2 = reference_gauss_points(p.lo, p.hi, 2 * p.order)
         f2 = np.asarray(fn(x2), dtype=float)
         v1 = float(w1 @ np.asarray(fn(x1), dtype=float))
         v2 = float(w2 @ f2)
-        p.measure((v2, abs(v2 - v1)), magnitude=float(w2 @ np.abs(f2)))
+        return v2, abs(v2 - v1), float(w2 @ np.abs(f2))
+    return measure
+
+
+def one_at_a_time(measure):
+    """An ``eval_pair`` that measures each piece of a batch alone."""
+    def eval_pair(batch):
+        return tuple(np.array(c) for c in zip(*(measure(p) for p in batch)))
     return eval_pair
 
 
@@ -442,7 +453,7 @@ def engine(module, per_piece=None):
     def spy(pieces, eval_pair, *args, **kwargs):
         seen["eval_pair"] = eval_pair
         if per_piece is not None:
-            eval_pair = lambda batch: [per_piece(p) for p in batch]
+            eval_pair = one_at_a_time(per_piece)
         seen["done"], est = real(pieces, eval_pair, *args, **kwargs)
         return seen["done"], est
 
@@ -461,14 +472,10 @@ def function_specs(K):
 
 
 def assert_same_measures(batched, reference, pieces, size):
-    copies = [Piece(p.lo, p.hi, p.depth, p.order, p.payload) for p in pieces]
-    for i in range(0, len(pieces), size):
-        batched(pieces[i: i + size])
-    for q in copies:
-        reference(q)
-    for p, q in zip(pieces, copies):
-        assert np.asarray(p.value).tobytes() == np.asarray(q.value).tobytes()
-        assert (p.est, p.floor) == (q.est, q.floor)
+    got = zip(*(batched(pieces[i: i + size]) for i in range(0, len(pieces), size)))
+    expect = one_at_a_time(reference)(pieces)
+    for a, b in zip(map(np.concatenate, got), expect):  # values, est, magnitude
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @PROPS
@@ -481,8 +488,7 @@ def test_batched_evaluators_equal_per_piece_references(K, which, order, size, se
     ends = np.sort(rng.random((300, 2)), axis=1)
     lo = K.t[spans] + ends[:, 0] * (K.t[spans + 1] - K.t[spans])
     hi = K.t[spans] + ends[:, 1] * (K.t[spans + 1] - K.t[spans])
-    pieces = [Piece(a, b, order=order, payload=int(s))
-              for a, b, s in zip(lo.tolist(), hi.tolist(), spans)]
+    pieces = Pieces(lo, hi, order=order, payload=spans)
     with np.errstate(all="ignore"):
         with engine(projection) as seen:  # tol = inf: only the first pass runs
             moments(K, f, tol=np.inf)
@@ -491,7 +497,7 @@ def test_batched_evaluators_equal_per_piece_references(K, which, order, size, se
         with engine(quadrature) as seen:
             integrate_adaptive(f, 0.0, 1.0, markers=f.markers, tol=np.inf)
         assert_same_measures(seen["eval_pair"], reference_integral_pair(f),
-                             [Piece(p.lo, p.hi, order=order) for p in pieces], size)
+                             Pieces(lo, hi, order=order), size)
 
 
 def outcome(run):
@@ -557,6 +563,62 @@ def test_non_finite_node_mid_batch_names_first_piece(k):
     assert f"[{K.t[s]:.17g}, {K.t[s + 1]:.17g}]" in str(exc.value)
 
 
+@pytest.mark.parametrize("spec", ["sin", "step:0.3", "abspow:0.5:-0.3"])
+def test_moments_hold_no_object_per_span(spec):
+    # 32,768 spans: about 146 B per basis function with the pieces as arrays
+    # (228 B where abspow refines), about 510 B with one Piece per span
+    K = dyadic_ladder(4, [15])[0]
+    f = parse_function(spec)
+    with traced_peak() as peak:
+        moments(K, f)
+    assert peak[0] <= 320 * K.n
+
+
+@st.composite
+def full_multiplicity_knots(draw):
+    """``knot_sequences()`` with a drawn subset of the interior breaks raised
+    to multiplicity k, where the basis is discontinuous."""
+    K = draw(knot_sequences())
+    breaks, mults = np.unique(K.t, return_counts=True)
+    full = draw(st.lists(st.booleans(), min_size=mults.size - 2, max_size=mults.size - 2))
+    return make_knot_sequence(breaks, np.where(full, K.k, mults[1:-1]).tolist(), K.k)
+
+
+def points_and_knots(K, seed):
+    """Random points of [a, b], every distinct knot, a and b among them."""
+    return np.concatenate([np.random.default_rng(seed).uniform(K.a, K.b, 200),
+                           np.unique(K.t)])
+
+
+@PROPS
+@given(full_multiplicity_knots(), st.integers(0, 2**32 - 1))
+def test_basis_sums_to_one(K, seed):
+    # each of the k - 1 levels of the recurrence rounds the sum once at most
+    _, vals = eval_basis_many(K, points_and_knots(K, seed))
+    assert np.abs(vals.sum(axis=1) - 1.0).max() <= K.k * np.finfo(float).eps
+
+
+@PROPS
+@given(full_multiplicity_knots(), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_projection_reproduces_polynomials_below_order(K, coeffs, seed):
+    # f is in the space, so Pf - f = sum (c - c*)_i N_i with c - c* =
+    # A (G0 c - b*): at most ||A||_inf times the moment tolerance plus the
+    # solve's residual, and the roundoff of evaluating both sides
+    a = np.array(coeffs[: K.k])
+    f = TestFunction(lambda x: np.polynomial.polynomial.polyval(x, a), name="poly")
+    G = assemble_gram(K)
+    b, _ = moments(K, f)
+    pf = project(K, f, gram=G)
+    residual = np.abs(G.matvec(pf.coeffs) - b).max()
+    a_norm = np.abs(dense_inverse(G)).sum(axis=1).max()
+    eps = np.finfo(float).eps
+    bound = (a_norm * (projection.DEFAULT_MOMENT_TOL + residual)
+             + 4 * K.k * eps * (np.abs(pf.coeffs).max() + np.abs(a).sum()))
+    x = points_and_knots(K, seed)
+    assert np.abs(pf(x) - f(x)).max() <= bound
+
+
 # -- one-pass cut, heap work list and one-call omega_k against loop references
 
 def reference_split_at_markers(lo, hi, markers):
@@ -617,14 +679,22 @@ def test_cut_equals_per_span_reference(case):
 
 
 def reference_refine_pieces(pieces, eval_pair, tol, max_depth, max_order):
-    """The linear-scan work list that the heap replaced."""
+    """The linear-scan work list over one ``Piece`` per span that the heap
+    and the arrays replaced."""
     def evaluate(batch):
-        eval_pair(batch)
+        # a list of pieces that share one depth and order, as one batch
+        p = batch[0]
+        value, est, mag = eval_pair(Pieces(
+            [q.lo for q in batch], [q.hi for q in batch], p.depth, p.order,
+            None if p.payload is None else [q.payload for q in batch]))
+        for q, v, e, m in zip(batch, value, est.tolist(), mag.tolist()):
+            q.value, q.est, q.floor = v, e, 8e-16 * m
         for p in batch:
             if not np.isfinite(p.est):
                 raise QuadratureNonConvergence(
                     f"non-finite error estimate {p.est} on [{p.lo:.17g}, {p.hi:.17g}]")
 
+    pieces = list(pieces)
     for s in range(0, len(pieces), quadrature._BATCH):
         evaluate(pieces[s: s + quadrature._BATCH])
     live = list(pieces)
@@ -672,20 +742,18 @@ def tied_evaluator(levels, freeze, log):
     """Estimates from a few levels times the piece width, so that equal
     widths tie; ``freeze`` of the level codes get a roundoff floor above
     their estimate.  Every measured piece is logged."""
-    def eval_pair(batch):
-        for p in batch:
-            code = (int(p.lo * 64) + 3 * p.depth + p.order) % len(levels)
-            est = levels[code] * max(p.hi - p.lo, 1 / 64) * (8 / p.order) ** 2
-            p.measure((p.lo + p.hi, est), magnitude=2e15 * est if code in freeze else 0.0)
-            log.append((p.lo, p.hi, p.depth, p.order, est))
-    return eval_pair
+    def measure(p):
+        code = (int(p.lo * 64) + 3 * p.depth + p.order) % len(levels)
+        est = levels[code] * max(p.hi - p.lo, 1 / 64) * (8 / p.order) ** 2
+        log.append((p.lo, p.hi, p.depth, p.order, est))
+        return p.lo + p.hi, est, 2e15 * est if code in freeze else 0.0
+    return one_at_a_time(measure)
 
 
 def work_list_outcome(refine, widths, levels, freeze, tol):
     breaks = np.concatenate([[0.0], np.cumsum(widths)]).tolist()
     # a piece at floating-point resolution cannot be bisected
-    pieces = [Piece(a, b) for a, b in zip(breaks, breaks[1:])] + [
-        Piece(0.5, float(np.nextafter(0.5, 1.0)))]
+    pieces = Pieces(breaks[:-1] + [0.5], breaks[1:] + [float(np.nextafter(0.5, 1.0))])
     log = []
     try:
         done, est = refine(pieces, tied_evaluator(levels, freeze, log), tol)
@@ -695,6 +763,10 @@ def work_list_outcome(refine, widths, levels, freeze, tol):
 
 
 @settings(parent=PROPS, max_examples=200)
+# the initial piece at floating-point resolution is never popped and ties in
+# est with two refined pieces, and an initial piece that ties with the heap's
+# top is popped first: the lower entry number wins both times
+@example([1 / 4, 1 / 8], [1.0], set(), 0.1, 1, 64)
 @given(st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4]), min_size=1, max_size=40),
        st.lists(st.sampled_from([0.0, 1e-3, 1.0, 2.0]), min_size=1, max_size=5),
        st.sets(st.integers(0, 4), max_size=2), st.sampled_from([0.0, 1e-3, 0.1, 1.0]),

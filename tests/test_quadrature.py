@@ -1,9 +1,14 @@
+import importlib.util
+import json
+import os
+
 import numpy as np
 import pytest
 
-from splineproj import QuadratureNonConvergence, quadrature
+from splineproj import (PartitionSpec, QuadratureNonConvergence, generate_partition,
+                        parse_function, projection, quadrature)
 from splineproj.quadrature import (
-    Piece,
+    Pieces,
     gauss_points,
     gauss_rule,
     integrate_adaptive,
@@ -29,10 +34,15 @@ def test_initial_pieces_cut_at_markers(monkeypatch):
     # markers strictly inside [lo, hi] cut it once each, in order
     def first_pieces(markers):
         seen = []
-        monkeypatch.setattr(quadrature, "refine_pieces",
-                            lambda pieces, *args: seen.extend(pieces) or ([], 0.0))
+
+        def spy(pieces, *args):
+            seen.extend(zip(pieces.lo.tolist(), pieces.hi.tolist()))
+            pieces.value = np.zeros(len(pieces))
+            return pieces, 0.0
+
+        monkeypatch.setattr(quadrature, "refine_pieces", spy)
         integrate_adaptive(np.sin, 0, 1, markers=markers)
-        return [(p.lo, p.hi) for p in seen]
+        return seen
 
     assert first_pieces([0.5]) == [(0, 0.5), (0.5, 1)]
     assert first_pieces([0.0, 1.0]) == [(0, 1)]
@@ -109,14 +119,50 @@ def test_refine_pieces_measures_batches(monkeypatch):
 
     def eval_pair(batch):
         sizes.append(len(batch))
-        assert len({p.order for p in batch}) == 1
-        for p in batch:
-            p.measure((0.0, 1.0 if p.order == 8 and p.lo == 0 else 0.0))
+        est = np.where((batch.order == 8) & (batch.lo == 0), 1.0, 0.0)
+        return np.zeros(len(batch)), est, np.zeros(len(batch))
 
-    pieces = [Piece(float(i), float(i + 1)) for i in range(600)]
+    pieces = Pieces(np.arange(600.0), np.arange(1.0, 601.0))
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 1)
     done, est = refine_pieces(pieces, eval_pair, tol=0.5)
     assert sizes == [256, 256, 88, 2, 1]
     assert est == 0.0 and len(done) == 601
-    with pytest.raises(ValueError, match="one rule order"):
-        refine_pieces([Piece(0.0, 1.0), Piece(1.0, 2.0, order=16)], eval_pair, 1.0)
+
+
+def load_tracing():
+    """``perfbench/tracing.py``, the benchmark's traced-run wrappers."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_refine_pieces_keeps_the_tracer_contract():
+    # the traced benchmark run wraps refine_pieces: it takes len(pieces),
+    # times a one-argument eval_pair passed second, and reads .depth and
+    # .order from every done piece into counters it writes as JSON
+    K = generate_partition(PartitionSpec("dyadic", 16), 3)
+    f = parse_function("abspow:0:-0.5")
+    runs = (lambda: projection.moments(K, f),
+            lambda: quadrature.integrate_adaptive(np.sin, 0.0, 1.0, markers=(0.5,)),
+            lambda: projection.l1_norm(f, 0.0, 1.0))
+    expect = [run() for run in runs]
+    importlib.import_module("splineproj.cli")  # the tracer patches every module
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        got = [run() for run in runs]
+    finally:
+        tracer.remove()
+    assert np.asarray(got[0][0]).tobytes() == np.asarray(expect[0][0]).tobytes()
+    assert got[0][1:] == expect[0][1:] and got[1:] == expect[1:]
+    metrics = tracer.layer_metrics()
+    q = "quadrature.refine_pieces"
+    assert metrics[f"{q}.calls"] == 3
+    assert metrics[f"{q}.pieces_in"] == 16 + 2 + 1
+    assert metrics[f"{q}.evals"] > metrics[f"{q}.pieces_in"] / quadrature._BATCH + 3
+    assert metrics[f"{q}.pieces_out"] > metrics[f"{q}.pieces_in"]
+    assert metrics[f"{q}.max_depth"] == quadrature.MAX_DEPTH
+    assert metrics[f"{q}.max_order"] > max(K.k, 4) + 4
+    json.loads(json.dumps(metrics))
