@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -109,13 +110,16 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps({"schema": SCHEMA_VERSION, **asdict(cfg)}, sort_keys=True, indent=2)
+    return json.dumps({"schema": SCHEMA_VERSION, **_json_value(cfg)},
+                      sort_keys=True, indent=2)
 
 
 def _is(val, typ) -> bool:
-    """``isinstance``, where a bool is not a number and an int is a float."""
-    return not isinstance(val, bool) and isinstance(
-        val, (int, float) if typ is float else typ)
+    """``isinstance``, where a bool is not a number and a float is any finite
+    number: an int or a float within ``sys.float_info.max`` of zero."""
+    if typ is float:
+        return _is(val, (int, float)) and abs(val) <= sys.float_info.max
+    return not isinstance(val, bool) and isinstance(val, typ)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -127,7 +131,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not _is(cfg.k, int) or not 1 <= cfg.k <= 10:
         raise ValidationError("k", f"must be an integer in [1, 10], got {cfg.k!r}")
     if not isinstance(cfg.interval, tuple) or len(cfg.interval) != 2 \
-            or not all(_is(v, float) and np.isfinite(v) for v in cfg.interval) \
+            or not all(_is(v, float) for v in cfg.interval) \
             or not cfg.interval[0] < cfg.interval[1]:
         raise ValidationError("interval", f"need finite a < b, got {cfg.interval!r}")
     if not _is(cfg.seed, int):
@@ -150,7 +154,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         typ = command.options[key][0]
         # every integer option is a size or a count
         if not _is(val, typ) or (typ is int and val < 1):
-            want = {int: "an integer >= 1", float: "a number", str: "a string"}[typ]
+            want = {int: "an integer >= 1", float: "a finite number", str: "a string"}[typ]
             raise ValidationError(f"options.{key}", f"must be {want}, got {val!r}")
 
 
@@ -268,50 +272,44 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
-    doc = {
+    doc = _json_value({
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
-        "config": json.loads(serialize_config(cfg)),
+        "config": {"schema": SCHEMA_VERSION, **_json_value(cfg)},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "checks": [{"name": n, "passed": bool(ok), "detail": detail}
                    for n, ok, detail in checks],
         "passed": all(ok for _, ok, _ in checks),
         **payload,
-    }
+    })
     path = os.path.join(cfg.output_dir, f"{cfg.command.replace('-', '_')}_report.json")
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
-                          default=_json_default)
-    except ValueError:
-        # strict JSON has no Infinity or NaN: such a value is written as a
-        # string, with the text its CSV cell has
-        doc = _nonfinite_as_text(json.loads(json.dumps(doc, default=_json_default)))
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     _atomic_write(path, [(text + "\n").encode()])
     return path
 
 
-def _nonfinite_as_text(v):
-    """``v`` with each non-finite float in it replaced by ``"%.17g" % x``
-    (``"inf"``, ``"-inf"`` or ``"nan"``)."""
+def _json_value(v):
+    """``v`` as plain JSON values: dataclasses by their fields, dicts, lists
+    and tuples item by item, arrays by ``tolist()`` and numpy scalars by
+    ``item()``.  Strict JSON (RFC 8259) has no Infinity or NaN, so each
+    non-finite float becomes the text of its CSV cell, ``"%.17g" % v``
+    (``"inf"``, ``"-inf"`` or ``"nan"``); an array goes element by element
+    only when it holds one."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float):
+        return v if math.isfinite(v) else "%.17g" % v
     if isinstance(v, dict):
-        return {key: _nonfinite_as_text(x) for key, x in v.items()}
-    if isinstance(v, list):
-        return [_nonfinite_as_text(x) for x in v]
-    if isinstance(v, float) and not np.isfinite(v):
-        return "%.17g" % v
-    return v
-
-
-def _json_default(v):
-    """JSON form of report dataclasses and numpy values."""
-    if is_dataclass(v):
-        return asdict(v)
+        return {key: _json_value(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
     if isinstance(v, np.ndarray):
+        if v.dtype.kind == "f" and not np.isfinite(v).all():
+            return _json_value(v.tolist())
         return v.tolist()
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    raise TypeError(f"not JSON serializable: {type(v)}")
+    if is_dataclass(v):
+        return {f.name: _json_value(getattr(v, f.name)) for f in fields(v)}
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,9 @@ class GramMatrix:
         """Banded Cholesky factor, computed once and cached."""
         if self._factor is None:
             try:
-                self._factor = cholesky_banded(self.bands, lower=False)
+                # check_finite=False lets a NaN through to the residual gates
+                self._factor = cholesky_banded(self.bands, lower=False,
+                                               check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(
                     f"banded Cholesky broke down: {exc}"
@@ -162,8 +164,9 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G0.n:
         raise LengthMismatch(f"rhs length {rhs.shape[0]} != dimension {G0.n}")
-    c = cho_solve_banded((G0.factor(), False), rhs)
-    target = 1e-10 * np.abs(rhs).max(initial=0.0)
+    c = cho_solve_banded((G0.factor(), False), rhs, check_finite=False)
+    # a NaN in rhs makes the residual NaN, not the target
+    target = 1e-10 * np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)
     return _refine(G0, c, lambda c: G0.matvec(c) - rhs, target, "solve")[0]
 
 
@@ -183,7 +186,7 @@ def _refine(G0: GramMatrix, X: np.ndarray, residual_of, target, what: str):
             raise RefinementFailure(
                 f"{what} residual {residual:.3e} above {target:.3g} "
                 "after three refinement sweeps")
-        X -= cho_solve_banded((fac, False), R, overwrite_b=True)
+        X -= cho_solve_banded((fac, False), R, overwrite_b=True, check_finite=False)
 
 
 def _residual(G0: GramMatrix, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -205,7 +208,8 @@ def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
     cols = np.asarray(cols, dtype=np.intp)
     X = np.zeros((G0.n, cols.size), order="F")
     X[cols, np.arange(cols.size)] = 1.0
-    X = cho_solve_banded((G0.factor(), False), X, overwrite_b=True)
+    X = cho_solve_banded((G0.factor(), False), X, overwrite_b=True,
+                         check_finite=False)
     return _refine(G0, X, lambda X: _residual(G0, cols, X), RESIDUAL_TARGET,
                    "inverse")
 

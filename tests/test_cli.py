@@ -15,6 +15,7 @@ from splineproj.cli import (
     ExperimentConfig,
     ParseError,
     ValidationError,
+    _json_value,
     build_parser,
     config_from_args,
     main,
@@ -184,6 +185,37 @@ def test_unrefined_solve_is_exit_3(tmp_path, capsys, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["project", "invert", "verify-decay", "kernel"])
+def test_nan_in_banded_solve_is_exit_3(tmp_path, capsys, monkeypatch, command):
+    # a NaN moment, or a NaN Gram entry, goes unchecked through the banded
+    # factor and solves to the residual gates: a numerical failure, not bad
+    # input, and the target it is judged against stays finite
+    import splineproj.cli as cli
+    from splineproj import projection
+
+    argv = [command, "--k", "4", "--partition", "random:60:1", "-o", str(tmp_path)]
+    if command == "project":
+        moments = projection.moments
+
+        def nan_moment(K, f, **kw):
+            b, est = moments(K, f, **kw)
+            b[K.n // 2] = np.nan
+            return b, est
+        monkeypatch.setattr(projection, "moments", nan_moment)
+        argv += ["--function", "sin"]
+    else:
+        def nan_entry(K):
+            G = splineproj.assemble_gram(K)
+            G.bands[-2, K.n // 2] = np.nan
+            return G
+        monkeypatch.setattr(cli, "assemble_gram", nan_entry)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and " residual nan above " in err
+    assert "above nan" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_zero_kernel_is_exit_3(tmp_path, capsys, monkeypatch):
     # an inverse served as zero columns leaves no sampled kernel value above
     # the zero floor: a numerical failure, not an input error
@@ -270,6 +302,83 @@ def test_finite_report_is_plain_json_dumps(tmp_path):
     text = (tmp_path / "gram_report.json").read_text()
     assert text == json.dumps(strict_json(tmp_path / "gram_report.json"),
                               sort_keys=True, indent=2) + "\n"
+
+
+def _asdict_default(v):
+    """The ``default=`` hook reports were once encoded with: the reference
+    for the bytes of a finite document."""
+    if dataclasses.is_dataclass(v):
+        return dataclasses.asdict(v)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
+    raise TypeError(f"not JSON serializable: {type(v)}")
+
+
+@dataclasses.dataclass
+class _Inner:
+    x: float
+    values: np.ndarray
+    pair: tuple = (1, 2.5)
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    items: list
+    count: np.int64
+
+
+def _report_values():
+    """A decay report and the lemma constants of a small mesh: arrays, numpy
+    scalars and the tuples ``fit_offsets`` and ``skipped``."""
+    from splineproj import analysis
+    K = splineproj.generate_partition(splineproj.PartitionSpec("random", 40, seed=1), 3)
+    G0 = splineproj.assemble_gram(K)
+    dec = analysis.decay_report(G0, K)
+    lemma = analysis.lemma_constants(G0, K, dec.gamma_cert)
+    # pairs with a zero K3 window occur on block-diagonal stretches only
+    return dec, dataclasses.replace(lemma, skipped=((0, 3), (4, 7)))
+
+
+def test_json_value_of_finite_document_is_plain_json_dumps():
+    dec, lemma = _report_values()
+    assert isinstance(dec.fit_offsets, tuple)
+    doc = {
+        "f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+        "f32": np.float32(0.3), "none": None, "tuple": (1, np.float64(2.5), "s"),
+        "ints": np.arange(5), "floats": np.array([[0.1, -0.0], [1e300, 5e-324]]),
+        "nested": _Outer(_Inner(0.25, np.linspace(0, 1, 4)), [np.int64(7), (True,)],
+                         np.int64(9)),
+        "decay": dec, "constants": lemma,
+    }
+    text = json.dumps(_json_value(doc), sort_keys=True, indent=2, allow_nan=False)
+    assert text == json.dumps(doc, sort_keys=True, indent=2, default=_asdict_default)
+    # numpy scalars become the Python values of the same type
+    for value, typ in ((np.float64(1.5), float), (np.int64(-3), int), (np.bool_(False), bool)):
+        assert type(_json_value(value)) is typ and _json_value(value) == value
+    ints = _json_value(np.arange(3))
+    assert ints == [0, 1, 2] and all(type(v) is int for v in ints)
+    assert _json_value(dec)["fit_offsets"] == list(dec.fit_offsets)
+    assert _json_value(lemma)["skipped"] == [list(pair) for pair in lemma.skipped]
+
+
+def test_json_value_writes_non_finite_floats_as_csv_text():
+    inf, nan = float("inf"), float("nan")
+    assert _json_value(np.array([1.0, inf, -inf, nan])) == [1.0, "inf", "-inf", "nan"]
+    assert _json_value(np.array([[0.5, -inf]])) == [[0.5, "-inf"]]
+    assert _json_value(np.float32(inf)) == "inf"
+    assert _json_value([np.float64(-inf), nan, 2, (inf,)]) == ["-inf", "nan", 2, ["inf"]]
+    assert _json_value({"a": {"b": nan}}) == {"a": {"b": "nan"}}
+    assert _json_value(_Outer(_Inner(-inf, np.array([nan, 1.0]), (inf, 1)), [nan],
+                              np.int64(1))) == {
+        "inner": {"x": "-inf", "values": ["nan", 1.0], "pair": ["inf", 1]},
+        "items": ["nan"], "count": 1}
+    # every value is text "%.17g" gives, and the whole is strict JSON
+    doc = _json_value({"v": [inf, -inf, nan]})
+    assert doc["v"] == ["%.17g" % v for v in (inf, -inf, nan)]
+    json.dumps(doc, allow_nan=False)
 
 
 @pytest.mark.parametrize("command", ["verify-decay", "verify-lemma"])
@@ -670,8 +779,18 @@ def test_unread_flag_is_a_parse_error(tmp_path, capsys, argv):
      "options.trials"),
     (dict(command="converge", partition="uniform:8", function="sin"), "partition"),
     (dict(command="gram", partition="uniform:8", k=True), "k"),
+    # json reads the bare tokens NaN and Infinity, 1e400 as inf, and an int
+    # of any size
+    (dict(command="converge", function="sin", levels=[1, 2, 3],
+          options={"expect_order": float("nan")}), "options.expect_order"),
+    (dict(command="converge", function="sin", levels=[1, 2, 3],
+          options={"expect_order": float("-inf")}), "options.expect_order"),
+    (dict(command="converge", function="sin", levels=[1, 2, 3],
+          options={"expect_order": 10 ** 400}), "options.expect_order"),
+    (dict(command="gram", partition="uniform:8", interval=[0, 10 ** 400]), "interval"),
 ], ids=["float-for-int", "string-for-int", "bool-for-int", "unknown-key",
-        "unread-option", "unread-partition", "bool-k"])
+        "unread-option", "unread-partition", "bool-k", "nan-option", "inf-option",
+        "huge-int-option", "huge-int-interval"])
 def test_config_values_checked_before_writing(tmp_path, capsys, doc, field):
     # a wrong type or a field the command does not read is bad input: exit 2
     # with nothing written, not a silent conversion or a silently unused value
@@ -680,6 +799,20 @@ def test_config_values_checked_before_writing(tmp_path, capsys, doc, field):
     assert main([doc["command"], "--config", str(cfgfile)]) == 2
     assert f"config field {field!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_float_flag_is_input_error(tmp_path, capsys, value):
+    # a float option must be finite: exit 2 with nothing written, not a
+    # FAIL of observed_order, and never a bare Infinity in the config
+    argv = ["converge", "--k", "2", "--function", "sin", "--levels", "3",
+            f"--expect-order={value}", "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "config field 'options.expect_order'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match="options.expect_order"):
+        make_cfg(command="converge", partition=None, function="sin", levels=(1, 2, 3),
+                 options={"expect_order": float(value)})
 
 
 def test_integer_accepted_for_float_option(tmp_path):
