@@ -403,23 +403,41 @@ def test_convergence_requires_decreasing_mesh():
 def test_modulus_annihilates_low_degree():
     for k in (1, 2, 3):
         f = parse_function(f"x^{k - 1}")
-        assert modulus_of_smoothness(f, k, 0.25) <= 1e-12
+        (got,) = modulus_of_smoothness(f, k, [0.25])
+        assert got <= 1e-12
 
 
 def test_modulus_square_closed_form():
     f = parse_function("x^2")
     for delta in (0.1, 0.3, 0.5):
         expect = delta * (2 - delta)
-        got = modulus_of_smoothness(f, 1, delta, grid=512)
+        (got,) = modulus_of_smoothness(f, 1, [delta], grid=512)
         assert got == pytest.approx(expect, abs=2e-2)
         assert got <= expect + 1e-12  # grid sup never exceeds the true sup
 
 
 def test_modulus_monotone_in_delta():
     f = parse_function("sin")
-    vals = [modulus_of_smoothness(f, 2, d, grid=128)
+    vals = [modulus_of_smoothness(f, 2, [d], grid=128)[0]
             for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+def test_modulus_rejects_bad_diameter(delta):
+    with pytest.raises(ValueError, match="deltas"):
+        modulus_of_smoothness(parse_function("sin"), 2, [0.1, delta])
+
+
+def test_modulus_rejects_empty_deltas():
+    with pytest.raises(ValueError, match="deltas"):
+        modulus_of_smoothness(parse_function("sin"), 2, [])
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_modulus_rejects_grid_below_one(grid):
+    with pytest.raises(ValueError, match="grid"):
+        modulus_of_smoothness(parse_function("sin"), 2, [0.1], grid=grid)
 
 
 # -- stability constant ------------------------------------------------------

@@ -832,17 +832,68 @@ MODULUS_FUNCTIONS = [
        st.sampled_from([(0.0, 1.0), (-1.0, 2.5)]), st.sampled_from([1, 2, 7, 64, 256]))
 def test_modulus_equals_per_step_reference(k, f, delta, interval, grid):
     with np.errstate(all="ignore"):
-        got = modulus_of_smoothness(f, k, delta, interval, grid)
+        got = modulus_of_smoothness(f, k, [delta], interval, grid)
         expect = reference_modulus(f, k, delta, interval, grid)
-    assert type(got) is float and np.float64(got).tobytes() == np.float64(expect).tobytes()
+    assert type(got) is list and len(got) == 1 and type(got[0]) is float
+    assert np.float64(got[0]).tobytes() == np.float64(expect).tobytes()
 
 
 def test_modulus_when_every_step_is_skipped():
     # the smallest step h = delta / grid already has a + k h > b
     for k, delta, grid in ((3, 100.0, 256), (10, 1.0, 4), (1, 1.5, 1)):
         f = parse_function("sin")
-        assert modulus_of_smoothness(f, k, delta, grid=grid) == 0.0
+        assert modulus_of_smoothness(f, k, [delta], grid=grid) == [0.0]
         assert reference_modulus(f, k, delta, grid=grid) == 0.0
+
+
+@st.composite
+def mesh_diameters(draw, k, interval):
+    """Diameters of a dyadic ladder, of non-nested uniform meshes, a list
+    with repeats, or a list with a diameter whose every step is skipped."""
+    kind = draw(st.sampled_from(["dyadic", "uniform", "repeated", "skipped"]))
+    if kind == "dyadic":
+        lo = draw(st.integers(0, 6))
+        ladder = dyadic_ladder(k, range(lo, lo + draw(st.integers(1, 6))), interval)
+        return [K.mesh for K in ladder]
+    if kind == "uniform":
+        ns = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=5)))
+        return [generate_partition(PartitionSpec("uniform", n_intervals=n), k, interval).mesh
+                for n in ns]
+    base = draw(st.lists(st.sampled_from([1e-3, 0.05, 0.2, 0.5, 3.0]), min_size=1, max_size=4))
+    if kind == "repeated":
+        return base + base[::-1]
+    # delta / grid > (b - a) / k for every grid <= 256 and width <= 3.5
+    return base + [1e4] + base
+
+
+@settings(parent=PROPS, max_examples=100)
+@given(st.data(), st.integers(1, 10), st.sampled_from(MODULUS_FUNCTIONS),
+       st.sampled_from([(0.0, 1.0), (-1.0, 2.5)]), st.sampled_from([1, 2, 7, 64, 256]))
+def test_modulus_list_equals_per_step_reference(data, k, f, interval, grid):
+    deltas = data.draw(mesh_diameters(k, interval))
+    with np.errstate(all="ignore"):
+        got = modulus_of_smoothness(f, k, deltas, interval, grid)
+        expect = [reference_modulus(f, k, d, interval, grid) for d in deltas]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+
+def test_convergence_modulus_evaluates_each_step_once():
+    # dyadic levels 1..11 at k = 4 have 2,688 fitting steps, 1,408 distinct
+    k, grid = 4, 256
+    sizes = []
+    real = analysis.modulus_of_smoothness
+
+    def counting(f, *args, **kwargs):
+        seen = TestFunction(lambda x: sizes.append(x.size) or f(x), name=f.name)
+        return real(seen, *args, **kwargs)
+
+    with patch.object(analysis, "modulus_of_smoothness", counting):
+        rep = analysis.convergence_report(dyadic_ladder(k, range(1, 12)),
+                                          parse_function("sin"), probes=[0.3])
+    assert sum(sizes) == 1408 * (k + 1) * (grid + 1)
+    assert max(sizes) <= grid * (k + 1) * (grid + 1)
+    assert len(rep.levels) == 11
 
 
 def reference_kernel_bound(G, K, samples_per_cell):
