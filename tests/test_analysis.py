@@ -398,6 +398,13 @@ def test_convergence_requires_decreasing_mesh():
         convergence_report(ladder, parse_function("x"), probes=[0.3])
 
 
+def test_convergence_requires_one_order():
+    # omega_k is taken at one k for the whole ladder
+    ladder = dyadic_ladder(2, [3]) + dyadic_ladder(3, [4])
+    with pytest.raises(ValueError, match="order"):
+        convergence_report(ladder, parse_function("x"), probes=[0.3])
+
+
 # -- modulus of smoothness ---------------------------------------------------
 
 def test_modulus_annihilates_low_degree():
