@@ -28,25 +28,32 @@ __all__ = ["eval_basis_many", "eval_spline_many", "node_blocks",
 def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Basis blocks at points whose containing span is already known.
 
-    Returns an ``(m, k)`` array; row ``p`` holds functions
-    ``spans[p]-k+1 .. spans[p]`` at ``x[p]``.
+    Returns a C-ordered ``(m, k)`` array; row ``p`` holds functions
+    ``spans[p]-k+1 .. spans[p]`` at ``x[p]``.  The recurrence runs on
+    contiguous rows of ``(k, m)`` arrays, written in place by ``out=``, and
+    the result is transposed once at the end.
     """
     t, k = K.t, K.k
     m = x.shape[0]
-    vals = np.zeros((m, k))
-    vals[:, 0] = 1.0
-    left = np.empty((m, k))
-    right = np.empty((m, k))
+    vals = np.zeros((k, m))
+    vals[0] = 1.0
+    left = np.empty((k, m))
+    right = np.empty((k, m))
+    tmp = np.empty(m)
+    saved = np.empty(m)
     for j in range(1, k):
-        left[:, j] = x - t[spans + 1 - j]
-        right[:, j] = t[spans + j] - x
-        saved = np.zeros(m)
+        np.subtract(x, t[spans + 1 - j], out=left[j])
+        np.subtract(t[spans + j], x, out=right[j])
+        saved[:] = 0.0
         for r in range(j):
-            tmp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
-            vals[:, r] = saved + right[:, r + 1] * tmp
-            saved = left[:, j - r] * tmp
-        vals[:, j] = saved
-    return vals
+            np.add(right[r + 1], left[j - r], out=tmp)
+            np.divide(vals[r], tmp, out=tmp)
+            # vals[r] = saved + right[r + 1] * tmp
+            np.multiply(right[r + 1], tmp, out=vals[r])
+            np.add(saved, vals[r], out=vals[r])
+            np.multiply(left[j - r], tmp, out=saved)
+        vals[j] = saved
+    return np.ascontiguousarray(vals.T)
 
 
 def node_blocks(K: KnotSequence, x: np.ndarray, spans) -> np.ndarray:

@@ -4,8 +4,18 @@ The Gram matrix ``g[i, j] = <N_i, N_j>`` is symmetric positive definite
 with bandwidth ``k - 1``.  On every nondegenerate knot interval the
 integrand ``N_i * N_j`` is a polynomial of degree at most ``2k - 2``, so a
 k-point Gauss rule per interval assembles each entry exactly up to
-roundoff.  Storage is the LAPACK upper symmetric-banded layout, which feeds
-straight into the banded Cholesky solver.
+roundoff.  Storage is the LAPACK upper symmetric-banded layout, and the
+Cholesky factor ``G0 = U^T U`` is kept in the same layout.
+
+The factor and the solves are numpy only.  ``GramMatrix.factor`` is a
+blocked banded Cholesky: one ``np.linalg.cholesky`` per window of at most
+``_ROWS + k - 1`` rows, each window's leading corner corrected by the rows
+the window before it factored, in O(n k) memory.  ``_cho_solve`` solves
+``U^T y = b`` and then ``U x = y`` in place, for a vector or an n x m
+block, by ``_substitute``: a substitution that runs over the rows of all
+blocks at once and then carries the k - 1 values that link each block to
+the next from block to block.  It uses elementwise arithmetic only, so
+each column of a block is bitwise that column solved on its own.
 
 The inverse is dense by nature, its entries merely decay away from the
 diagonal.  It has two producers.  ``inverse_columns`` solves and refines
@@ -14,18 +24,18 @@ symmetric; ``invert_gram`` forms the whole inverse from those same columns,
 block by block, and measures how far they are from symmetric.
 ``inverse_rows`` streams every row's upper triangle, bottom-up, by block
 back-substitution through the banded factor: each block of rows from the
-k - 1 rows below it, by one small triangular solve and one GEMM, in O(n)
-memory.  Its residual, two more GEMMs per block, still covers every entry
-of ``G0 A - I``; the stream has no refinement.
+k - 1 rows below it, by one small solve against the block's triangle of
+U and one GEMM, in O(n) memory.  Its residual, two more GEMMs per block,
+still covers every entry of ``G0 A - I``; the stream has no refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .bspline import span_gauss_blocks
 from .errors import LengthMismatch, NotPositiveDefinite, RefinementFailure
@@ -40,9 +50,13 @@ RESIDUAL_TARGET = 1e-9
 #: Width of the column blocks ``invert_gram`` solves and refines: n x 256
 #: doubles at a time beside the inverse.
 _BLOCK = 256
-#: Rows of the inverse that ``inverse_rows`` yields at once, and the width
-#: of the tiles of G0 its residual reads.
+#: Rows of the inverse that ``inverse_rows`` yields at once, the width of
+#: the tiles of G0 its residual reads, and the most rows of a window of the
+#: banded Cholesky.
 _ROWS = 32
+#: Windows the banded Cholesky lays out at once: 64 x 41 x 41 doubles (860
+#: kB) at k = 10.
+_WINDOWS = 64
 
 
 @dataclass(eq=False)
@@ -95,17 +109,67 @@ class GramMatrix:
         return self.matvec(np.ones(self.n))
 
     def factor(self) -> np.ndarray:
-        """Banded Cholesky factor, computed once and cached."""
+        """Banded Cholesky factor ``U`` in the layout of ``bands``
+        (``G0 = U^T U``), computed once and cached; see ``_cholesky_banded``."""
         if self._factor is None:
-            try:
-                # check_finite=False lets a NaN through to the residual gates
-                self._factor = cholesky_banded(self.bands, lower=False,
-                                               check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(
-                    f"banded Cholesky broke down: {exc}"
-                ) from exc
+            self._factor = _cholesky_banded(self.bands)
         return self._factor
+
+
+def _cholesky_banded(bands: np.ndarray) -> np.ndarray:
+    """``U`` with ``G0 = U^T U`` for the matrix ``bands`` holds, in the same
+    LAPACK upper layout, zero in the unused corner.
+
+    Block by block of at most ``_ROWS`` rows, R each: window b is the dense
+    matrix of rows and columns ``Rb .. Rb + R - 1 + p`` (``p = k - 1``; the
+    identity past the matrix, so that every window is whole), its leading
+    p x p corner less ``C C^T``, with ``C`` the p x p block of the window
+    before's factor that couples the rows before the window to that corner.
+    One ``np.linalg.cholesky`` then gives the window's first R rows of
+    ``U`` and, as ``C``, the coupling for the next window.  A window that
+    is not positive definite raises NotPositiveDefinite; a NaN is not one,
+    since LAPACK's Cholesky takes it through, and it reaches the residual
+    gates.
+    """
+    k, n = bands.shape
+    p = k - 1
+    # as few windows as with _ROWS rows each, and as even; at least p rows,
+    # so that the coupling C lies within the window before
+    count = -(-n // max(_ROWS, p))
+    rows = max(-(-n // count), p)
+    w = rows + p
+    # g[i, d] = G_i,i+d, and the identity past the matrix
+    g = np.zeros((rows * count + p, k))
+    g[n:, 0] = 1.0
+    for d in range(k):
+        g[: n - d, d] = bands[p - d, d:]
+    urow = np.empty((rows * count, k))  # urow[i, d] = U_i,i+d
+    r = np.arange(w)
+    corner = np.zeros((p, p))
+    for b0 in range(0, count, _WINDOWS):
+        b1 = min(b0 + _WINDOWS, count)
+        first = rows * np.arange(b0, b1)[:, None]
+        S = np.zeros((b1 - b0, w, w))
+        for d in range(k):
+            S[:, r[d:], r[: w - d]] = S[:, r[: w - d], r[d:]] = g[first + r[: w - d], d]
+        L = np.empty_like(S)
+        for b, s in enumerate(S):
+            s[:p, :p] -= corner
+            try:
+                L[b] = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError as exc:
+                i = rows * (b0 + b)
+                raise NotPositiveDefinite(
+                    f"banded Cholesky broke down in rows {i}..{min(i + w, n) - 1}: {exc}"
+                ) from exc
+            coupling = L[b, rows:, rows - p: rows]
+            corner = coupling @ coupling.T
+        for d in range(k):
+            urow[rows * b0: rows * b1, d] = L[:, r[d: rows + d], r[:rows]].ravel()
+    fac = np.zeros((k, n))
+    for d in range(k):
+        fac[p - d, d:] = urow[: n - d, d]
+    return fac
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +228,7 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G0.n:
         raise LengthMismatch(f"rhs length {rhs.shape[0]} != dimension {G0.n}")
-    c = cho_solve_banded((G0.factor(), False), rhs, check_finite=False)
+    c = _cho_solve(G0.factor(), rhs.copy())
     # a NaN in rhs makes the residual NaN, not the target
     target = 1e-10 * np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)
     return _refine(G0, c, lambda c: G0.matvec(c) - rhs, target, "solve")[0]
@@ -186,7 +250,85 @@ def _refine(G0: GramMatrix, X: np.ndarray, residual_of, target, what: str):
             raise RefinementFailure(
                 f"{what} residual {residual:.3e} above {target:.3g} "
                 "after three refinement sweeps")
-        X -= cho_solve_banded((fac, False), R, overwrite_b=True, check_finite=False)
+        X -= _cho_solve(fac, R)
+
+
+def _cho_solve(fac: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``G0^-1 B`` in place of ``B``, a vector or an n x m block of any
+    layout, from the band factor ``fac`` of ``G0 = U^T U``: ``U^T y = B``,
+    then ``U x = y`` as a lower triangular system in reversed row order.
+    Returns ``B``.  Every column is bitwise the same as when solved alone."""
+    k, n = fac.shape
+    p = k - 1
+    B2 = B.reshape(n, -1) if B.ndim == 1 else B
+    # row i of U^T reads U_i-d,i = fac[p - d, i] for d = 0 .. p
+    _substitute(fac[::-1], B2)
+    # row n - 1 - i of U, reversed, reads U_i,i+d = fac[p - d, i + d]
+    back = np.zeros((k, n))
+    for d in range(k):
+        back[d, : n - d] = fac[p - d, d:]
+    _substitute(back[:, ::-1], B2[::-1])
+    return B
+
+
+def _substitute(coef: np.ndarray, B: np.ndarray) -> None:
+    """Solve the banded lower triangular system
+    ``sum_d coef[d, i] v[i - d] = B[i]`` (``d = 0 .. p``; ``coef[0]`` the
+    diagonal) in place of the n x m array ``B``, which may be a view.
+    ``coef[d, i]`` for ``i < d`` multiplies zeros, so any finite value there
+    is harmless.
+
+    Each row is first divided by its diagonal entry.  The rows go in blocks
+    of ``R ~ sqrt(n)``, all blocks at once, row by row: block b's rows as if
+    the p values before it were zero (the first m columns of ``X``), and as
+    their response to each of those p values set to one (the last p
+    columns; the p rows ahead of each block in ``X`` hold these p unit
+    values).  Then the p values that end each block are carried to the
+    next, block by block, and each block adds its response to the values
+    before it.  Each step is elementwise across the columns, and every sum
+    runs along the first axis of a C-ordered array, in the same order
+    whatever m is."""
+    p = coef.shape[0] - 1
+    n, m = B.shape
+    R = max(p, 1, isqrt(n))
+    count = -(-n // R)
+    head, last = R * (count - 1), n - R * (count - 1)
+    c = np.zeros((p + 1, R * count))
+    c[0, n:] = 1.0
+    c[:, :n] = coef
+    c = c.reshape(p + 1, count, R).transpose(2, 0, 1)  # c[r, d, b]
+    # X[p + r, :, b] is row r of block b: its m values, then its p responses
+    X = np.zeros((p + R, m + p, count))
+    for j in range(p):
+        X[j, m + j] = 1.0
+    X[p:, :m, :-1] = B[:head].reshape(count - 1, R, m).transpose(1, 2, 0)
+    X[p: p + last, :m, -1] = B[head:]
+    X[p:, :m] /= c[:, :1]
+    if p:
+        # off[r, j, 0, b] multiplies the value p - j rows before row r of
+        # block b, and before[r, j] = X[r + j] holds it
+        off = (c[:, :0:-1] / c[:, :1])[:, :, None]
+        s0, s1, s2 = X.strides
+        before = as_strided(X, shape=(R, p, m + p, count), strides=(s0, s0, s1, s2))
+        terms, total = np.empty((p, m + p, count)), np.empty((m + p, count))
+        for row, o, prev in zip(X[p:], off, before):
+            np.multiply(o, prev, out=terms)
+            row -= np.add.reduce(terms, axis=0, out=total)
+        # response[b, j, i, 0]: of the i-th of block b's last p values to the
+        # j-th value before the block
+        response = np.ascontiguousarray(X[R:, m:].transpose(2, 1, 0))[..., None]
+        carried = np.zeros((count, p, m))  # the p values before each block
+        terms = np.empty((p, p, m))
+        for end, z, t, out in zip(X[R:, :m].transpose(2, 0, 1), response,
+                                  carried[:, :, None], carried[1:]):
+            np.multiply(z, t, out=terms)
+            np.add.reduce(terms, axis=0, out=out)
+            out += end
+        carried = carried.transpose(1, 2, 0)
+        for j in range(p):
+            X[p:, :m] += X[p:, m + j, None] * carried[j]
+    B[:head].reshape(count - 1, R, m)[:] = X[p:, :m, :-1].transpose(2, 0, 1)
+    B[head:] = X[p: p + last, :m, -1]
 
 
 def _residual(G0: GramMatrix, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -208,8 +350,7 @@ def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
     cols = np.asarray(cols, dtype=np.intp)
     X = np.zeros((G0.n, cols.size), order="F")
     X[cols, np.arange(cols.size)] = 1.0
-    X = cho_solve_banded((G0.factor(), False), X, overwrite_b=True,
-                         check_finite=False)
+    X = _cho_solve(G0.factor(), X)
     return _refine(G0, X, lambda X: _residual(G0, cols, X), RESIDUAL_TARGET,
                    "inverse")
 
@@ -316,20 +457,25 @@ def _row_block(rows, urow, c, stop):
     """The m rows of ``urow`` (``urow[r, d] = U_i,i+d`` for their rows i) as
     the first m rows of the buffer view ``rows``, from the p rows below them,
     by the block formulas of ``inverse_rows``.  Row r's diagonal sits at
-    column ``c + r``, and the rows end at column ``stop``.  Then the band
-    left of the diagonal is copied in from the upper triangle, in the block
-    and in the p rows below it."""
+    column ``c + r``, and the rows end at column ``stop``.  Right of the
+    last nonzero column of the rows below, the new rows are zero, exactly,
+    and no product is formed there.  Then the band left of the diagonal is
+    copied in from the upper triangle, in the block and in the p rows below
+    it."""
     m, p = urow.shape[0], urow.shape[1] - 1
     # U's rows of the block as one dense m x (m + p) array: U_BB, then U_BN
     U = np.zeros((m, m + p))
     _band(U, 0, p + 1)[:] = urow
     rhs = np.eye(m, m + p)
     rhs[:, m:] -= U[:, m:]
-    # [W | T]; check_finite=False lets a NaN through to the residual
-    WT = solve_triangular(U[:, :m], rhs, check_finite=False)
+    # [W | T]; U_BB is triangular, so LU makes no row swaps and no
+    # eliminations, and a NaN goes through to the residual
+    WT = np.linalg.solve(U[:, :m], rhs)
     W, T = WT[:, :m], WT[:, m:]
     block, below = rows[:m], rows[m: m + p]
-    np.matmul(T, below[:, c + m: stop], out=block[:, c + m: stop])
+    hi = c + m + _nonzero_width(below[:, c + m: stop])
+    np.matmul(T, below[:, c + m: hi], out=block[:, c + m: hi])
+    block[:, hi: stop] = 0.0
     D = W @ W.T
     D += block[:, c + m: c + m + p] @ T.T
     block[:, c: c + m] = np.triu(D)
@@ -362,17 +508,30 @@ def _block_residual(buf, tiles, j, e, p):
     the block's band of G0 by the buffer's rows; ``A G0`` one batched
     product of the block's rows, cut into tiles of ``_ROWS + 2p`` columns
     that overlap by 2p, by the tiles of G0.  A NaN anywhere makes the
-    residual NaN."""
+    residual NaN.  Both products stop at the tile that reads the last
+    nonzero column of ``buf``: every entry they leave out is zero.  That
+    column is the last nonzero one of the 2p rows at the bottom of ``buf``,
+    since each block of rows is T times the rows below it and ``_row_block``
+    zeroes what lies right of them."""
     t = j // _ROWS
-    ga = tiles[t, :, :e].T @ buf[:, j + p: _ROWS * tiles.shape[0] + p]
+    count = max(min(tiles.shape[0], (_nonzero_width(buf[_ROWS:]) - 1) // _ROWS + 1) - t, 1)
+    ga = tiles[t, :, :e].T @ buf[:, j + p: _ROWS * (t + count) + p]
     ga[:, :e] = np.triu(ga[:, :e]) - np.eye(e)
     worst = np.abs(ga, out=ga).max()
     rows = buf[p: p + e, j:]
     s0, s1 = rows.strides
-    count = tiles.shape[0] - t
     windows = as_strided(rows, shape=(count, e, _ROWS + 2 * p),
                          strides=(_ROWS * s1, s0, s1))
     # A G0 has as many entries as G0 A, so it is written over it
-    ag = np.matmul(windows, tiles[t:], out=ga.reshape(count, e, _ROWS))
+    ag = np.matmul(windows, tiles[t: t + count], out=ga.reshape(count, e, _ROWS))
     ag[0] = np.triu(ag[0], 1)
     return float(np.maximum(worst, np.abs(ag, out=ag).max()))
+
+
+def _nonzero_width(a) -> int:
+    """One past the last column of ``a`` with an entry that is not zero; a
+    NaN counts as not zero."""
+    if a[:, -1:].any():
+        return a.shape[1]
+    nonzero = np.flatnonzero(a.any(axis=0))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0

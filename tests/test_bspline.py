@@ -177,3 +177,42 @@ def test_continuity_class_at_interior_knot():
             left = one_sided_derivatives(K, c, 0.5, order, -1)
             right = one_sided_derivatives(K, c, 0.5, order, +1)
             assert abs(left - right) > 1e-4 * max(1.0, abs(left), abs(right))
+
+
+def reference_blocks_at_spans(K, x, spans):
+    """The basis recurrence on ``(m, k)`` columns, one temporary per step:
+    the layout ``_blocks_at_spans`` had before it moved to ``(k, m)`` rows
+    written by ``out=``, with the same operations in the same order."""
+    t, k = K.t, K.k
+    m = x.shape[0]
+    vals = np.zeros((m, k))
+    vals[:, 0] = 1.0
+    left = np.empty((m, k))
+    right = np.empty((m, k))
+    for j in range(1, k):
+        left[:, j] = x - t[spans + 1 - j]
+        right[:, j] = t[spans + j] - x
+        saved = np.zeros(m)
+        for r in range(j):
+            tmp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, j - r] * tmp
+        vals[:, j] = saved
+    return vals
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_blocks_equal_reference_recurrence(k):
+    # random knots with interior multiplicities up to k (full ones among
+    # them), at random points, every break and both ends: bitwise equal
+    from splineproj.bspline import _blocks_at_spans
+
+    rng = np.random.default_rng(k)
+    for mults in (rng.integers(1, k + 1, 30), np.full(30, k)):
+        breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 31))])
+        K = make_knot_sequence(breaks / breaks[-1], mults, k)
+        x = np.concatenate([rng.uniform(K.a, K.b, 500), np.unique(K.t)])
+        spans = K.span_indices(x)
+        got = _blocks_at_spans(K, x, spans)
+        assert got.shape == (x.size, k) and got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == reference_blocks_at_spans(K, x, spans).tobytes()

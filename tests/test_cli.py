@@ -384,13 +384,12 @@ def test_json_value_writes_non_finite_floats_as_csv_text():
 @pytest.mark.parametrize("command", ["verify-decay", "verify-lemma"])
 def test_linalg_error_is_exit_3(tmp_path, capsys, monkeypatch, command):
     # numpy's LinAlgError subclasses ValueError: a LAPACK breakdown inside a
-    # handler, here the triangular solve of the inverse's row stream, is a
-    # numerical failure, not an input error
-    from splineproj import gram
-
+    # handler, here the solve against each block's triangle of U in the
+    # inverse's row stream (its only np.linalg.solve), is a numerical
+    # failure, not an input error
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal 3")
-    monkeypatch.setattr(gram, "solve_triangular", singular)
+    monkeypatch.setattr(np.linalg, "solve", singular)
     argv = [command, "--k", "3", "--partition", "random:30:1", "-o", str(tmp_path)]
     assert main(argv) == 3
     assert "numerical failure: singular matrix" in capsys.readouterr().err

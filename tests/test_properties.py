@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splineproj import (
     GramMatrix,
+    NotPositiveDefinite,
     PartitionSpec,
     QuadratureNonConvergence,
     RefinementFailure,
@@ -37,6 +38,7 @@ from splineproj import (
     moments,
     parse_function,
     project,
+    solve_banded,
     stability_constant,
 )
 from splineproj import analysis, cli, gram, projection, quadrature
@@ -1030,6 +1032,78 @@ def test_inverse_blocks_equal_one_solve(k, width):
         assert X.tobytes() == whole[:, cols].tobytes()
 
 
+# -- the numpy banded Cholesky and its solves ------------------------------
+
+def dense_factor(fac):
+    """The n x n upper triangle ``U`` the band factor ``fac`` holds."""
+    k, n = fac.shape
+    U = np.zeros((n, n))
+    for d in range(k):
+        U[np.arange(n - d), np.arange(d, n)] = fac[k - 1 - d, d:]
+    return U
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.integers(0, 101), st.integers(0, 2**32 - 1))
+@example(10, 97, 0)   # last block 1 row, p = 9
+@example(10, 101, 1)  # last block 5 rows
+@example(8, 33, 2)    # last block 1 row, p = 7
+@example(4, 66, 3)    # last block 2 rows, p = 3
+@example(10, 10, 4)   # no interior knot
+@example(1, 65, 5)    # a diagonal matrix over three blocks
+def test_banded_cholesky_and_solves_match_scipy(k, n, seed):
+    # the numpy factor and solves against LAPACK's banded ones in scipy, on
+    # knots with random multiplicities up to k (full ones among them) and
+    # n = k .. 3 * 32 + 5, so up to four 32-row blocks: both factors
+    # reproduce G0 to 1e-14 of sqrt(g_ii g_jj); they differ by at most
+    # 1e-14 cond(G0) of the factor, as any two backward stable ones may, and
+    # so do the solutions; each column of a block solve is bitwise that
+    # column solved alone
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    n = max(n, k)
+    K = knots_of_dimension(n, k, seed)
+    G = assemble_gram(K)
+    fac = G.factor()
+    ref = cholesky_banded(G.bands, lower=False)
+    assert fac.shape == ref.shape == G.bands.shape
+    assert not fac[np.add.outer(np.arange(k), np.arange(n)) < k - 1].any()  # unused
+    dense = G.to_dense()
+    scale = np.sqrt(np.outer(np.diag(dense), np.diag(dense)))
+    U = dense_factor(fac)
+    assert (np.abs(U.T @ U - dense) / scale).max() <= 1e-14
+    cond = np.linalg.cond(dense)
+    assert np.abs(fac - ref).max() <= 1e-14 * cond * np.abs(ref).max()
+    B = np.random.default_rng(seed).standard_normal((n, 4))
+    X = gram._cho_solve(fac, B.copy())
+    expected = cho_solve_banded((ref, False), B)
+    assert np.abs(X - expected).max() <= 1e-14 * cond * np.abs(expected).max()
+    assert np.abs(dense @ X - B).max() <= 1e-14 * np.abs(dense).max() * np.abs(X).max()
+    for j in range(B.shape[1]):
+        x = gram._cho_solve(fac, B[:, j].copy())
+        assert x.tobytes() == X[:, j].tobytes()
+
+
+def test_factor_breakdown_names_its_window():
+    # a negative diagonal entry in row 70 of an otherwise assembled Gram
+    # matrix: four windows of 25 rows (and 2 more below each), of which the
+    # third, rows 50..76, is not positive definite
+    G = assemble_gram(knots_of_dimension(100, 3, 0))
+    G.bands[-1, 70] = -1.0
+    with pytest.raises(NotPositiveDefinite, match=r"rows 50\.\.76: "):
+        G.factor()
+
+
+def test_nan_gram_entry_reaches_the_residual_gate():
+    # a NaN in the bands is not a breakdown: the factor takes it through, and
+    # the solve's residual gate reports a NaN residual
+    G = assemble_gram(knots_of_dimension(100, 4, 1))
+    G.bands[-2, 40] = np.nan
+    assert np.isnan(G.factor()).any()
+    with pytest.raises(RefinementFailure, match="solve residual nan above "):
+        solve_banded(G, np.ones(G.n))
+
+
 # -- the row stream of the inverse -------------------------------------------
 
 def reference_row_residuals(G, A):
@@ -1119,6 +1193,55 @@ def test_inverse_rows_block_diagonal(k):
     X, _ = gram.inverse_columns(G, np.arange(K.n))
     assert np.abs(A - X * blocks).max() <= 1e-12 * np.abs(X).max()
     assert_residuals_match(G, A, [r for _, _, r in gram.inverse_rows(G)])
+
+
+@pytest.mark.parametrize("k, intervals, multiplicity, nan_at", [
+    (2, 3000, 1, None), (3, 2000, 1, None), (4, 600, 4, None), (4, 600, 1, 300)])
+def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
+                                                     multiplicity, nan_at):
+    # far from the diagonal the inverse underflows to exact zeros (2/3 and
+    # 1/3 of the upper triangle at k = 2 and 3), or is zero between the
+    # blocks that interior knots of multiplicity k decouple; each block's
+    # products stop at the last nonzero column, and the rows and residuals
+    # are bitwise those of products over every column, a NaN included
+    K = generate_partition(PartitionSpec("random", intervals, seed=1,
+                                         interior_multiplicity=multiplicity), k)
+    G = assemble_gram(K)
+    if nan_at is not None:
+        G.bands[-2, nan_at] = np.nan
+
+    def stream():
+        out = []
+        try:
+            for j, rows, residual in gram.inverse_rows(G):
+                out.append((j, rows.tobytes(), residual))
+        except RefinementFailure as exc:
+            out.append(str(exc))
+        return out
+    stopped = stream()
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_nonzero_width", lambda a: a.shape[1])
+        assert stream() == stopped
+    if nan_at is not None:
+        assert "residual nan above" in stopped[-1]
+        return
+    A = streamed_inverse(G)
+    assert (A[np.triu_indices(K.n)] == 0.0).mean() > 0.3
+    if multiplicity == k:
+        return
+    # and a wrong entry at the last nonzero column of the rows below a
+    # block, which the block's G0 A reads, fails the stream
+    real = gram._block_residual
+
+    def corrupted(buf, tiles, j, e, p):
+        if j == gram._ROWS * (K.n // (2 * gram._ROWS)):
+            width = gram._nonzero_width(buf[gram._ROWS:])
+            below = np.flatnonzero(buf[gram._ROWS:, width - 1])
+            buf[gram._ROWS + below[-1], width - 1] += 1.0
+        return real(buf, tiles, j, e, p)
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_block_residual", corrupted)
+        assert "inverse residual" in str(stream()[-1])
 
 
 @pytest.mark.parametrize("i, c", [(40, 90), (65, 62), (3, 60), (96, 96)],
