@@ -20,13 +20,13 @@ each column of a block is bitwise that column solved on its own.
 The inverse is dense by nature, its entries merely decay away from the
 diagonal.  It has two producers.  ``inverse_columns`` solves and refines
 only the columns asked for, which are also rows, the matrix being
-symmetric; ``invert_gram`` forms the whole inverse from those same columns,
-block by block, and measures how far they are from symmetric.
-``inverse_rows`` streams every row's upper triangle, bottom-up, by block
-back-substitution through the banded factor: each block of rows from the
-k - 1 rows below it, by one small solve against the block's triangle of
-U and one GEMM, in O(n) memory.  Its residual, two more GEMMs per block,
-still covers every entry of ``G0 A - I``; the stream has no refinement.
+symmetric.  ``inverse_rows`` streams every row's upper triangle, bottom-up,
+by block back-substitution through the banded factor: each block of rows
+from the k - 1 rows below it, by one small solve against the block's
+triangle of U and one GEMM, in O(n) memory.  Its residual, two more GEMMs
+per block, still covers every entry of ``G0 A - I``; the stream has no
+refinement.  ``invert_gram`` forms the whole inverse from that stream,
+each block's upper triangle mirrored below it, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
 #: Largest ``max |G0 A - I|`` an inverse is accepted with: it ends the
 #: refinement of solved columns early, and bounds the unrefined row stream.
 RESIDUAL_TARGET = 1e-9
-#: Width of the column blocks ``invert_gram`` solves and refines: n x 256
-#: doubles at a time beside the inverse.
-_BLOCK = 256
 #: Rows of the inverse that ``inverse_rows`` yields at once, the width of
 #: the tiles of G0 its residual reads, and the most rows of a window of the
 #: banded Cholesky.
@@ -174,17 +171,16 @@ def _cholesky_banded(bands: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InverseGram:
-    """Dense inverse of a Gram matrix with its quality certificates.
+    """Dense inverse of a Gram matrix with its quality certificate.
 
-    ``residual`` is ``max |(G0 A - I)_ij|`` after any refinement;
-    ``asymmetry`` is the relative asymmetry ``max |A - A.T| / max |A|`` of
-    the computed inverse.  Rows of ``entries`` are the coefficient vectors
-    of the basis dual to the B-splines.
+    ``residual`` is ``max |(G0 A - I)_ij|``; ``entries`` is exactly
+    symmetric, its lower triangle the upper one mirrored.  Rows of
+    ``entries`` are the coefficient vectors of the basis dual to the
+    B-splines.
     """
 
     entries: np.ndarray
     residual: float
-    asymmetry: float
 
     @property
     def n(self) -> int:
@@ -356,28 +352,29 @@ def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
 
 
 def invert_gram(G0: GramMatrix) -> InverseGram:
-    """Dense inverse from ``inverse_columns``, ``_BLOCK`` columns at a time.
+    """Dense inverse from ``inverse_rows``, one C-ordered n x n array.
 
-    Each refined column block ``X`` is written as rows ``j, j + 1, ...`` of
-    one C-ordered n x n array, the inverse being symmetric, so the inverse
-    is the only n x n array held.  ``residual`` is the largest block
-    residual; a block above ``RESIDUAL_TARGET`` raises RefinementFailure.
-    ``asymmetry`` compares each new row block with the columns it mirrors
-    among the rows written so far, and is left for the caller to judge.
+    Each streamed block's upper triangle, from the diagonal on, is written
+    into its rows, and its transpose into the columns below it, so the
+    inverse is exactly symmetric and the only n x n array held.
+    ``residual`` is the largest block residual, whose ``A G0`` half covers
+    ``G0 A - I`` below the diagonal; the stream raises RefinementFailure at
+    a block above ``RESIDUAL_TARGET``.
     """
     n = G0.n
     A = np.empty((n, n))
-    residual = scale = diff = 0.0
-    for j in range(0, n, _BLOCK):
-        X, block_residual = inverse_columns(G0, np.arange(j, min(j + _BLOCK, n)))
-        e = j + X.shape[1]
-        A[j: e] = X.T
-        del X  # before the next block is solved
+    residual = 0.0
+    for j, rows, block_residual in inverse_rows(G0):
+        m = rows.shape[0]
+        upper = rows[:, j:]
+        A[j: j + m, j:] = upper
+        A[j + m:, j: j + m] = upper[:, m:].T
+        # the block's own lower triangle, over the band and the zeros the
+        # stream leaves left of it
+        block, lower = A[j: j + m, j: j + m], np.tri(m, k=-1, dtype=bool)
+        block[lower] = block.T[lower]
         residual = max(residual, block_residual)
-        scale = max(scale, float(np.abs(A[j: e]).max()))
-        # every pair (i, c) with max(i, c) in this block, against its mirror
-        diff = max(diff, float(np.abs(A[j: e, :e] - A[:e, j: e].T).max()))
-    return InverseGram(A, residual, diff / scale if scale > 0 else 0.0)
+    return InverseGram(A, residual)
 
 
 def inverse_rows(G0: GramMatrix):

@@ -141,18 +141,6 @@ class KnotSequence:
         idx = np.searchsorted(self.t, x, side="right") - 1
         return np.minimum(idx, self.n - 1)
 
-    def largest_gap(self, i: int, j: int) -> float:
-        """Largest knot interval inside the joint support of functions i, j.
-
-        The joint support is ``[t[min(i,j)], t[max(i,j)+k]]``; the result is
-        strictly positive because every basis support has positive length.
-        """
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"indices ({i}, {j}) out of range [0, {n})")
-        lo, hi = min(i, j), max(i, j)
-        return float(self.h[lo: hi + self.k].max())
-
     # -- serialization --------------------------------------------------
 
     def to_text(self) -> str:
@@ -242,7 +230,9 @@ def _geometric_breaks(a: float, b: float, m: int, q: float) -> np.ndarray:
     if q == 1.0:
         return np.linspace(a, b, m + 1)
     # h_0 * (q^m - 1)/(q - 1) = b - a, successive lengths in exact ratio q
-    powers = np.power(q, np.arange(m + 1, dtype=float))
+    # an overflow is an inf that the isfinite test below rejects
+    with np.errstate(over="ignore"):
+        powers = np.power(q, np.arange(m + 1, dtype=float))
     cum = (powers - 1.0) / (q - 1.0)
     if not np.all(np.isfinite(cum)) or cum[-1] == 0:
         raise InvalidRatio(f"geometric mesh q={q}, m={m} is not representable")

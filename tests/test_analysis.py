@@ -32,6 +32,12 @@ def gram_for(spec, k):
 
 # -- decay ------------------------------------------------------------------
 
+def largest_gap(K, i, c):
+    """Largest knot interval inside the joint support ``[t_i, t_c+k]`` of
+    the basis functions i <= c, by a slice of the interval widths."""
+    return float(K.h[i: c + K.k].max())
+
+
 def test_row_gaps_match_largest_gap():
     K = generate_partition(PartitionSpec("random", 17, seed=0), 3)
     for j, e in [(0, K.n), (0, 1), (5, 4), (K.n - 3, 3)]:
@@ -40,7 +46,7 @@ def test_row_gaps_match_largest_gap():
         for i in range(j, j + e):
             assert not gaps[i - j, : i - j].any()
             for c in range(i, K.n):
-                assert gaps[i - j, c - j] == K.largest_gap(i, c)
+                assert gaps[i - j, c - j] == largest_gap(K, i, c)
 
 
 def test_decay_order_one_diagonal():

@@ -546,6 +546,24 @@ def test_numerical_failure_prints_no_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["plain", "warnings-as-errors"])
+def test_unrepresentable_geometric_mesh_is_one_input_error(tmp_path, warnings):
+    # q^40 overflows for q = 1e8: the mesh is rejected as bad input, with
+    # no numpy RuntimeWarning ahead of the message and none raised as an
+    # error, and nothing is written
+    src = os.path.dirname(os.path.dirname(splineproj.__file__))
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "splineproj.cli", "gram", "--k", "2",
+         "--partition", "geometric:40:1e8", "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("levels", [["--levels", "2"],
                                     ["--min-level", "3", "--levels", "4"]],
                          ids=["two", "three-four"])

@@ -179,50 +179,44 @@ def test_not_positive_definite_detected():
 
 
 def test_corrupted_inverse_fails_loudly(monkeypatch):
-    # every banded solve, refinement sweeps included, comes back with one
-    # corner entry scaled by 1.5: the residual against the true bands shows
+    # every block of the row stream comes back with one entry of its first
+    # row scaled by 1.5: the block residual against the true bands shows
     # it, and the inverse is refused rather than returned
     import splineproj.gram as gram_mod
 
     K = generate_partition(PartitionSpec("uniform", 10), 2)
     G = assemble_gram(K)
-    real = gram_mod._cho_solve
+    real = gram_mod._row_block
 
-    def skewed(fac, rhs):
-        out = real(fac, rhs)
-        if out.ndim == 2:
-            out = out.copy()
-            out[0, -1] *= 1.5  # corrupt one corner entry
-        return out
+    def skewed(rows, urow, c, stop):
+        real(rows, urow, c, stop)
+        rows[0, stop - 1] *= 1.5  # corrupt one entry of the block's first row
 
-    monkeypatch.setattr(gram_mod, "_cho_solve", skewed)
+    monkeypatch.setattr(gram_mod, "_row_block", skewed)
     with pytest.raises(RefinementFailure, match="inverse residual"):
         invert_gram(G)
 
 
 @pytest.mark.parametrize("eps,converges", [(1e-4, True), (3e-2, False)])
 def test_refinement_sweeps(eps, converges):
-    # a cached factor with its diagonal scaled by 1 + eps makes every solve
-    # inexact; refinement against the true bands repairs a small error within
-    # the three-sweep budget, and a large one raises instead of being
-    # returned as an inverse
+    # a cached factor with its diagonal scaled by 1 + eps makes every block
+    # of the row stream inexact.  Refinement of solved columns against the
+    # true bands repairs the small error (converges) and not the large one,
+    # but the stream refines nothing: both are a numerical failure rather
+    # than an inverse returned
     K = generate_partition(PartitionSpec("random", 60, seed=4), 3)
     G = assemble_gram(K)
     fac = G.factor().copy()
     fac[-1] *= 1 + eps
     inexact = GramMatrix(G.order, G.bands, fac)
-    if not converges:
-        with pytest.raises(RefinementFailure,
-                           match="inverse residual .* after three refinement sweeps"):
-            invert_gram(inexact)
-        return
-    A = invert_gram(inexact)
-    assert A.residual <= 1e-9
-    # rows of the entries are columns of the inverse
-    assert A.residual == np.abs(G.matvec(A.entries.T) - np.eye(K.n)).max()
-    assert A.asymmetry <= 1e-10
-    # row-major, so sums over it run along the rows
-    assert A.entries.flags["C_CONTIGUOUS"]
+    with pytest.raises(RefinementFailure,
+                       match="inverse residual .* no refinement of a row stream"):
+        invert_gram(inexact)
+    if converges:
+        assert gram.inverse_columns(inexact, np.arange(K.n))[1] <= 1e-9
+    else:
+        with pytest.raises(RefinementFailure, match="after three refinement sweeps"):
+            gram.inverse_columns(inexact, np.arange(K.n))
 
 
 @pytest.mark.parametrize("eps,converges", [(1e-7, True), (1e-4, True), (3e-2, False)])
@@ -270,7 +264,7 @@ def test_inverse_quality_certificates():
         K = generate_partition(PartitionSpec("random", 60, seed=seed), 4)
         A = invert_gram(assemble_gram(K))
         assert A.residual <= 1e-9
-        assert A.asymmetry <= 1e-10
+        assert np.array_equal(A.entries, A.entries.T)
 
 
 def test_dual_basis_biorthogonality_by_quadrature():

@@ -101,33 +101,6 @@ def test_explicit_partition():
     assert np.array_equal(K.t, [0, 0, 0, 0.2, 0.2, 1, 1, 1])
 
 
-def test_largest_gap_uniform():
-    K = generate_partition(PartitionSpec("uniform", 8), 2)
-    for i in range(K.n):
-        assert K.largest_gap(i, i) == pytest.approx(0.125)
-    assert K.largest_gap(0, K.n - 1) == pytest.approx(0.125)
-
-
-def test_largest_gap_geometric_example():
-    K = generate_partition(PartitionSpec("geometric", 3, ratio=2.0), 1, (0, 7))
-    assert K.largest_gap(0, 2) == 4.0
-
-
-def test_largest_gap_symmetric_exhaustive():
-    K = generate_partition(PartitionSpec("random", 48, seed=3), 3)
-    assert K.n <= 50
-    for i in range(K.n):
-        for j in range(i, K.n):
-            gij = K.largest_gap(i, j)
-            assert gij == K.largest_gap(j, i)
-            assert gij > 0
-
-    with pytest.raises(IndexError):
-        K.largest_gap(0, K.n)
-    with pytest.raises(IndexError):
-        K.largest_gap(-1, 0)
-
-
 def test_generated_sequences_satisfy_invariants():
     rng = np.random.default_rng(0)
     specs = [PartitionSpec("uniform", 7),

@@ -46,6 +46,7 @@ from splineproj.analysis import ZERO_FLOOR, decay_report, row_gaps
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import ExperimentConfig, write_csv
 from splineproj.quadrature import Piece, Pieces, gauss_rule, integrate_adaptive
+from test_analysis import largest_gap
 from test_gram import dense_inverse, reference_gram, serve_inverse, streamed_inverse
 
 PROPS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -250,7 +251,7 @@ def test_certification_scans_equal_loop_references(K, gamma):
     gaps = row_gaps(K, 0, K.n)
     for d in range(K.n):
         assert np.diagonal(gaps, d)[: K.n - d].tolist() == \
-            [K.largest_gap(i, i + d) for i in range(K.n - d)]
+            [largest_gap(K, i, i + d) for i in range(K.n - d)]
     assert stability_constant(K, trials=8, seed=K.n).d_hat == \
         reference_stability(K, 8, K.n)
     assume(K.n >= 3 * K.k)
@@ -962,34 +963,59 @@ def knots_of_dimension(n, k, seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from([255, 256, 257, 513]),
+@given(st.sampled_from([31, 32, 33, 255, 256, 257]),
        st.sampled_from([1, 2, 3, 4, 5, 6, 10]),
        st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 1e-7, 1e-4, 3e-2]))
 def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
-    # n on both sides of the 256-wide block; a cached factor with its
-    # diagonal scaled by 1 + eps drives the refinement sweeps of each block,
-    # up to a block that runs out of them, which fails the whole inverse
-    assert gram._BLOCK == 256
+    # n on both sides of the 32-row block; a cached factor with its diagonal
+    # scaled by 1 + eps makes the unrefined row stream fail, and the whole
+    # inverse with it
     K = knots_of_dimension(n, k, seed)
     G = assemble_gram(K)
     fac = G.factor().copy()
     fac[-1] *= 1 + eps
     inexact = GramMatrix(k, G.bands, fac)
-    try:
-        blocks = [gram.inverse_columns(inexact, np.arange(j, min(j + 256, n)))
-                  for j in range(0, n, 256)]
-    except RefinementFailure:
+    if eps > 0:
         with pytest.raises(RefinementFailure, match="inverse residual"):
             invert_gram(inexact)
         return
     A = invert_gram(inexact)
-    for j, (X, _) in zip(range(0, n, 256), blocks):
-        assert A.entries[j: j + 256].tobytes() == X.T.tobytes()
-    assert A.residual == max(residual for _, residual in blocks)
     E = A.entries
-    assert A.asymmetry == np.abs(E - E.T).max() / np.abs(E).max()
+    blocks = [(j, rows.copy(), residual) for j, rows, residual in gram.inverse_rows(G)]
+    for j, rows, _ in blocks:
+        for r, row in enumerate(rows):
+            assert E[j + r, j + r:].tobytes() == row[j + r:].tobytes()
+    assert np.array_equal(E, E.T)
+    assert A.residual == max(residual for _, _, residual in blocks)
     assert E.flags["C_CONTIGUOUS"]
+    X, _ = gram.inverse_columns(G, np.arange(n))
+    assert np.abs(E - X).max() <= 1e-13 * np.abs(X).max()
+
+
+def cycled_knots(n, k):
+    """Random breaks of dimension exactly n whose interior multiplicities
+    cycle through k, 1, 2, ..., k - 1: full multiplicity, where the basis
+    is discontinuous, at every k-th break."""
+    mults, cycle = [], [k] + list(range(1, k))
+    while sum(mults) < n - k:
+        mults.append(min(cycle[len(mults) % k], n - k - sum(mults)))
+    widths = np.random.default_rng(n * k).uniform(0.1, 1.0, len(mults) + 1)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    return make_knot_sequence(breaks, mults, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 10])
+@pytest.mark.parametrize("n", [31, 32, 33, 65, 257])
+def test_invert_gram_matches_inverse_columns(n, k):
+    # the mirrored row stream against every column solved and refined on
+    # its own, an independent producer of the same inverse
+    G = assemble_gram(cycled_knots(n, k))
+    A = invert_gram(G)
+    X, _ = gram.inverse_columns(G, np.arange(n))
+    assert A.n == n
+    assert np.abs(A.entries - X).max() <= 1e-13 * np.abs(A.entries).max()
 
 
 @contextmanager
@@ -1005,14 +1031,15 @@ def traced_peak():
 
 
 def test_inverse_holds_one_dense_array():
-    # the inverse (8 n^2 bytes) plus n x 256 blocks, not a second n x n array
+    # the inverse (8 n^2 bytes) plus the row stream's O(n) buffers and tiles
+    # (about 1.04 x 8 n^2 in all), not a second n x n array nor a tenth of one
     K = knots_of_dimension(2002, 3, 5)
     G = assemble_gram(K)
     G.factor()
     with traced_peak() as peak:
         A = invert_gram(G)
     assert A.residual <= 1e-9
-    assert peak[0] <= 1.5 * 8 * K.n ** 2
+    assert peak[0] <= 1.1 * 8 * K.n ** 2
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 6, 10])
