@@ -449,19 +449,24 @@ def _left_averages(x: list, y: list) -> list:
     orientation test can lose hundreds on an interval far from the origin.
     """
     out = [0.0]
-    hx, hy = [x[0]], [y[0]]
-    for xp, yp in zip(x[1:], y[1:]):
-        best = (yp - hy[-1]) / (xp - hx[-1])
-        while len(hx) >= 2:
-            below = (yp - hy[-2]) / (xp - hx[-2])
+    # the chain is hx[:top + 1], hy[:top + 1]; a push overwrites the entry
+    # above it, so a pop is only ``top -= 1``
+    hx, hy = [x[0]] * len(x), [y[0]] * len(y)
+    top = 0
+    points = zip(x, y)
+    next(points)
+    for xp, yp in points:
+        best = (yp - hy[top]) / (xp - hx[top])
+        while top:
+            below = (yp - hy[top - 1]) / (xp - hx[top - 1])
             if below < best:
                 break
-            hx.pop()
-            hy.pop()
+            top -= 1
             best = below
         out.append(best)
-        hx.append(xp)
-        hy.append(yp)
+        top += 1
+        hx[top] = xp
+        hy[top] = yp
     return out
 
 
@@ -712,6 +717,17 @@ class StabilityReport:
     d_hat: float
 
 
+def _window_sums(mass: np.ndarray, k: int) -> np.ndarray:
+    """Sums of every ``k`` consecutive columns of ``mass``, by slice adds left
+    to right: bitwise ``sliding_window_view(mass, k, axis=1).sum(axis=2)``
+    for k <= 7; from k = 8 on, numpy's unrolled sum differs at roundoff."""
+    n = mass.shape[1] - k + 1
+    local = mass[:, :n].copy()
+    for d in range(1, k):
+        local += mass[:, d: d + n]
+    return local
+
+
 def stability_constant(K: KnotSequence, trials: int = 64,
                        seed: int = 0) -> StabilityReport:
     """Largest ratio over ``trials`` random coefficient vectors.  The spline
@@ -732,7 +748,7 @@ def stability_constant(K: KnotSequence, trials: int = 64,
         svals = np.einsum("tsj,sgj->tsg", coeffs[:, idx[part]], blocks[part])
         svals *= svals
         mass[:, spans[part]] = np.einsum("tsg,sg->ts", svals, w[part])
-    local = sliding_window_view(mass, k, axis=1).sum(axis=2)
+    local = _window_sums(mass, k)
     # ratios = |c| sqrt(kappa / max(local, 1e-300)), in place
     np.maximum(local, 1e-300, out=local)
     np.divide(K.kappa, local, out=local)

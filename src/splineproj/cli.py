@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -653,9 +654,12 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, with only the flags that command reads;
-    a flag left out is absent from the namespace, so its default applies."""
+    a flag left out is absent from the namespace, so its default applies.
+    Built once per process: ``parse_args`` keeps no state between calls, and
+    ``run_experiment`` looks each handler up in ``COMMANDS`` when it runs."""
     ap = argparse.ArgumentParser(
         prog="splineproj",
         description="Orthogonal spline projection experiments",

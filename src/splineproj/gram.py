@@ -191,14 +191,15 @@ def assemble_gram(K: KnotSequence) -> GramMatrix:
     """Assemble ``<N_i, N_j>`` by exact per-interval Gauss quadrature."""
     k, n = K.k, K.n
     _, w, blocks = span_gauss_blocks(K)
-    local = np.einsum("sg,sgp,sgq->spq", w, blocks, blocks)
-    # add each span's upper triangle into the bands, span by span in (p, q)
-    # order: the same additions in the same order as a plain loop
-    p, q = np.triu_indices(k)
-    cols = (K.spans - (k - 1))[:, None] + q[None, :]
-    rows = np.broadcast_to(k - 1 - (q - p), cols.shape)
+    local = np.matmul((blocks * w[:, :, None]).transpose(0, 2, 1), blocks)
+    # add each span's upper triangle into the bands by slices (the spans are
+    # distinct, so no slice repeats a column): q runs down, so every band
+    # entry takes its spans in ascending order, the order of a plain loop
+    first = K.spans - (k - 1)
     bands = np.zeros((k, n))
-    np.add.at(bands, (rows.ravel(), cols.ravel()), local[:, p, q].ravel())
+    for q in range(k - 1, -1, -1):
+        for p in range(q + 1):
+            bands[k - 1 - (q - p), first + q] += local[:, p, q]
     return GramMatrix(k, bands)
 
 

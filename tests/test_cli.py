@@ -836,3 +836,69 @@ def test_integer_accepted_for_float_option(tmp_path):
     cfg = make_cfg(command="converge", partition=None, function="sin",
                    levels=(2, 3, 4), options={"expect_order": 1})
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+_CONVERGE = ["converge", "--k", "2", "--function", "step:0.5", "--levels", "4"]
+#: A sequence through ``main`` that alternates commands and flags, with a bad
+#: call and a ``--config`` call among them, and the status each must give.
+_REENTRANT_CALLS = [
+    (_CONVERGE + ["--eval-grid", "64", "--probes", "0.3;0.7"], 0),
+    (_CONVERGE, 0),
+    (["kernel", "--k", "3", "--partition", "uniform:8", "--eval-grid", "16"], 0),
+    (["kernel", "--k", "x", "--partition", "uniform:8"], "exit 2"),
+    (["gram", "--config"], 0),
+    (_CONVERGE, 0),
+]
+
+
+def _run_calls(root):
+    """Each call's exit status, report config without ``output_dir`` and CSV
+    bytes, each call into a directory of its own under ``root``."""
+    results = []
+    for i, (argv, _) in enumerate(_REENTRANT_CALLS):
+        out = str(root / str(i))
+        if argv[-1] == "--config":
+            path = root / f"{i}.json"
+            path.write_text(json.dumps({"command": "gram", "k": 3,
+                                        "partition": "random:9:4", "output_dir": out}))
+            argv = argv + [str(path)]
+        else:
+            argv = argv + ["-o", out]
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = f"exit {exc.code}"
+        config, tables = None, {}
+        if os.path.isdir(out):
+            [report] = [name for name in os.listdir(out) if name.endswith("_report.json")]
+            with open(os.path.join(out, report)) as fh:
+                config = json.load(fh)["config"]
+            del config["output_dir"]
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name), "rb") as fh:
+                        tables[name] = fh.read()
+        results.append((status, config, tables))
+    return results
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
+    # the cached parser carries nothing from one call to the next: every
+    # call writes what the same call writes with a parser of its own
+    import splineproj.cli as cli
+
+    (tmp_path / "cached").mkdir()
+    (tmp_path / "fresh").mkdir()
+    cached = _run_calls(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = _run_calls(tmp_path / "fresh")
+    assert cached == fresh
+    assert [status for status, _, _ in cached] == [want for _, want in _REENTRANT_CALLS]
+    assert cached[0][1]["options"] == {"eval_grid": 64, "probes": "0.3;0.7"}
+    assert cached[1][1]["options"] == cached[-1][1]["options"] == {}
+    assert all(tables for status, _, tables in cached if status == 0)
+    assert "invalid int value: 'x'" in capsys.readouterr().err

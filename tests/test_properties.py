@@ -1702,3 +1702,100 @@ def test_maximal_sweeps_equal_scan_on_benchmark_inputs(name, points, grid_size):
     xs = analysis.midpoints(0.0, 1.0, points)
     ref = reference_maximal(f, xs, (0.0, 1.0), grid_size)
     assert np.array_equal(analysis._maximal_on_points(f, xs, (0.0, 1.0), grid_size), ref)
+
+
+@st.composite
+def graded_knot_sequences(draw):
+    """Breaks on [0, 1] with widths 10^U(-8, 0) and interior multiplicities
+    in 1..k, for k = 1..8."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 24))
+    widths = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 0.0), min_size=m, max_size=m)))
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    assume(np.all(np.diff(breaks) > 0))
+    mults = draw(st.lists(st.integers(1, k), min_size=m - 1, max_size=m - 1))
+    return make_knot_sequence(breaks, mults, k)
+
+
+def add_at_bands(K, local):
+    """The span blocks ``local`` added into the bands by one ``np.add.at``
+    over every span's upper triangle, span by span in (p, q) order."""
+    k = K.k
+    p, q = np.triu_indices(k)
+    cols = (K.spans - (k - 1))[:, None] + q[None, :]
+    rows = np.broadcast_to(k - 1 - (q - p), cols.shape)
+    bands = np.zeros((k, K.n))
+    np.add.at(bands, (rows.ravel(), cols.ravel()), local[:, p, q].ravel())
+    return bands
+
+
+@settings(parent=PROPS, max_examples=160)
+@given(graded_knot_sequences())
+def test_gram_slice_adds_equal_add_at(K):
+    # the band accumulation is bitwise np.add.at's on the same span blocks,
+    # and within 4 ulps of max |entry| of the three-operand einsum form
+    _, w, blocks = span_gauss_blocks(K)
+    bands = assemble_gram(K).bands
+    local = np.matmul((blocks * w[:, :, None]).transpose(0, 2, 1), blocks)
+    assert bands.tobytes() == add_at_bands(K, local).tobytes()
+    einsum = add_at_bands(K, np.einsum("sg,sgp,sgq->spq", w, blocks, blocks))
+    assert np.abs(bands - einsum).max() <= 4 * np.spacing(np.abs(einsum).max())
+
+
+def reference_left_averages(x, y):
+    """The hull sweep with the chain as two lists popped and appended."""
+    out = [0.0]
+    hx, hy = [x[0]], [y[0]]
+    for xp, yp in zip(x[1:], y[1:]):
+        best = (yp - hy[-1]) / (xp - hx[-1])
+        while len(hx) >= 2:
+            below = (yp - hy[-2]) / (xp - hx[-2])
+            if below < best:
+                break
+            hx.pop()
+            hy.pop()
+            best = below
+        out.append(best)
+        hx.append(xp)
+        hy.append(yp)
+    return out
+
+
+@st.composite
+def hull_points(draw):
+    """Increasing x and nondecreasing y from a few step sizes, so that ties,
+    runs of equal y and collinear runs are common, on an interval that may
+    lie far from the origin."""
+    m = draw(st.integers(1, 60))
+    dx = draw(st.lists(st.sampled_from([0.125, 0.25, 1.0]) | st.floats(1e-3, 1.0),
+                       min_size=m, max_size=m))
+    dy = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 10.0),
+                       min_size=m, max_size=m))
+    x0 = draw(st.sampled_from([0.0, -3.0, 1e6]))
+    x = (x0 + np.cumsum(dx)).tolist()
+    y = np.cumsum(dy).tolist()
+    assume(all(a < b for a, b in zip(x, x[1:])))
+    return x, y
+
+
+@settings(parent=PROPS, max_examples=300)
+@given(hull_points())
+def test_left_averages_equal_list_sweep(points):
+    x, y = points
+    assert analysis._left_averages(x, y) == reference_left_averages(x, y)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_window_sums_equal_sliding_window(k):
+    # bitwise numpy's sum over the window axis while numpy adds it left to
+    # right (k <= 7); within k ulps of it beyond
+    rng = np.random.default_rng(k)
+    mass = rng.random((16, 300 + k - 1)) * 10.0 ** rng.uniform(-8, 8, (16, 300 + k - 1))
+    mass[:, rng.random(mass.shape[1]) < 0.2] = 0.0
+    local = analysis._window_sums(mass, k)
+    reference = sliding_window_view(mass, k, axis=1).sum(axis=2)
+    if k <= 7:
+        assert local.tobytes() == reference.tobytes()
+    else:
+        assert np.all(np.abs(local - reference) <= k * np.spacing(reference))
