@@ -47,7 +47,7 @@ class NotPositiveDefinite(SplineProjError, ArithmeticError):
 
 
 class RefinementFailure(SplineProjError, ArithmeticError):
-    """Iterative refinement of a solve ended above its residual target."""
+    """A solve's residual is above its target, or NaN; nothing is refined."""
 
 
 class QuadratureNonConvergence(SplineProjError, ArithmeticError):

@@ -18,15 +18,19 @@ the next from block to block.  It uses elementwise arithmetic only, so
 each column of a block is bitwise that column solved on its own.
 
 The inverse is dense by nature, its entries merely decay away from the
-diagonal.  It has two producers.  ``inverse_columns`` solves and refines
-only the columns asked for, which are also rows, the matrix being
-symmetric.  ``inverse_rows`` streams every row's upper triangle, bottom-up,
-by block back-substitution through the banded factor: each block of rows
-from the k - 1 rows below it, by one small solve against the block's
-triangle of U and one GEMM, in O(n) memory.  Its residual, two more GEMMs
-per block, still covers every entry of ``G0 A - I``; the stream has no
-refinement.  ``invert_gram`` forms the whole inverse from that stream,
-each block's upper triangle mirrored below it, so it is exactly symmetric.
+diagonal.  It has two producers.  ``inverse_columns`` solves only the
+columns asked for, which are also rows, the matrix being symmetric.
+``inverse_rows`` streams every row's upper triangle, bottom-up, by block
+back-substitution through the banded factor: each block of rows from the
+k - 1 rows below it, by one small solve against the block's triangle of U
+and one GEMM, in O(n) memory.  Its residual, two more GEMMs per block,
+still covers every entry of ``G0 A - I``.  ``invert_gram`` forms the whole
+inverse from that stream, each block's upper triangle mirrored below it,
+so it is exactly symmetric.
+
+Every solve is one pass through the cached factor and one residual gate,
+``_gate``, with nothing refined: banded Cholesky is backward stable, so a
+residual above its target signals a wrong factor or a NaN.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .knots import KnotSequence
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
            "solve_banded", "inverse_columns", "inverse_rows", "invert_gram"]
 
-#: Largest ``max |G0 A - I|`` an inverse is accepted with: it ends the
-#: refinement of solved columns early, and bounds the unrefined row stream.
+#: Largest ``max |G0 A - I|`` an inverse is accepted with, from the solved
+#: columns or from any block of the row stream.
 RESIDUAL_TARGET = 1e-9
 #: Rows of the inverse that ``inverse_rows`` yields at once, the width of
 #: the tiles of G0 its residual reads, and the most rows of a window of the
@@ -215,12 +219,13 @@ def scaled_gram(G0: GramMatrix, K: KnotSequence) -> np.ndarray:
 
 
 def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
-    """Solve ``G0 c = rhs`` by banded Cholesky and ``_refine`` to a residual
-    of ``1e-10 * max |rhs|``.
+    """Solve ``G0 c = rhs`` by one pass through the cached banded Cholesky
+    factor, gated at a residual ``max |G0 c - rhs|`` of ``1e-10 * max |rhs|``.
 
     Work is O(n k^2) per right-hand side.  Raises NotPositiveDefinite on
     factorization breakdown, which for an assembled Gram matrix signals an
-    assembly bug rather than an input problem.
+    assembly bug rather than an input problem, and RefinementFailure on a
+    residual above the target: nothing is refined.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G0.n:
@@ -228,26 +233,17 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     c = _cho_solve(G0.factor(), rhs.copy())
     # a NaN in rhs makes the residual NaN, not the target
     target = 1e-10 * np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)
-    return _refine(G0, c, lambda c: G0.matvec(c) - rhs, target, "solve")[0]
+    _gate(G0.matvec(c) - rhs, target, "solve")
+    return c
 
 
-def _refine(G0: GramMatrix, X: np.ndarray, residual_of, target, what: str):
-    """Refine ``X`` in place while ``max |residual_of(X)|``, the residual
-    ``G0 X - B`` of the system it solves, is above ``target``: at most three
-    sweeps, each subtracting the banded solve against that residual.  Returns
-    ``(X, residual)``; a residual still above ``target`` raises
-    RefinementFailure."""
-    fac = G0.factor()
-    for sweep in range(4):
-        R = residual_of(X)
-        residual = float(np.abs(R).max(initial=0.0))
-        if residual <= target:
-            return X, residual
-        if sweep == 3:
-            raise RefinementFailure(
-                f"{what} residual {residual:.3e} above {target:.3g} "
-                "after three refinement sweeps")
-        X -= _cho_solve(fac, R)
+def _gate(R, target: float, what: str, where: str = "") -> float:
+    """``max |R|``, the residual of a solve; RefinementFailure when it is
+    above ``target`` or NaN."""
+    residual = float(np.abs(R).max(initial=0.0))
+    if not residual <= target:
+        raise RefinementFailure(f"{what} residual {residual:.3e} above {target:.3g}{where}")
+    return residual
 
 
 def _cho_solve(fac: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -328,28 +324,22 @@ def _substitute(coef: np.ndarray, B: np.ndarray) -> None:
     B[head:] = X[p: p + last, :m, -1]
 
 
-def _residual(G0: GramMatrix, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``G0 X - I[:, cols]`` for the columns ``X`` of the inverse."""
-    R = G0.matvec(X)
-    R[cols, np.arange(cols.size)] -= 1.0
-    return R
-
-
 def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
-    """Columns ``cols`` of the inverse as an n x len(cols) array, and the
-    residual ``max |G0 X - I[:, cols]|`` they end with.
+    """Columns ``cols`` of the inverse as an n x len(cols) array, and their
+    residual ``max |G0 X - I[:, cols]|``, at most ``RESIDUAL_TARGET``.
 
     Each column is solved against its identity column from the cached
     banded factor, on its own, so it is bitwise that column of one solve
-    against the whole identity; then ``_refine`` refines the block in place
-    while the residual is above ``RESIDUAL_TARGET``.
+    against the whole identity.  A residual above the target raises
+    RefinementFailure.
     """
     cols = np.asarray(cols, dtype=np.intp)
     X = np.zeros((G0.n, cols.size), order="F")
     X[cols, np.arange(cols.size)] = 1.0
     X = _cho_solve(G0.factor(), X)
-    return _refine(G0, X, lambda X: _residual(G0, cols, X), RESIDUAL_TARGET,
-                   "inverse")
+    R = G0.matvec(X)
+    R[cols, np.arange(cols.size)] -= 1.0
+    return X, _gate(R, RESIDUAL_TARGET, "inverse")
 
 
 def invert_gram(G0: GramMatrix) -> InverseGram:
@@ -403,12 +393,9 @@ def inverse_rows(G0: GramMatrix):
     ``residual`` is ``max |G0 A - I|`` over every entry of the block's rows
     of ``G0 A`` from the diagonal on, and of ``A G0 = (G0 A)^T`` right of
     the diagonal: together every entry of the matrix once the stream ends.
-    Each half is a GEMM (see ``_block_residual``), with no refinement.
-    ``G0 A`` reads the p rows above the block, so a block is yielded once
-    those exist.  A residual above ``RESIDUAL_TARGET`` (or NaN) raises
-    RefinementFailure; there are no refinement sweeps, since a correction
-    needs whole columns, which a bottom-up stream does not hold until it
-    ends.
+    Each half is a GEMM (see ``_block_residual``).  ``G0 A`` reads the p
+    rows above the block, so a block is yielded once those exist.  A
+    residual above ``RESIDUAL_TARGET`` (or NaN) raises RefinementFailure.
     """
     n, p = G0.n, G0.order - 1
     fac = G0.factor()
@@ -434,11 +421,8 @@ def inverse_rows(G0: GramMatrix):
         if base < 0:
             buf[: -base] = 0.0
         e = min(_ROWS, n - j)
-        residual = _block_residual(buf, tiles, j, e, p)
-        if not residual <= RESIDUAL_TARGET:
-            raise RefinementFailure(
-                f"inverse residual {residual:.3e} above {RESIDUAL_TARGET:.3g} "
-                f"in rows {j}..{j + e - 1}, with no refinement of a row stream")
+        residual = _gate(_block_residual(buf, tiles, j, e, p), RESIDUAL_TARGET,
+                         "inverse", f" in rows {j}..{j + e - 1}")
         yield j, buf[p: p + e, p: n + p], residual
 
 

@@ -119,12 +119,6 @@ class KnotSequence:
         s.setflags(write=False)
         return s
 
-    def support(self, i: int) -> tuple[float, float]:
-        """Support interval of basis function ``i``."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"basis index {i} out of range [0, {self.n})")
-        return float(self.t[i]), float(self.t[i + self.k])
-
     # -- point location -------------------------------------------------
 
     def span_indices(self, x: np.ndarray) -> np.ndarray:

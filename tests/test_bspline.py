@@ -139,7 +139,7 @@ def test_l1_normalized_bumps_have_unit_mass():
         for i in range(K.n):
             e = np.zeros(K.n)
             e[i] = factors[i]
-            lo, hi = K.support(i)
+            lo, hi = K.t[i], K.t[i + K.k]
             val, _ = integrate_adaptive(
                 lambda x: eval_spline_many(K, e, x), lo, hi,
                 markers=K.t, tol=1e-13)

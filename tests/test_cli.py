@@ -140,46 +140,55 @@ def test_verify_decay_cli(tmp_path):
     assert (tmp_path / "decay_profile.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["verify-decay", "verify-lemma",
-                                     "verify-kernel-bound", "kernel", "invert"])
-def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command):
-    # a cached factor with its diagonal scaled by 1.03: three refinement
-    # sweeps leave the inverse's columns at a residual near 1e-4, which is a
-    # numerical failure, not a certificate read from a wrong inverse
-    import splineproj.cli as cli
-
+def inexact_assembly(factor):
+    """``assemble_gram`` with a cached factor whose diagonal is scaled by
+    ``factor``."""
     def inexact(K):
         G = splineproj.assemble_gram(K)
         fac = G.factor().copy()
-        fac[-1] *= 1.03
+        fac[-1] *= factor
         return splineproj.GramMatrix(G.order, G.bands, fac)
-    monkeypatch.setattr(cli, "assemble_gram", inexact)
+    return inexact
+
+
+FACTORS = {"": 1.03, "-1e-7": 1 + 1e-7}
+
+
+@pytest.mark.parametrize("command, factor", [
+    pytest.param(command, factor, id=command + tag)
+    for command in ["verify-decay", "verify-lemma", "verify-kernel-bound", "kernel", "invert"]
+    for tag, factor in FACTORS.items()])
+def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command, factor):
+    # a cached factor with its diagonal scaled by 1.03 or by 1 + 1e-7: one
+    # pass leaves the inverse with a residual above 1e-9 and nothing is
+    # refined, which is a numerical failure, not a certificate read from a
+    # wrong inverse
+    import splineproj.cli as cli
+
+    monkeypatch.setattr(cli, "assemble_gram", inexact_assembly(factor))
     argv = [command, "--k", "4", "--partition", "random:297:1", "-o", str(tmp_path)]
     assert main(argv) == 3
     assert "numerical failure: inverse residual" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    ["project", "--k", "4", "--partition", "random:297:1", "--function", "sin"],
-    ["converge", "--k", "4", "--function", "sin", "--levels", "8"],
-    ["dominate", "--k", "3", "--function", "sin", "--levels", "6"],
-    ["weak11", "--k", "3", "--function", "step:0.3", "--levels", "6"],
-], ids=lambda argv: argv[0])
-def test_unrefined_solve_is_exit_3(tmp_path, capsys, monkeypatch, argv):
-    # the same inexact factor under the projection's banded solve: three
-    # refinement sweeps leave coefficients with a residual far above
-    # 1e-10 max |b|, a numerical failure, not errors read from a wrong spline
+@pytest.mark.parametrize("argv, factor", [
+    pytest.param(argv, factor, id=argv[0] + tag)
+    for argv in [
+        ["project", "--k", "4", "--partition", "random:297:1", "--function", "sin"],
+        ["converge", "--k", "4", "--function", "sin", "--levels", "8"],
+        ["dominate", "--k", "3", "--function", "sin", "--levels", "6"],
+        ["weak11", "--k", "3", "--function", "step:0.3", "--levels", "6"]]
+    for tag, factor in FACTORS.items()])
+def test_unrefined_solve_is_exit_3(tmp_path, capsys, monkeypatch, argv, factor):
+    # the same inexact factor under the projection's banded solve: one pass
+    # leaves coefficients with a residual above 1e-10 max |b|, a numerical
+    # failure, not errors read from a wrong spline
     import splineproj.cli as cli
     from splineproj import projection
 
-    def inexact(K):
-        G = splineproj.assemble_gram(K)
-        fac = G.factor().copy()
-        fac[-1] *= 1.03
-        return splineproj.GramMatrix(G.order, G.bands, fac)
     for module in (cli, projection):
-        monkeypatch.setattr(module, "assemble_gram", inexact)
+        monkeypatch.setattr(module, "assemble_gram", inexact_assembly(factor))
     assert main(argv + ["-o", str(tmp_path)]) == 3
     assert "numerical failure: solve residual" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

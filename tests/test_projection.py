@@ -185,7 +185,7 @@ def test_moments_match_quadpack_oracle():
         for j in range(K.n):
             e = np.zeros(K.n)
             e[j] = 1.0
-            lo, hi = K.support(j)
+            lo, hi = K.t[j], K.t[j + K.k]
             pts = sorted(set(
                 [float(t) for t in K.t if lo < t < hi]
                 + [m for m in f.markers if lo < m < hi]))

@@ -47,7 +47,8 @@ from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blo
 from splineproj.cli import ExperimentConfig, write_csv
 from splineproj.quadrature import Piece, Pieces, gauss_rule, integrate_adaptive
 from test_analysis import largest_gap
-from test_gram import dense_inverse, reference_gram, serve_inverse, streamed_inverse
+from test_gram import (dense_inverse, inexact_gram, reference_gram, serve_inverse,
+                       streamed_inverse)
 
 PROPS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -969,7 +970,7 @@ def knots_of_dimension(n, k, seed):
        st.sampled_from([0.0, 1e-7, 1e-4, 3e-2]))
 def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
     # n on both sides of the 32-row block; a cached factor with its diagonal
-    # scaled by 1 + eps makes the unrefined row stream fail, and the whole
+    # scaled by 1 + eps makes the row stream fail, and the whole
     # inverse with it
     K = knots_of_dimension(n, k, seed)
     G = assemble_gram(K)
@@ -1009,8 +1010,8 @@ def cycled_knots(n, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 10])
 @pytest.mark.parametrize("n", [31, 32, 33, 65, 257])
 def test_invert_gram_matches_inverse_columns(n, k):
-    # the mirrored row stream against every column solved and refined on
-    # its own, an independent producer of the same inverse
+    # the mirrored row stream against every column solved on its own, an
+    # independent producer of the same inverse
     G = assemble_gram(cycled_knots(n, k))
     A = invert_gram(G)
     X, _ = gram.inverse_columns(G, np.arange(n))
@@ -1297,7 +1298,10 @@ def test_stream_residual_catches_one_wrong_entry(monkeypatch, i, c):
 def test_inverse_rows_on_extreme_meshes(k):
     # nine meshes per order with interval widths log-uniform over twelve
     # decades and random interior multiplicities up to k: every block is
-    # within the residual target, and the rows keep their exact shape
+    # within the residual target, and the rows keep their exact shape.  On
+    # the same meshes one pass of solve_banded, for a normal right-hand side
+    # and a moment-like kappa * |normal| one, and of inverse_columns, on
+    # every column or the first, middle and last 32, is within its target
     for seed in range(9):
         rng = np.random.default_rng(1000 * k + seed)
         m = int(rng.integers(40, 200))
@@ -1314,6 +1318,19 @@ def test_inverse_rows_on_extreme_meshes(k):
         mirrored = band & ~np.triu(band)
         assert not A[~band].any()
         assert np.array_equal(A[mirrored], A.T[mirrored])
+        normal = rng.standard_normal(K.n)
+        for rhs in (normal, K.kappa * np.abs(normal)):
+            c = solve_banded(G, rhs)
+            assert np.abs(G.matvec(c) - rhs).max() <= 1e-10 * np.abs(rhs).max()
+        if K.n <= 96:
+            cols = np.arange(K.n)
+        else:
+            mid = K.n // 2 - 16
+            cols = np.r_[0:32, mid: mid + 32, K.n - 32: K.n]
+        X, residual = gram.inverse_columns(G, cols)
+        R = G.matvec(X)
+        R[cols, np.arange(cols.size)] -= 1.0
+        assert residual == np.abs(R).max() <= gram.RESIDUAL_TARGET
 
 
 # -- the decay profiles, from the row stream or a served inverse -----------
@@ -1445,28 +1462,19 @@ def test_streamed_decay_holds_no_inverse():
     assert peak[0] <= 0.1 * 8 * K.n ** 2
 
 
-@pytest.mark.parametrize("eps, converged", [(1e-7, True), (1e-4, True), (3e-2, False)])
-def test_streamed_decay_refines_each_block(eps, converged):
-    # a cached factor with its diagonal scaled by 1 + eps: the column path
-    # refines its blocks against the true G0 down to a residual of 1e-9
-    # (converged) or raises after three sweeps; the row stream refines
-    # nothing, so its residual of about eps is a numerical failure at every
-    # eps, not a decay report read from a wrong inverse
+@pytest.mark.parametrize("eps", [1e-7, 1e-4, 3e-2])
+def test_inexact_factor_fails_streamed_decay(eps):
+    # a cached factor with its diagonal scaled by 1 + eps: the row stream
+    # and the solved columns each end one pass with a residual above 1e-9,
+    # a numerical failure at every eps, not a decay report or lemma
+    # constants read from a wrong inverse
     K = knots_of_dimension(300, 4, 1)
-    G = assemble_gram(K)
-    fac = G.factor().copy()
-    fac[-1] *= 1 + eps
-    inexact = GramMatrix(K.k, G.bands, fac)
-    with pytest.raises(RefinementFailure, match="inverse residual .* no refinement"):
-        decay_report(inexact, K)
-    with pytest.raises(RefinementFailure, match="inverse residual"):
-        lemma_constants(inexact, K, 0.6)
-    if not converged:
-        with pytest.raises(RefinementFailure, match="after three refinement sweeps"):
-            gram.inverse_columns(inexact, np.arange(K.n))
-        return
-    _, residual = gram.inverse_columns(inexact, np.arange(K.n))
-    assert residual <= gram.RESIDUAL_TARGET
+    inexact = inexact_gram(K, eps)
+    for produce in (lambda: decay_report(inexact, K),
+                    lambda: lemma_constants(inexact, K, 0.6),
+                    lambda: gram.inverse_columns(inexact, np.arange(K.n))):
+        with pytest.raises(RefinementFailure, match="inverse residual .* above 1e-09"):
+            produce()
 
 
 @pytest.mark.parametrize("k, trials", [(1, 7), (4, 1), (4, 65), (6, 33)])
