@@ -65,6 +65,7 @@ from .projection import (
     kernel_values,
     moments,
     project,
+    project_ladder,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .errors import (DegenerateKernel, LengthMismatch, OutOfDomain,
 from .functions import TestFunction
 from .gram import GramMatrix, inverse_rows
 from .knots import KnotSequence
-from .projection import kernel_from_basis, l1_norm, project
+from .projection import kernel_from_basis, l1_norm, project_ladder
 from .quadrature import gauss_points, integrate_adaptive
 
 __all__ = [
@@ -529,8 +529,7 @@ def domination_report(partitions, f: TestFunction, eval_grid: int = 512,
                          "M f = 0 at every evaluation point")
     levels = []
     c_hat = 0.0
-    for K in partitions:
-        pf = project(K, f)
+    for K, pf in zip(partitions, project_ladder(partitions, f)):
         ratios = np.abs(pf(xs[ok])) / mvals[ok]
         level_c = float(ratios.max())
         c_hat = max(c_hat, level_c)
@@ -572,8 +571,8 @@ def weak_type_report(partitions, f: TestFunction, thresholds=None,
     width = (b - a) / eval_grid
     xs = midpoints(a, b, eval_grid)
     pstar = np.zeros(eval_grid)
-    for K in partitions:
-        pstar = np.maximum(pstar, np.abs(project(K, f)(xs)))
+    for pf in project_ladder(partitions, f):
+        pstar = np.maximum(pstar, np.abs(pf(xs)))
     mvals = _maximal_on_points(f, xs, (a, b), maximal_grid)
     if thresholds is None:
         base = max(np.median(pstar), 1e-8)
@@ -618,20 +617,20 @@ def convergence_report(ladder, f: TestFunction, probes,
     meshes = [K.mesh for K in ladder]
     if any(m2 >= m1 for m1, m2 in zip(meshes, meshes[1:])):
         raise ValueError("ladder must have strictly decreasing mesh diameter")
+    pfs = project_ladder(ladder, f)
     first = ladder[0]
-    if any(K.k != first.k for K in ladder):
-        raise ValueError("ladder levels must share one order k")
     a, b = first.a, first.b
     xs = midpoints(a, b, sup_grid)
-    fx = f(xs)
     probes = [float(p) for p in probes]
-    fprobes = f(np.asarray(probes))
+    # the grid, then the probes: one evaluation per level
+    pts = np.concatenate([xs, probes])
+    fx = f(pts)
     omegas = modulus_of_smoothness(f, first.k, meshes, (a, b))
     levels = []
-    for K, omega in zip(ladder, omegas):
-        pf = project(K, f)
-        sup_err = float(np.abs(fx - pf(xs)).max())
-        probe_err = np.abs(fprobes - pf(np.asarray(probes)))
+    for K, pf, omega in zip(ladder, pfs, omegas):
+        err = np.abs(fx - pf(pts))
+        sup_err = float(err[:sup_grid].max())
+        probe_err = err[sup_grid:]
         levels.append({
             "n": K.n,
             "mesh": K.mesh,

@@ -106,9 +106,6 @@ class GramMatrix:
             out[d:] += diag * c[: n - d]
         return out
 
-    def row_sums(self) -> np.ndarray:
-        return self.matvec(np.ones(self.n))
-
     def factor(self) -> np.ndarray:
         """Banded Cholesky factor ``U`` in the layout of ``bands``
         (``G0 = U^T U``), computed once and cached; see ``_cholesky_banded``."""

@@ -22,8 +22,8 @@ from .gram import GramMatrix, assemble_gram, inverse_columns, solve_banded
 from .knots import KnotSequence
 from .quadrature import Pieces, gauss_pair, integrate_adaptive, refine_pieces
 
-__all__ = ["Projection", "moments", "project", "kernel_constant_integral",
-           "kernel_values", "kernel_from_basis", "l1_norm"]
+__all__ = ["Projection", "moments", "project", "project_ladder", "galerkin_residual",
+           "kernel_constant_integral", "kernel_values", "kernel_from_basis", "l1_norm"]
 
 #: Per-moment absolute tolerance when f has no declared singularity.
 DEFAULT_MOMENT_TOL = 1e-11
@@ -42,12 +42,13 @@ class Projection:
 
     ``rhs_error`` is the accumulated quadrature error estimate of the
     moment vector; orthogonality of ``f - Pf`` against the basis holds up
-    to this plus the solver residual.
+    to this plus the residual of solving ``gram``, the Gram matrix of ``knots``.
     """
 
     knots: KnotSequence
     coeffs: np.ndarray
     rhs_error: float
+    gram: GramMatrix
 
     def __call__(self, x):
         return eval_spline_many(self.knots, self.coeffs, x)
@@ -81,18 +82,24 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     return b, float(est)
 
 
-def project(K: KnotSequence, f: TestFunction,
-            gram: GramMatrix | None = None) -> Projection:
+def project(K: KnotSequence, f: TestFunction) -> Projection:
     """Orthogonal projection of ``f`` onto the spline space of ``K``.
 
     Fixes every spline in the space and reproduces polynomials of degree
     below the order exactly (up to quadrature and solve tolerances).
     """
-    if gram is None:
-        gram = assemble_gram(K)
+    gram = assemble_gram(K)
     b, est = moments(K, f)
-    c = solve_banded(gram, b)
-    return Projection(K, c, est)
+    return Projection(K, solve_banded(gram, b), est, gram)
+
+
+def project_ladder(ladder, f: TestFunction) -> list[Projection]:
+    """``project(K, f)`` for every level ``K`` of a mesh-refinement ladder;
+    ``ValueError`` unless all levels share one order and one interval."""
+    k, a, b = ladder[0].k, ladder[0].a, ladder[0].b
+    if any((K.k, K.a, K.b) != (k, a, b) for K in ladder):
+        raise ValueError("ladder levels must share one order k and one interval")
+    return [project(K, f) for K in ladder]
 
 
 def kernel_values(G0: GramMatrix, K: KnotSequence, x, y) -> np.ndarray:
@@ -144,20 +151,16 @@ def kernel_constant_integral(G0: GramMatrix, K: KnotSequence, x) -> np.ndarray:
     return np.sum(w * table, axis=(1, 2))
 
 
-def galerkin_residual(K: KnotSequence, pf: Projection, f: TestFunction,
-                      gram: GramMatrix | None = None) -> np.ndarray:
+def galerkin_residual(pf: Projection, f: TestFunction) -> np.ndarray:
     """Independent check of ``<f - Pf, N_j>`` for all j.
 
-    Recomputes the moments of ``f`` with a different base rule and
-    subtracts the Gram action on the computed coefficients, so the result
-    measures genuine orthogonality failure, not a rerun of the same
-    quadrature.  ``gram`` is the Gram matrix of ``K`` if the caller has it.
+    Recomputes the moments of ``f`` on ``pf.knots`` with a different base
+    rule and subtracts the action of ``pf.gram`` on the coefficients, so the
+    result measures genuine orthogonality failure, not a rerun of the same
+    quadrature.
     """
-    if gram is None:
-        gram = assemble_gram(K)
-    b_check, _ = moments(K, f, tol=default_moment_tol(f) / 2,
-                         base_order=max(K.k, 4) + 7)
-    return b_check - gram.matvec(pf.coeffs)
+    b_check, _ = moments(pf.knots, f, base_order=max(pf.knots.k, 4) + 7)
+    return b_check - pf.gram.matvec(pf.coeffs)
 
 
 def l1_norm(f: TestFunction, a: float, b: float) -> float:

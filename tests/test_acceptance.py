@@ -262,7 +262,7 @@ def test_criterion_07_projection():
         for name in CORPUS:
             f = sp.parse_function(name)
             pf = sp.project(K, f)
-            resid = float(np.abs(galerkin_residual(K, pf, f)).max())
+            resid = float(np.abs(galerkin_residual(pf, f)).max())
             l1, _ = integrate_adaptive(lambda u: np.abs(f(u)), 0, 1,
                                        markers=f.markers, tol=1e-9)
             worst_rel = max(worst_rel, resid / l1)

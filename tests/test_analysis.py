@@ -411,6 +411,23 @@ def test_convergence_requires_one_order():
         convergence_report(ladder, parse_function("x"), probes=[0.3])
 
 
+@pytest.mark.parametrize("report", [
+    lambda parts, f: domination_report(parts, f, eval_grid=64, maximal_grid=256),
+    lambda parts, f: weak_type_report(parts, f, eval_grid=64, maximal_grid=256),
+    lambda parts, f: convergence_report(parts, f, probes=[0.3]),
+], ids=["domination", "weak_type", "convergence"])
+@pytest.mark.parametrize("parts", [
+    dyadic_ladder(2, [3]) + dyadic_ladder(3, [4]),
+    dyadic_ladder(2, [3]) + dyadic_ladder(2, [5], (0.0, 2.0)),
+], ids=["mixed_k", "mixed_interval"])
+def test_ladder_reports_require_one_order_and_interval(report, parts):
+    # each report projects its ladder through project_ladder, which checks
+    # the levels before projecting any; the meshes strictly decrease, so the
+    # convergence report's own mesh check passes
+    with pytest.raises(ValueError, match="one order k and one interval"):
+        report(parts, parse_function("x"))
+
+
 # -- modulus of smoothness ---------------------------------------------------
 
 def test_modulus_annihilates_low_degree():

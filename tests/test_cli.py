@@ -473,6 +473,36 @@ def test_failed_run_leaves_output_directory_as_it_was(tmp_path, monkeypatch, cap
     assert _snapshot(tmp_path) == before
 
 
+def test_project_assembles_one_gram_matrix(tmp_path, monkeypatch):
+    # the projection carries its Gram matrix into the Galerkin check, so a
+    # project run assembles exactly one
+    import splineproj.cli as cli
+    import splineproj.projection as projection
+
+    calls = []
+    assemble = projection.assemble_gram
+
+    def counted(K):
+        calls.append(K.n)
+        return assemble(K)
+    for mod in (cli, projection):
+        monkeypatch.setattr(mod, "assemble_gram", counted)
+    assert main(["project", "--k", "3", "--partition", "random:50:1", "--function", "sin",
+                 "-o", str(tmp_path)]) == 0
+    assert calls == [52]
+
+
+def test_galerkin_check_at_the_singular_moment_tolerance(tmp_path):
+    # the check integrates at the moment tolerance (5e-9 for a singular f);
+    # at half of it the bisection toward 0 stopped at an estimate of 2.8e-9
+    # and the run exited 3
+    assert main(["project", "--k", "3", "--partition", "uniform:4",
+                 "--function", "abspow:0:-0.55", "-o", str(tmp_path)]) == 0
+    with open(tmp_path / "project_report.json") as fh:
+        checks = json.load(fh)["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("galerkin_orthogonality", True)]
+
+
 def test_unwritable_output_is_exit_2(tmp_path, capsys):
     # -o names an existing regular file: no directory can be made there, so
     # the run is bad input with one line, not a traceback, and F keeps its

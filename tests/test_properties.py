@@ -613,7 +613,7 @@ def test_projection_reproduces_polynomials_below_order(K, coeffs, seed):
     f = TestFunction(lambda x: np.polynomial.polynomial.polyval(x, a), name="poly")
     G = assemble_gram(K)
     b, _ = moments(K, f)
-    pf = project(K, f, gram=G)
+    pf = project(K, f)
     residual = np.abs(G.matvec(pf.coeffs) - b).max()
     a_norm = np.abs(dense_inverse(G)).sum(axis=1).max()
     eps = np.finfo(float).eps
