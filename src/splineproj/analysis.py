@@ -519,6 +519,7 @@ def domination_report(partitions, f: TestFunction, eval_grid: int = 512,
     Points where the maximal function vanishes are excluded; that only
     happens when f is zero almost everywhere around them.
     """
+    pfs = project_ladder(partitions, f)
     first = partitions[0]
     a, b = first.a, first.b
     xs = midpoints(a, b, eval_grid)
@@ -529,7 +530,7 @@ def domination_report(partitions, f: TestFunction, eval_grid: int = 512,
                          "M f = 0 at every evaluation point")
     levels = []
     c_hat = 0.0
-    for K, pf in zip(partitions, project_ladder(partitions, f)):
+    for K, pf in zip(partitions, pfs):
         ratios = np.abs(pf(xs[ok])) / mvals[ok]
         level_c = float(ratios.max())
         c_hat = max(c_hat, level_c)
@@ -563,6 +564,7 @@ def weak_type_report(partitions, f: TestFunction, thresholds=None,
                      eval_grid: int = 4096,
                      maximal_grid: int = 4096) -> WeakTypeReport:
     """Level-set measures by midpoint cell counting on the evaluation grid."""
+    pfs = project_ladder(partitions, f)
     first = partitions[0]
     a, b = first.a, first.b
     f_l1 = l1_norm(f, a, b)
@@ -571,7 +573,7 @@ def weak_type_report(partitions, f: TestFunction, thresholds=None,
     width = (b - a) / eval_grid
     xs = midpoints(a, b, eval_grid)
     pstar = np.zeros(eval_grid)
-    for pf in project_ladder(partitions, f):
+    for pf in pfs:
         pstar = np.maximum(pstar, np.abs(pf(xs)))
     mvals = _maximal_on_points(f, xs, (a, b), maximal_grid)
     if thresholds is None:

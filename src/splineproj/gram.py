@@ -18,15 +18,15 @@ the next from block to block.  It uses elementwise arithmetic only, so
 each column of a block is bitwise that column solved on its own.
 
 The inverse is dense by nature, its entries merely decay away from the
-diagonal.  It has two producers.  ``inverse_columns`` solves only the
-columns asked for, which are also rows, the matrix being symmetric.
-``inverse_rows`` streams every row's upper triangle, bottom-up, by block
-back-substitution through the banded factor: each block of rows from the
-k - 1 rows below it, by one small solve against the block's triangle of U
-and one GEMM, in O(n) memory.  Its residual, two more GEMMs per block,
-still covers every entry of ``G0 A - I``.  ``invert_gram`` forms the whole
-inverse from that stream, each block's upper triangle mirrored below it,
-so it is exactly symmetric.
+diagonal.  It is read two ways.  ``solve_banded`` against identity
+columns gives the columns asked for, which are also rows, the matrix being
+symmetric.  ``inverse_rows`` streams every row's upper triangle, bottom-up,
+by block back-substitution through the banded factor: each block of rows
+from the k - 1 rows below it, by one small solve against the block's
+triangle of U and one GEMM, in O(n) memory.  Its residual, two more GEMMs
+per block, still covers every entry of ``G0 A - I``.  ``invert_gram``
+forms the whole inverse from that stream, each block's upper triangle
+mirrored below it, so it is exactly symmetric.
 
 Every solve is one pass through the cached factor and one residual gate,
 ``_gate``, with nothing refined: banded Cholesky is backward stable, so a
@@ -46,10 +46,10 @@ from .errors import LengthMismatch, NotPositiveDefinite, RefinementFailure
 from .knots import KnotSequence
 
 __all__ = ["GramMatrix", "InverseGram", "assemble_gram", "scaled_gram",
-           "solve_banded", "inverse_columns", "inverse_rows", "invert_gram"]
+           "solve_banded", "inverse_rows", "invert_gram"]
 
-#: Largest ``max |G0 A - I|`` an inverse is accepted with, from the solved
-#: columns or from any block of the row stream.
+#: Largest ``max |G0 A - I|`` an inverse is accepted with, from any block
+#: of the row stream.
 RESIDUAL_TARGET = 1e-9
 #: Rows of the inverse that ``inverse_rows`` yields at once, the width of
 #: the tiles of G0 its residual reads, and the most rows of a window of the
@@ -319,24 +319,6 @@ def _substitute(coef: np.ndarray, B: np.ndarray) -> None:
             X[p:, :m] += X[p:, m + j, None] * carried[j]
     B[:head].reshape(count - 1, R, m)[:] = X[p:, :m, :-1].transpose(2, 0, 1)
     B[head:] = X[p: p + last, :m, -1]
-
-
-def inverse_columns(G0: GramMatrix, cols) -> tuple[np.ndarray, float]:
-    """Columns ``cols`` of the inverse as an n x len(cols) array, and their
-    residual ``max |G0 X - I[:, cols]|``, at most ``RESIDUAL_TARGET``.
-
-    Each column is solved against its identity column from the cached
-    banded factor, on its own, so it is bitwise that column of one solve
-    against the whole identity.  A residual above the target raises
-    RefinementFailure.
-    """
-    cols = np.asarray(cols, dtype=np.intp)
-    X = np.zeros((G0.n, cols.size), order="F")
-    X[cols, np.arange(cols.size)] = 1.0
-    X = _cho_solve(G0.factor(), X)
-    R = G0.matvec(X)
-    R[cols, np.arange(cols.size)] -= 1.0
-    return X, _gate(R, RESIDUAL_TARGET, "inverse")
 
 
 def invert_gram(G0: GramMatrix) -> InverseGram:

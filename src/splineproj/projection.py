@@ -18,7 +18,7 @@ import numpy as np
 from .bspline import (eval_basis_many, eval_spline_many, node_blocks,
                       span_gauss_blocks)
 from .functions import TestFunction
-from .gram import GramMatrix, assemble_gram, inverse_columns, solve_banded
+from .gram import GramMatrix, assemble_gram, solve_banded
 from .knots import KnotSequence
 from .quadrature import Pieces, gauss_pair, integrate_adaptive, refine_pieces
 
@@ -95,7 +95,10 @@ def project(K: KnotSequence, f: TestFunction) -> Projection:
 
 def project_ladder(ladder, f: TestFunction) -> list[Projection]:
     """``project(K, f)`` for every level ``K`` of a mesh-refinement ladder;
-    ``ValueError`` unless all levels share one order and one interval."""
+    ``ValueError`` on an empty ladder, or unless all levels share one order
+    and one interval."""
+    if not ladder:
+        raise ValueError("empty ladder: no level to project")
     k, a, b = ladder[0].k, ladder[0].a, ladder[0].b
     if any((K.k, K.a, K.b) != (k, a, b) for K in ladder):
         raise ValueError("ladder levels must share one order k and one interval")
@@ -115,16 +118,16 @@ def kernel_from_basis(G0: GramMatrix, x_basis, y_basis) -> np.ndarray:
     """``kernel_values`` from the ``eval_basis_many`` results of both point
     sets, so a caller that tabulates against the same ``y`` many times
     evaluates its basis once.  Only the inverse rows ``fx .. fx + k - 1``
-    are solved, as columns: the inverse is symmetric.  The contraction has
-    two stages of k passes each: ``R = sum_l N_l(x) a[fx + l]`` over whole
-    rows ``a`` of the inverse, then ``sum_m R[:, fy + m] N_m(y)``, each
-    term a gather of R's columns.
+    are solved, as one ``solve_banded`` against those identity columns: the
+    inverse is symmetric.  The contraction has two stages of k passes each:
+    ``R = sum_l N_l(x) a[fx + l]`` over whole rows ``a`` of the inverse,
+    then ``sum_m R[:, fy + m] N_m(y)``, each term a gather of R's columns.
     """
     fx, bx = x_basis
     fy, by = y_basis
     k = bx.shape[1]
     need = np.unique(fx[:, None] + np.arange(k))
-    X, _ = inverse_columns(G0, need)
+    X = solve_banded(G0, np.equal.outer(np.arange(G0.n), need))
     R = np.zeros((fx.size, G0.n))
     for l in range(k):
         term = X.T[np.searchsorted(need, fx + l)]

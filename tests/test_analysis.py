@@ -359,6 +359,14 @@ def test_weak_type_rejects_bad_thresholds():
                          maximal_grid=128)
 
 
+@pytest.mark.parametrize("report, args", [
+    (convergence_report, ([0.5],)), (domination_report, ()), (weak_type_report, ())])
+def test_reports_reject_an_empty_ladder(report, args):
+    # a ValueError that names the ladder, before anything reads its first level
+    with pytest.raises(ValueError, match="empty ladder"):
+        report([], parse_function("sin"), *args)
+
+
 # -- convergence ------------------------------------------------------------
 
 def test_convergence_linear_exact():

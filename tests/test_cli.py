@@ -160,15 +160,17 @@ FACTORS = {"": 1.03, "-1e-7": 1 + 1e-7}
     for tag, factor in FACTORS.items()])
 def test_unrefined_inverse_is_exit_3(tmp_path, capsys, monkeypatch, command, factor):
     # a cached factor with its diagonal scaled by 1.03 or by 1 + 1e-7: one
-    # pass leaves the inverse with a residual above 1e-9 and nothing is
-    # refined, which is a numerical failure, not a certificate read from a
-    # wrong inverse
+    # pass leaves the inverse with a residual above 1e-9 (its solved
+    # columns above 1e-10) and nothing is refined, which is a numerical
+    # failure, not a certificate read from a wrong inverse
     import splineproj.cli as cli
 
     monkeypatch.setattr(cli, "assemble_gram", inexact_assembly(factor))
     argv = [command, "--k", "4", "--partition", "random:297:1", "-o", str(tmp_path)]
     assert main(argv) == 3
-    assert "numerical failure: inverse residual" in capsys.readouterr().err
+    # kernel reads its inverse rows as solved identity columns
+    what = "solve" if command == "kernel" else "inverse"
+    assert f"numerical failure: {what} residual" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -230,9 +232,9 @@ def test_zero_kernel_is_exit_3(tmp_path, capsys, monkeypatch):
     # the zero floor: a numerical failure, not an input error
     from splineproj import projection
 
-    def zero_columns(G0, cols):
-        return np.zeros((G0.n, len(cols)), order="F"), 0.0
-    monkeypatch.setattr(projection, "inverse_columns", zero_columns)
+    def zero_columns(G0, rhs):
+        return np.zeros(rhs.shape)
+    monkeypatch.setattr(projection, "solve_banded", zero_columns)
     argv = ["verify-kernel-bound", "--k", "3", "--partition", "random:30:1",
             "-o", str(tmp_path)]
     assert main(argv) == 3
@@ -283,6 +285,19 @@ def test_converge_cli(tmp_path):
     rep = json.loads((tmp_path / "converge_report.json").read_text())
     assert len(rep["convergence"]["levels"]) == 6
     assert all(np.isfinite(lv["sup_error"]) for lv in rep["convergence"]["levels"])
+
+
+@pytest.mark.parametrize("expect, status", [("1.5", 0), ("5", 1)])
+def test_converge_expect_order_verdict(tmp_path, expect, status):
+    # p = 2.114 at k = 2 over six dyadic levels: a failed check is exit 1,
+    # and the run still writes its table and report
+    assert main(["converge", "--k", "2", "--function", "sin", "--levels", "6",
+                 "--expect-order", expect, "-o", str(tmp_path)]) == status
+    rep = json.loads((tmp_path / "converge_report.json").read_text())
+    check, = (c for c in rep["checks"] if c["name"] == "observed_order")
+    assert check["passed"] is (status == 0)
+    assert check["detail"] == f"p = 2.114 vs {float(expect)}"
+    assert (tmp_path / "convergence.csv").exists()
 
 
 def strict_json(path):
@@ -514,6 +529,20 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys):
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert F.read_bytes() == b"keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # the rename of a written temporary file fails: one output error line,
+    # and the temporary file is removed, not left beside the outputs
+    import splineproj.cli as cli
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["gram", "--k", "2", "--partition", "uniform:4", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "output error: rename refused\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_handlers_only_compute():

@@ -41,7 +41,7 @@ def reference_gram(K, subdivisions=50, g=10):
 
 def dense_inverse(G):
     """The whole inverse as one banded solve against the identity: bitwise
-    the columns ``inverse_columns`` returns."""
+    the columns ``solve_banded`` returns for any set of identity columns."""
     return gram._cho_solve(G.factor(), np.eye(G.n))
 
 
@@ -58,18 +58,21 @@ def streamed_inverse(G):
 @contextmanager
 def serve_inverse(A):
     """Every consumer of the inverse gets the matrix ``A``, with residual 0,
-    whatever Gram matrix it was given: ``inverse_columns`` serves its
-    columns, ``inverse_rows`` its rows as the stream lays them out (bottom-up
-    blocks of 32, zero left of the k - 1 entries left of the diagonal)."""
-    def columns(G0, cols):
-        return np.asfortranarray(A[:, np.asarray(cols)]), 0.0
+    whatever Gram matrix it was given: the kernel's ``solve_banded``, whose
+    right-hand side must be identity columns, serves those columns of ``A``,
+    ``inverse_rows`` its rows as the stream lays them out (bottom-up blocks
+    of 32, zero left of the k - 1 entries left of the diagonal)."""
+    def columns(G0, rhs):
+        cols = rhs.argmax(axis=0)
+        assert np.array_equal(rhs, np.eye(G0.n)[:, cols])
+        return A[:, cols]
 
     def rows(G0):
         banded = np.triu(A, 1 - G0.order)
         for j in range(32 * ((G0.n - 1) // 32), -1, -32):
             yield j, banded[j: j + 32], 0.0
     with patch.object(analysis, "inverse_rows", rows), \
-            patch.object(projection, "inverse_columns", columns):
+            patch.object(projection, "solve_banded", columns):
         yield
 
 
@@ -209,13 +212,13 @@ def inexact_gram(K, eps):
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 3e-2])
 def test_inexact_factor_fails_every_inverse(eps):
     # a cached factor with its diagonal scaled by 1 + eps makes every block
-    # of the row stream and every solved column inexact: nothing is refined,
-    # so each is a numerical failure rather than an inverse returned
+    # of the row stream and every solved identity column inexact: nothing is
+    # refined, so each is a numerical failure rather than an inverse returned
     inexact = inexact_gram(generate_partition(PartitionSpec("random", 60, seed=4), 3), eps)
     with pytest.raises(RefinementFailure, match=r"inverse residual .* in rows \d+\.\.\d+$"):
         invert_gram(inexact)
-    with pytest.raises(RefinementFailure, match="inverse residual .* above 1e-09$"):
-        gram.inverse_columns(inexact, np.arange(inexact.n))
+    with pytest.raises(RefinementFailure, match="solve residual .* above 1e-10$"):
+        solve_banded(inexact, np.eye(inexact.n))
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 3e-2])

@@ -121,6 +121,11 @@ def test_project_ladder_projects_each_level():
         assert np.array_equal(pf.coeffs, project(K, f).coeffs)
 
 
+def test_project_ladder_rejects_an_empty_ladder():
+    with pytest.raises(ValueError, match="empty ladder"):
+        project_ladder([], parse_function("sin"))
+
+
 def test_galerkin_orthogonality_full_corpus():
     for k in (1, 2, 3):
         K = generate_partition(PartitionSpec("random", 16, seed=k + 10), k)

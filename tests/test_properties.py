@@ -292,8 +292,7 @@ def test_row_scans_solve_each_block_once(scan):
             blocks.append((j, rows.shape[0]))
             yield j, rows, residual
     with patch.object(analysis, "inverse_rows", stream), \
-            patch.object(gram, "inverse_columns", side_effect=AssertionError), \
-            patch.object(projection, "inverse_columns", side_effect=AssertionError):
+            patch.object(projection, "solve_banded", side_effect=AssertionError):
         scan(G, K, 0.6)
     assert K.n % 32
     once = [(j, min(32, K.n - j)) for j in range(0, K.n, 32)][::-1]
@@ -990,7 +989,7 @@ def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
     assert np.array_equal(E, E.T)
     assert A.residual == max(residual for _, _, residual in blocks)
     assert E.flags["C_CONTIGUOUS"]
-    X, _ = gram.inverse_columns(G, np.arange(n))
+    X = solve_banded(G, np.eye(n))
     assert np.abs(E - X).max() <= 1e-13 * np.abs(X).max()
 
 
@@ -1014,7 +1013,7 @@ def test_invert_gram_matches_inverse_columns(n, k):
     # independent producer of the same inverse
     G = assemble_gram(cycled_knots(n, k))
     A = invert_gram(G)
-    X, _ = gram.inverse_columns(G, np.arange(n))
+    X = solve_banded(G, np.eye(n))
     assert A.n == n
     assert np.abs(A.entries - X).max() <= 1e-13 * np.abs(A.entries).max()
 
@@ -1054,9 +1053,10 @@ def test_inverse_blocks_equal_one_solve(k, width):
     rng = np.random.default_rng(width)
     for cols in (rng.permutation(K.n)[:width], np.arange(K.n - 1, -1, -3)[:width],
                  np.sort(rng.choice(K.n, width, replace=False))):
-        X, residual = gram.inverse_columns(G, cols)
-        assert residual <= gram.RESIDUAL_TARGET
-        assert X.shape == (K.n, cols.size) and X.flags["F_CONTIGUOUS"]
+        I = np.eye(K.n)[:, cols]
+        X = solve_banded(G, I)
+        assert np.abs(G.matvec(X) - I).max() <= 1e-10
+        assert X.shape == (K.n, cols.size)
         assert X.tobytes() == whole[:, cols].tobytes()
 
 
@@ -1186,7 +1186,7 @@ def test_inverse_rows_equal_inverse_columns(n, k):
     # a last block narrower than k - 1 (n = 64 + k - 2)
     K = knots_of_dimension(n, k, 10 * n + k)
     G = assemble_gram(K)
-    X, _ = gram.inverse_columns(G, np.arange(n))
+    X = solve_banded(G, np.eye(n))
     blocks = []
     for j, rows, residual in gram.inverse_rows(G):
         assert rows.shape == (min(32, n - j), n)
@@ -1218,7 +1218,7 @@ def test_inverse_rows_block_diagonal(k):
     A = streamed_inverse(G)
     blocks = np.kron(np.eye(12, dtype=bool), np.ones((k, k), bool))
     assert not A[~blocks].any()
-    X, _ = gram.inverse_columns(G, np.arange(K.n))
+    X = solve_banded(G, np.eye(K.n))
     assert np.abs(A - X * blocks).max() <= 1e-12 * np.abs(X).max()
     assert_residuals_match(G, A, [r for _, _, r in gram.inverse_rows(G)])
 
@@ -1294,21 +1294,27 @@ def test_stream_residual_catches_one_wrong_entry(monkeypatch, i, c):
             pass
 
 
+def extreme_knots(rng, k):
+    """40 to 199 intervals of widths log-uniform over twelve decades, with
+    random interior multiplicities up to k."""
+    m = int(rng.integers(40, 200))
+    widths = 10.0 ** rng.uniform(-12.0, 0.0, m)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    return make_knot_sequence(breaks, rng.integers(1, k + 1, m - 1), k)
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_inverse_rows_on_extreme_meshes(k):
     # nine meshes per order with interval widths log-uniform over twelve
     # decades and random interior multiplicities up to k: every block is
     # within the residual target, and the rows keep their exact shape.  On
     # the same meshes one pass of solve_banded, for a normal right-hand side
-    # and a moment-like kappa * |normal| one, and of inverse_columns, on
+    # and a moment-like kappa * |normal| one, and against identity columns,
     # every column or the first, middle and last 32, is within its target
     for seed in range(9):
         rng = np.random.default_rng(1000 * k + seed)
-        m = int(rng.integers(40, 200))
-        widths = 10.0 ** rng.uniform(-12.0, 0.0, m)
-        breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
-        breaks[-1] = 1.0
-        K = make_knot_sequence(breaks, rng.integers(1, k + 1, m - 1), k)
+        K = extreme_knots(rng, k)
         G = assemble_gram(K)
         A = np.zeros((K.n, K.n))
         for j, rows, residual in gram.inverse_rows(G):
@@ -1327,10 +1333,8 @@ def test_inverse_rows_on_extreme_meshes(k):
         else:
             mid = K.n // 2 - 16
             cols = np.r_[0:32, mid: mid + 32, K.n - 32: K.n]
-        X, residual = gram.inverse_columns(G, cols)
-        R = G.matvec(X)
-        R[cols, np.arange(cols.size)] -= 1.0
-        assert residual == np.abs(R).max() <= gram.RESIDUAL_TARGET
+        I = np.eye(K.n)[:, cols]
+        assert np.abs(G.matvec(solve_banded(G, I)) - I).max() <= 1e-10
 
 
 # -- the decay profiles, from the row stream or a served inverse -----------
@@ -1465,15 +1469,17 @@ def test_streamed_decay_holds_no_inverse():
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 3e-2])
 def test_inexact_factor_fails_streamed_decay(eps):
     # a cached factor with its diagonal scaled by 1 + eps: the row stream
-    # and the solved columns each end one pass with a residual above 1e-9,
-    # a numerical failure at every eps, not a decay report or lemma
-    # constants read from a wrong inverse
+    # ends one pass with a residual above 1e-9, and the solved identity
+    # columns above 1e-10, a numerical failure at every eps, not a decay
+    # report or lemma constants read from a wrong inverse
     K = knots_of_dimension(300, 4, 1)
     inexact = inexact_gram(K, eps)
-    for produce in (lambda: decay_report(inexact, K),
-                    lambda: lemma_constants(inexact, K, 0.6),
-                    lambda: gram.inverse_columns(inexact, np.arange(K.n))):
-        with pytest.raises(RefinementFailure, match="inverse residual .* above 1e-09"):
+    for produce, match in ((lambda: decay_report(inexact, K), "inverse residual .* above 1e-09"),
+                           (lambda: lemma_constants(inexact, K, 0.6),
+                            "inverse residual .* above 1e-09"),
+                           (lambda: solve_banded(inexact, np.eye(K.n)),
+                            "solve residual .* above 1e-10")):
+        with pytest.raises(RefinementFailure, match=match):
             produce()
 
 
@@ -1506,7 +1512,8 @@ def reference_invert_payload(A, K):
 
 @pytest.mark.parametrize("n", [39, 502])
 def test_invert_table_and_norms_equal_reference(n):
-    # 502 rows: the norms' row blocks and a last block that is not full
+    # the table bitwise; the norms, each one solve by the sign pattern of
+    # the inverse, within roundoff of the sums over the dense inverse
     K = knots_of_dimension(n, 3, n)
     cfg = ExperimentConfig("invert", k=3, partition="uniform:4")
     with traced_peak() as peak:
@@ -1514,10 +1521,26 @@ def test_invert_table_and_norms_equal_reference(n):
     (_, rows), = tables.values()
     ref_rows, norm_inf, norm_1 = reference_invert_payload(invert_gram(assemble_gram(K)), K)
     assert rows.tobytes() == ref_rows.tobytes()
-    assert (payload["scaled_inverse_norm_inf"], payload["scaled_inverse_norm_1"]) == \
-        (norm_inf, norm_1)
-    # the inverse and the (n^2, 3) table: 32 n^2 bytes, and row blocks
+    assert payload["scaled_inverse_norm_inf"] == pytest.approx(norm_inf, rel=1e-13, abs=0)
+    assert payload["scaled_inverse_norm_1"] == pytest.approx(norm_1, rel=1e-13, abs=0)
+    # the inverse and the (n^2, 3) table: 32 n^2 bytes, and O(n) solves
     assert peak[0] <= 4.5 * 8 * n * n + 2**20
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_inverse_alternates_in_sign_on_extreme_meshes(k):
+    # G0 is totally positive, so its inverse has the checkerboard sign
+    # pattern (-1)^(i+j) a_ij >= 0, which invert's two norms rest on: each
+    # is one solve, within roundoff of the sums over the dense inverse
+    for seed in range(9):
+        K = extreme_knots(np.random.default_rng(1000 * k + seed), k)
+        A = invert_gram(assemble_gram(K))
+        s = (-1.0) ** np.arange(K.n)
+        assert (s[:, None] * A.entries * s).min() >= -1e-14 * np.abs(A.entries).max()
+        payload, _, _ = cli.run_invert(ExperimentConfig("invert", k=k), K)
+        _, norm_inf, norm_1 = reference_invert_payload(A, K)
+        assert payload["scaled_inverse_norm_inf"] == pytest.approx(norm_inf, rel=1e-13, abs=0)
+        assert payload["scaled_inverse_norm_1"] == pytest.approx(norm_1, rel=1e-13, abs=0)
 
 
 def test_kernel_bound_holds_no_pair_table():
