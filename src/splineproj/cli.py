@@ -471,10 +471,13 @@ def run_verify_lemma(cfg, K):
         name, ok, why = _diagonal_check(K)
         checks = [(name, ok, f"{why}; K1 = {rep.k1:.4g}, K2 and K3 vacuous")]
     else:
-        finite = all(v is not None and np.isfinite(v) for v in (rep.k1, rep.k2, rep.k3))
+        # K2 bounds the entries beyond offset k: vacuous when all are zero
+        k2_vacuous = not dec.profile_scaled[K.k + 1:].any()
+        bounded = (rep.k1, rep.k3) if k2_vacuous else (rep.k1, rep.k2, rep.k3)
+        finite = all(v is not None and np.isfinite(v) for v in bounded)
+        k2 = "vacuous" if k2_vacuous else _four_digits(rep.k2)
         checks = [("constants_finite", finite,
-                   f"K1 = {rep.k1:.4g}, K2 = {_four_digits(rep.k2)}, "
-                   f"K3 = {_four_digits(rep.k3)}")]
+                   f"K1 = {rep.k1:.4g}, K2 = {k2}, K3 = {_four_digits(rep.k3)}")]
     return {"constants": rep}, checks, {}
 
 

@@ -4,8 +4,8 @@ The Gram matrix ``g[i, j] = <N_i, N_j>`` is symmetric positive definite
 with bandwidth ``k - 1``.  On every nondegenerate knot interval the
 integrand ``N_i * N_j`` is a polynomial of degree at most ``2k - 2``, so a
 k-point Gauss rule per interval assembles each entry exactly up to
-roundoff.  Storage is the LAPACK upper symmetric-banded layout, and the
-Cholesky factor ``G0 = U^T U`` is kept in the same layout.
+roundoff.  It is stored by rows of its upper band, ``band[i, d] = G0[i,
+i + d]``, and the Cholesky factor ``G0 = U^T U`` is kept in the same layout.
 
 The factor and the solves are numpy only.  ``GramMatrix.factor`` is a
 blocked banded Cholesky: one ``np.linalg.cholesky`` per window of at most
@@ -62,61 +62,55 @@ _WINDOWS = 64
 
 @dataclass(eq=False)
 class GramMatrix:
-    """Symmetric banded matrix in LAPACK upper form.
+    """Symmetric banded matrix by rows of its upper band: ``band[i, d]``
+    holds the entry ``(i, i + d)`` for ``d = 0 .. k-1``, zero past the last
+    column."""
 
-    ``bands[k-1-d, j]`` holds the entry ``(j - d, j)`` for offsets
-    ``d = 0 .. k-1``; row ``k-1`` is the main diagonal.
-    """
-
-    order: int
-    bands: np.ndarray
+    band: np.ndarray
     _factor: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.bands.shape[1]
+        return self.band.shape[0]
+
+    @property
+    def order(self) -> int:
+        return self.band.shape[1]
 
     def entry(self, i, j):
         """Entry ``(i, j)``; ``i`` and ``j`` may be index arrays."""
-        hi = np.maximum(i, j)
-        d = hi - np.minimum(i, j)
+        lo = np.minimum(i, j)
+        d = np.maximum(i, j) - lo
         inside = d < self.order
-        vals = self.bands[self.order - 1 - np.where(inside, d, 0), hi]
+        vals = self.band[lo, np.where(inside, d, 0)]
         return np.where(inside, vals, 0.0)[()]
 
     def to_dense(self) -> np.ndarray:
-        n, k = self.n, self.order
-        dense = np.zeros((n, n))
-        for d in range(k):
-            diag = self.bands[k - 1 - d, d:]
-            idx = np.arange(n - d)
-            dense[idx, idx + d] = diag
-            dense[idx + d, idx] = diag
-        return dense
+        return self.entry(*np.indices((self.n, self.n)))
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
         """``G c`` for a vector or, column by column, an ``(n, m)`` block."""
         c = np.asarray(c, dtype=float)
         n, k = self.n, self.order
-        bands = self.bands.reshape(self.bands.shape + (1,) * (c.ndim - 1))
-        out = bands[k - 1] * c
+        band = self.band.reshape(self.band.shape + (1,) * (c.ndim - 1))
+        out = band[:, 0] * c
         for d in range(1, k):
-            diag = bands[k - 1 - d, d:]
+            diag = band[: n - d, d]
             out[: n - d] += diag * c[d:]
             out[d:] += diag * c[: n - d]
         return out
 
     def factor(self) -> np.ndarray:
-        """Banded Cholesky factor ``U`` in the layout of ``bands``
+        """Banded Cholesky factor ``U`` in the layout of ``band``
         (``G0 = U^T U``), computed once and cached; see ``_cholesky_banded``."""
         if self._factor is None:
-            self._factor = _cholesky_banded(self.bands)
+            self._factor = _cholesky_banded(self.band)
         return self._factor
 
 
-def _cholesky_banded(bands: np.ndarray) -> np.ndarray:
-    """``U`` with ``G0 = U^T U`` for the matrix ``bands`` holds, in the same
-    LAPACK upper layout, zero in the unused corner.
+def _cholesky_banded(band: np.ndarray) -> np.ndarray:
+    """``U`` with ``G0 = U^T U`` for the matrix ``band`` holds, in the same
+    layout: ``U_i,i+d`` at ``[i, d]``, zero past the last column.
 
     Block by block of at most ``_ROWS`` rows, R each: window b is the dense
     matrix of rows and columns ``Rb .. Rb + R - 1 + p`` (``p = k - 1``; the
@@ -129,19 +123,18 @@ def _cholesky_banded(bands: np.ndarray) -> np.ndarray:
     since LAPACK's Cholesky takes it through, and it reaches the residual
     gates.
     """
-    k, n = bands.shape
+    n, k = band.shape
     p = k - 1
     # as few windows as with _ROWS rows each, and as even; at least p rows,
     # so that the coupling C lies within the window before
     count = -(-n // max(_ROWS, p))
     rows = max(-(-n // count), p)
     w = rows + p
-    # g[i, d] = G_i,i+d, and the identity past the matrix
+    # the band, and the identity past the matrix
     g = np.zeros((rows * count + p, k))
     g[n:, 0] = 1.0
-    for d in range(k):
-        g[: n - d, d] = bands[p - d, d:]
-    urow = np.empty((rows * count, k))  # urow[i, d] = U_i,i+d
+    g[:n] = band
+    urow = np.empty((rows * count, k))
     r = np.arange(w)
     corner = np.zeros((p, p))
     for b0 in range(0, count, _WINDOWS):
@@ -164,9 +157,9 @@ def _cholesky_banded(bands: np.ndarray) -> np.ndarray:
             corner = coupling @ coupling.T
         for d in range(k):
             urow[rows * b0: rows * b1, d] = L[:, r[d: rows + d], r[:rows]].ravel()
-    fac = np.zeros((k, n))
-    for d in range(k):
-        fac[p - d, d:] = urow[: n - d, d]
+    fac = urow[:n]
+    for d in range(1, k):
+        fac[n - d:, d] = 0.0  # past the last column
     return fac
 
 
@@ -193,15 +186,15 @@ def assemble_gram(K: KnotSequence) -> GramMatrix:
     k, n = K.k, K.n
     _, w, blocks = span_gauss_blocks(K)
     local = np.matmul((blocks * w[:, :, None]).transpose(0, 2, 1), blocks)
-    # add each span's upper triangle into the bands by slices (the spans are
-    # distinct, so no slice repeats a column): q runs down, so every band
+    # add each span's upper triangle into the band by slices (the spans are
+    # distinct, so no slice repeats a row): q runs down, so every band
     # entry takes its spans in ascending order, the order of a plain loop
     first = K.spans - (k - 1)
-    bands = np.zeros((k, n))
+    band = np.zeros((n, k))
     for q in range(k - 1, -1, -1):
         for p in range(q + 1):
-            bands[k - 1 - (q - p), first + q] += local[:, p, q]
-    return GramMatrix(k, bands)
+            band[first + p, q - p] += local[:, p, q]
+    return GramMatrix(band)
 
 
 def scaled_gram(G0: GramMatrix, K: KnotSequence) -> np.ndarray:
@@ -248,16 +241,15 @@ def _cho_solve(fac: np.ndarray, B: np.ndarray) -> np.ndarray:
     layout, from the band factor ``fac`` of ``G0 = U^T U``: ``U^T y = B``,
     then ``U x = y`` as a lower triangular system in reversed row order.
     Returns ``B``.  Every column is bitwise the same as when solved alone."""
-    k, n = fac.shape
-    p = k - 1
+    n, k = fac.shape
     B2 = B.reshape(n, -1) if B.ndim == 1 else B
-    # row i of U^T reads U_i-d,i = fac[p - d, i] for d = 0 .. p
-    _substitute(fac[::-1], B2)
-    # row n - 1 - i of U, reversed, reads U_i,i+d = fac[p - d, i + d]
-    back = np.zeros((k, n))
+    # row i of U^T reads U_i-d,i = fac[i - d, d] for d = 0 .. k - 1
+    forward = np.zeros((k, n))
     for d in range(k):
-        back[d, : n - d] = fac[p - d, d:]
-    _substitute(back[:, ::-1], B2[::-1])
+        forward[d, d:] = fac[: n - d, d]
+    _substitute(forward, B2)
+    # row n - 1 - i of U, reversed, reads U_i,i+d = fac[i, d]
+    _substitute(fac.T[:, ::-1], B2[::-1])
     return B
 
 
@@ -377,11 +369,7 @@ def inverse_rows(G0: GramMatrix):
     residual above ``RESIDUAL_TARGET`` (or NaN) raises RefinementFailure.
     """
     n, p = G0.n, G0.order - 1
-    fac = G0.factor()
-    # urow[i, d] = U_i,i+d, zero past the last column
-    urow = np.zeros((n, p + 1))
-    for d in range(p + 1):
-        urow[: n - d, d] = fac[p - d, d:]
+    urow = G0.factor()
     tiles = _gram_tiles(G0)
     # buffer row s is row base + s of A, column c of A is column c + p; the
     # rows and columns outside the matrix stay zero, and the columns run on
@@ -453,7 +441,7 @@ def _gram_tiles(G0: GramMatrix) -> np.ndarray:
     # diag[p + q, c] = G_c+q,c, zero outside the matrix
     diag = np.zeros((2 * p + 1, _ROWS * count))
     for q in range(p + 1):
-        diag[p + q, : n - q] = diag[p - q, q: n] = G0.bands[p - q, q:]
+        diag[p + q, : n - q] = diag[p - q, q: n] = G0.band[: n - q, q]
     tiles = np.zeros((count, _ROWS + 2 * p, _ROWS))
     c = np.arange(_ROWS)
     for q in range(2 * p + 1):

@@ -148,6 +148,26 @@ def test_kernel_bound_corner_decay():
     assert val <= rep.c_hat * rep.theta_hat ** abs(sx - sy) / hull
 
 
+def test_kernel_bound_fallback_theta_grid(monkeypatch):
+    # a fitted rate above the last point 0.95 of the 0.05 grid leaves no
+    # theta in it: the report falls back to four points from halfway
+    # between gamma and 1 up to 0.99
+    import dataclasses
+
+    import splineproj.analysis as analysis
+
+    real = analysis.decay_report
+    monkeypatch.setattr(analysis, "decay_report",
+                        lambda G0, K: dataclasses.replace(real(G0, K), gamma=0.97))
+    G0, K = gram_for(PartitionSpec("random", 60, seed=3), 3)
+    rep = kernel_bound_report(G0, K, samples_per_cell=3)
+    assert rep.gamma == 0.97
+    assert np.array_equal(rep.theta_grid, np.linspace(0.985, 0.99, 4))
+    assert np.all(np.isfinite(rep.c_of_theta))
+    assert np.all(np.diff(rep.c_of_theta) <= 0)
+    assert rep.theta_hat in rep.theta_grid
+
+
 def test_kernel_bound_rejects_single_sample():
     G0, K = gram_for(PartitionSpec("uniform", 8), 2)
     with pytest.raises(ValueError):

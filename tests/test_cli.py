@@ -146,8 +146,8 @@ def inexact_assembly(factor):
     def inexact(K):
         G = splineproj.assemble_gram(K)
         fac = G.factor().copy()
-        fac[-1] *= factor
-        return splineproj.GramMatrix(G.order, G.bands, fac)
+        fac[:, 0] *= factor
+        return splineproj.GramMatrix(G.band, fac)
     return inexact
 
 
@@ -217,7 +217,7 @@ def test_nan_in_banded_solve_is_exit_3(tmp_path, capsys, monkeypatch, command):
     else:
         def nan_entry(K):
             G = splineproj.assemble_gram(K)
-            G.bands[-2, K.n // 2] = np.nan
+            G.band[K.n // 2 - 1, 1] = np.nan
             return G
         monkeypatch.setattr(cli, "assemble_gram", nan_entry)
     assert main(argv) == 3
@@ -275,6 +275,25 @@ def test_decay_and_lemma_details(tmp_path):
     c = rep["constants"]
     assert rep["checks"][0]["detail"] == \
         f"K1 = {c['k1']:.4g}, K2 = {c['k2']:.4g}, K3 = {c['k3']:.4g}"
+
+
+@pytest.mark.parametrize("intervals, k", [(12, 2), (30, 2), (12, 3)])
+def test_lemma_with_vacuous_k2_passes(tmp_path, intervals, k):
+    # uniform intervals, every interior knot of multiplicity k but the
+    # middle one: the inverse is zero beyond offset k, so K2 bounds nothing
+    # and constants_finite reads K1 and K3 alone
+    mults = [k] * (intervals - 1)
+    mults[(intervals - 1) // 2] = 1
+    K = splineproj.make_knot_sequence(np.linspace(0, 1, intervals + 1), mults, k)
+    partition = tmp_path / "knots.txt"
+    partition.write_text(K.to_text())
+    assert main(["verify-lemma", "--k", str(k), "--partition", str(partition),
+                 "-o", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "verify_lemma_report.json").read_text())
+    c = rep["constants"]
+    assert c["k2"] is None
+    assert rep["checks"][0]["detail"] == \
+        f"K1 = {c['k1']:.4g}, K2 = vacuous, K3 = {c['k3']:.4g}"
 
 
 def test_converge_cli(tmp_path):
@@ -713,7 +732,7 @@ def test_gram_row_sums_within_roundoff(tmp_path, monkeypatch, scale, status):
 
     def perturbed(K):
         G = assemble(K)
-        G.bands[-1, K.n // 2] *= scale
+        G.band[K.n // 2, 0] *= scale
         return G
 
     monkeypatch.setattr(cli, "assemble_gram", perturbed)
@@ -884,6 +903,37 @@ def test_config_values_checked_before_writing(tmp_path, capsys, doc, field):
     assert main([doc["command"], "--config", str(cfgfile)]) == 2
     assert f"config field {field!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["converge", "--k", "2", "--function", "sin", "--min-level", "2"], None, "levels"),
+    (["gram", "--k", "3", "--partition", "KNOTS"], None, "partition"),
+    (["gram", "--k", "2", "--partition", "uniform:abc"], None, "partition"),
+    (["converge", "--k", "2", "--function", "sin", "--levels", "15"], None, "levels"),
+    (["gram", "--k", "2"], None, "partition"),
+    (["maximal"], None, "function"),
+    (None, dict(command="gram", partition="uniform:8", schema=2), "schema"),
+    (None, dict(command="gram", partition="uniform:8", seed=1.5), "seed"),
+    (None, dict(command="gram", partition=5), "partition"),
+    (None, dict(command="gram", partition="uniform:8", options=[]), "options"),
+], ids=["min-level-alone", "knot-file-order", "bad-count", "level-cap",
+        "no-partition", "no-function", "schema", "float-seed", "int-partition",
+        "list-options"])
+def test_input_is_validated_before_writing(tmp_path, capsys, argv, doc, field):
+    # flags and config fields that violate a constraint are bad input: exit
+    # 2 with nothing written; the knot file is of order 2
+    out = tmp_path / "out"
+    knots = tmp_path / "knots.txt"
+    knots.write_text(splineproj.make_knot_sequence([0, 0.5, 1], [1], 2).to_text())
+    if doc is not None:
+        cfgfile = tmp_path / "exp.json"
+        cfgfile.write_text(json.dumps({**doc, "output_dir": str(out)}))
+        argv = [doc["command"], "--config", str(cfgfile)]
+    else:
+        argv = [str(knots) if a == "KNOTS" else a for a in argv] + ["-o", str(out)]
+    assert main(argv) == 2
+    assert f"input error: config field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

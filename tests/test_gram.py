@@ -175,15 +175,15 @@ def test_solve_rejects_bad_rhs_length():
 
 
 def test_not_positive_definite_detected():
-    bands = np.array([[0.6, 0.6], [1.0, -1.0]])  # indefinite by construction
-    G = GramMatrix(2, bands)
+    band = np.array([[1.0, 0.6], [-1.0, 0.0]])  # indefinite by construction
+    G = GramMatrix(band)
     with pytest.raises(NotPositiveDefinite):
         G.factor()
 
 
 def test_corrupted_inverse_fails_loudly(monkeypatch):
     # every block of the row stream comes back with one entry of its first
-    # row scaled by 1.5: the block residual against the true bands shows
+    # row scaled by 1.5: the block residual against the true band shows
     # it, and the inverse is refused rather than returned
     import splineproj.gram as gram_mod
 
@@ -205,8 +205,8 @@ def inexact_gram(K, eps):
     by ``1 + eps``."""
     G = assemble_gram(K)
     fac = G.factor().copy()
-    fac[-1] *= 1 + eps
-    return GramMatrix(G.order, G.bands, fac)
+    fac[:, 0] *= 1 + eps
+    return GramMatrix(G.band, fac)
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 3e-2])

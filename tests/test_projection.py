@@ -108,7 +108,7 @@ def test_projection_carries_the_gram_matrix_it_solves():
     for name in ("sin", "step:0.5", "abspow:0:-0.5"):
         f = parse_function(name)
         pf = project(K, f)
-        assert np.array_equal(pf.gram.bands, assemble_gram(K).bands)
+        assert np.array_equal(pf.gram.band, assemble_gram(K).band)
         assert np.array_equal(solve_banded(pf.gram, moments(K, f)[0]), pf.coeffs)
 
 

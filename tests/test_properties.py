@@ -974,8 +974,8 @@ def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
     K = knots_of_dimension(n, k, seed)
     G = assemble_gram(K)
     fac = G.factor().copy()
-    fac[-1] *= 1 + eps
-    inexact = GramMatrix(k, G.bands, fac)
+    fac[:, 0] *= 1 + eps
+    inexact = GramMatrix(G.band, fac)
     if eps > 0:
         with pytest.raises(RefinementFailure, match="inverse residual"):
             invert_gram(inexact)
@@ -1064,11 +1064,21 @@ def test_inverse_blocks_equal_one_solve(k, width):
 
 def dense_factor(fac):
     """The n x n upper triangle ``U`` the band factor ``fac`` holds."""
-    k, n = fac.shape
+    n, k = fac.shape
     U = np.zeros((n, n))
     for d in range(k):
-        U[np.arange(n - d), np.arange(d, n)] = fac[k - 1 - d, d:]
+        U[np.arange(n - d), np.arange(d, n)] = fac[: n - d, d]
     return U
+
+
+def lapack_band(band):
+    """``band`` in LAPACK's upper band layout, ``[k-1-d, j] = (j-d, j)``,
+    the layout scipy's banded Cholesky and solves read."""
+    n, k = band.shape
+    out = np.zeros((k, n))
+    for d in range(k):
+        out[k - 1 - d, d:] = band[: n - d, d]
+    return out
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1093,15 +1103,15 @@ def test_banded_cholesky_and_solves_match_scipy(k, n, seed):
     K = knots_of_dimension(n, k, seed)
     G = assemble_gram(K)
     fac = G.factor()
-    ref = cholesky_banded(G.bands, lower=False)
-    assert fac.shape == ref.shape == G.bands.shape
-    assert not fac[np.add.outer(np.arange(k), np.arange(n)) < k - 1].any()  # unused
+    ref = cholesky_banded(lapack_band(G.band), lower=False)
+    assert fac.shape == G.band.shape == ref.shape[::-1]
+    assert not fac[np.add.outer(np.arange(n), np.arange(k)) >= n].any()  # unused
     dense = G.to_dense()
     scale = np.sqrt(np.outer(np.diag(dense), np.diag(dense)))
     U = dense_factor(fac)
     assert (np.abs(U.T @ U - dense) / scale).max() <= 1e-14
     cond = np.linalg.cond(dense)
-    assert np.abs(fac - ref).max() <= 1e-14 * cond * np.abs(ref).max()
+    assert np.abs(lapack_band(fac) - ref).max() <= 1e-14 * cond * np.abs(ref).max()
     B = np.random.default_rng(seed).standard_normal((n, 4))
     X = gram._cho_solve(fac, B.copy())
     expected = cho_solve_banded((ref, False), B)
@@ -1117,16 +1127,16 @@ def test_factor_breakdown_names_its_window():
     # matrix: four windows of 25 rows (and 2 more below each), of which the
     # third, rows 50..76, is not positive definite
     G = assemble_gram(knots_of_dimension(100, 3, 0))
-    G.bands[-1, 70] = -1.0
+    G.band[70, 0] = -1.0
     with pytest.raises(NotPositiveDefinite, match=r"rows 50\.\.76: "):
         G.factor()
 
 
 def test_nan_gram_entry_reaches_the_residual_gate():
-    # a NaN in the bands is not a breakdown: the factor takes it through, and
+    # a NaN in the band is not a breakdown: the factor takes it through, and
     # the solve's residual gate reports a NaN residual
     G = assemble_gram(knots_of_dimension(100, 4, 1))
-    G.bands[-2, 40] = np.nan
+    G.band[39, 1] = np.nan
     assert np.isnan(G.factor()).any()
     with pytest.raises(RefinementFailure, match="solve residual nan above "):
         solve_banded(G, np.ones(G.n))
@@ -1236,7 +1246,7 @@ def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
                                          interior_multiplicity=multiplicity), k)
     G = assemble_gram(K)
     if nan_at is not None:
-        G.bands[-2, nan_at] = np.nan
+        G.band[nan_at - 1, 1] = np.nan
 
     def stream():
         out = []
@@ -1750,15 +1760,15 @@ def graded_knot_sequences(draw):
 
 
 def add_at_bands(K, local):
-    """The span blocks ``local`` added into the bands by one ``np.add.at``
+    """The span blocks ``local`` added into the band by one ``np.add.at``
     over every span's upper triangle, span by span in (p, q) order."""
     k = K.k
     p, q = np.triu_indices(k)
-    cols = (K.spans - (k - 1))[:, None] + q[None, :]
-    rows = np.broadcast_to(k - 1 - (q - p), cols.shape)
-    bands = np.zeros((k, K.n))
-    np.add.at(bands, (rows.ravel(), cols.ravel()), local[:, p, q].ravel())
-    return bands
+    rows = (K.spans - (k - 1))[:, None] + p[None, :]
+    cols = np.broadcast_to(q - p, rows.shape)
+    band = np.zeros((K.n, k))
+    np.add.at(band, (rows.ravel(), cols.ravel()), local[:, p, q].ravel())
+    return band
 
 
 @settings(parent=PROPS, max_examples=160)
@@ -1767,11 +1777,11 @@ def test_gram_slice_adds_equal_add_at(K):
     # the band accumulation is bitwise np.add.at's on the same span blocks,
     # and within 4 ulps of max |entry| of the three-operand einsum form
     _, w, blocks = span_gauss_blocks(K)
-    bands = assemble_gram(K).bands
+    band = assemble_gram(K).band
     local = np.matmul((blocks * w[:, :, None]).transpose(0, 2, 1), blocks)
-    assert bands.tobytes() == add_at_bands(K, local).tobytes()
+    assert band.tobytes() == add_at_bands(K, local).tobytes()
     einsum = add_at_bands(K, np.einsum("sg,sgp,sgq->spq", w, blocks, blocks))
-    assert np.abs(bands - einsum).max() <= 4 * np.spacing(np.abs(einsum).max())
+    assert np.abs(band - einsum).max() <= 4 * np.spacing(np.abs(einsum).max())
 
 
 def reference_left_averages(x, y):
