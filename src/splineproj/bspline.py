@@ -25,15 +25,18 @@ __all__ = ["eval_basis_many", "eval_spline_many", "node_blocks",
            "span_gauss_blocks"]
 
 
-def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Basis blocks at points whose containing span is already known.
+def _blocks_at_spans(t: np.ndarray, k: int, x: np.ndarray,
+                     spans: np.ndarray) -> np.ndarray:
+    """Basis blocks of order ``k`` on knots ``t`` at points whose containing
+    span is already known.
 
     Returns a C-ordered ``(m, k)`` array; row ``p`` holds functions
-    ``spans[p]-k+1 .. spans[p]`` at ``x[p]``.  The recurrence runs on
+    ``spans[p]-k+1 .. spans[p]`` at ``x[p]``.  Only knots ``spans[p]-k+2 ..
+    spans[p]+k-1`` are read, so ``t`` may be several knot vectors end to
+    end, each span offset by the start of its own.  The recurrence runs on
     contiguous rows of ``(k, m)`` arrays, written in place by ``out=``, and
     the result is transposed once at the end.
     """
-    t, k = K.t, K.k
     m = x.shape[0]
     vals = np.zeros((k, m))
     vals[0] = 1.0
@@ -56,12 +59,13 @@ def _blocks_at_spans(K: KnotSequence, x: np.ndarray, spans: np.ndarray) -> np.nd
     return np.ascontiguousarray(vals.T)
 
 
-def node_blocks(K: KnotSequence, x: np.ndarray, spans) -> np.ndarray:
-    """Basis blocks at a ``(P, g)`` array of nodes, row ``p`` inside span
-    ``spans[p]``: shape ``(P, g, k)``, ``[p, q]`` holding functions
-    ``spans[p]-k+1 .. spans[p]`` at ``x[p, q]``."""
-    blocks = _blocks_at_spans(K, x.ravel(), np.repeat(spans, x.shape[1]))
-    return blocks.reshape(x.shape + (K.k,))
+def node_blocks(t: np.ndarray, k: int, x: np.ndarray, spans) -> np.ndarray:
+    """Basis blocks of order ``k`` on knots ``t`` (see ``_blocks_at_spans``)
+    at a ``(P, g)`` array of nodes, row ``p`` inside span ``spans[p]``:
+    shape ``(P, g, k)``, ``[p, q]`` holding functions ``spans[p]-k+1 ..
+    spans[p]`` at ``x[p, q]``."""
+    blocks = _blocks_at_spans(t, k, x.ravel(), np.repeat(spans, x.shape[1]))
+    return blocks.reshape(x.shape + (k,))
 
 
 def span_gauss_blocks(K: KnotSequence):
@@ -72,7 +76,7 @@ def span_gauss_blocks(K: KnotSequence):
     """
     spans, t = K.spans, K.t
     x, w = gauss_points(t[spans], t[spans + 1], K.k)
-    return x, w, node_blocks(K, x, spans)
+    return x, w, node_blocks(t, K.k, x, spans)
 
 
 def eval_basis_many(K: KnotSequence, x) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +84,7 @@ def eval_basis_many(K: KnotSequence, x) -> tuple[np.ndarray, np.ndarray]:
     ``(m,)`` and ``(m, k)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     spans = K.span_indices(x)
-    return spans - (K.k - 1), _blocks_at_spans(K, x, spans)
+    return spans - (K.k - 1), _blocks_at_spans(K.t, K.k, x, spans)
 
 
 def eval_spline_many(K: KnotSequence, c, x) -> np.ndarray:

@@ -437,6 +437,9 @@ def run_verify_decay(cfg, K):
     rows = np.column_stack([rep.offsets, rep.profile_scaled, rep.profile_b])
     if rep.diagonal:
         checks = [_diagonal_check(K)]
+    elif not rep.profile_scaled[K.k + 1:].any():
+        checks = [("decay_vacuous", True,
+                   f"all entries beyond offset k = {K.k} are zero: no rate to fit")]
     elif not rep.fitted:
         why = (f"too small for a fit: n = {K.n} < 3k" if K.n < 3 * K.k
                else "fewer than 3 nonzero profile values at offsets >= k"

@@ -20,7 +20,8 @@ from .bspline import (eval_basis_many, eval_spline_many, node_blocks,
 from .functions import TestFunction
 from .gram import GramMatrix, assemble_gram, solve_banded
 from .knots import KnotSequence
-from .quadrature import Pieces, gauss_pair, integrate_adaptive, refine_pieces
+from .quadrature import (Pieces, gauss_pair, integrate_adaptive, refine_many,
+                         refine_pieces)
 
 __all__ = ["Projection", "moments", "project", "project_ladder", "galerkin_residual",
            "kernel_constant_integral", "kernel_values", "kernel_from_basis", "l1_norm"]
@@ -54,6 +55,25 @@ class Projection:
         return eval_spline_many(self.knots, self.coeffs, x)
 
 
+def _moment_pieces(K: KnotSequence, f: TestFunction, base_order: int,
+                   offset: int = 0) -> Pieces:
+    """The initial pieces of ``K``'s moments: ``[a, b]`` cut at every break
+    and declared marker, each piece's payload its span plus ``offset``, the
+    start of ``K.t`` in the knot vector its basis blocks are read from."""
+    cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
+    return Pieces(cuts[:-1], cuts[1:], order=base_order,
+                  payload=K.span_indices(cuts[:-1]) + offset)
+
+
+def _moment_vector(K: KnotSequence, done: Pieces, offset: int = 0) -> np.ndarray:
+    """``b`` summed from the refined pieces of ``_moment_pieces(K, ...)``."""
+    # np.add.at adds in piece order, as a loop over the pieces would
+    first = done.payload - (offset + K.k - 1)
+    b = np.zeros(K.n)
+    np.add.at(b, first[:, None] + np.arange(K.k), done.value)
+    return b
+
+
 def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
             base_order: int | None = None) -> tuple[np.ndarray, float]:
     """Moment vector ``b_j = <f, N_j>`` and its quadrature error estimate.
@@ -69,17 +89,10 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
         tol = default_moment_tol(f)
     if base_order is None:
         base_order = max(K.k, 4) + 4
-
-    cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
-    pieces = Pieces(cuts[:-1], cuts[1:], order=base_order,
-                    payload=K.span_indices(cuts[:-1]))
     done, est = refine_pieces(
-        pieces, gauss_pair(f, basis=lambda x, s: node_blocks(K, x, s)), tol)
-    # np.add.at adds in piece order, as a loop over the pieces would
-    first = done.payload - (K.k - 1)
-    b = np.zeros(K.n)
-    np.add.at(b, first[:, None] + np.arange(K.k), done.value)
-    return b, float(est)
+        _moment_pieces(K, f, base_order),
+        gauss_pair(f, basis=lambda x, s: node_blocks(K.t, K.k, x, s)), tol)
+    return _moment_vector(K, done), float(est)
 
 
 def project(K: KnotSequence, f: TestFunction) -> Projection:
@@ -96,13 +109,29 @@ def project(K: KnotSequence, f: TestFunction) -> Projection:
 def project_ladder(ladder, f: TestFunction) -> list[Projection]:
     """``project(K, f)`` for every level ``K`` of a mesh-refinement ladder;
     ``ValueError`` on an empty ladder, or unless all levels share one order
-    and one interval."""
+    and one interval.
+
+    The levels' moments are refined in lockstep by one
+    ``quadrature.refine_many`` call, which measures every level's pending
+    pieces together, the basis blocks read from the levels' knot vectors
+    end to end.  Each level takes the pieces ``moments`` would take, so the
+    projections are bitwise ``project``'s.  When several levels fail, the
+    error raised may name another level than ``project`` level by level.
+    """
     if not ladder:
         raise ValueError("empty ladder: no level to project")
     k, a, b = ladder[0].k, ladder[0].a, ladder[0].b
     if any((K.k, K.a, K.b) != (k, a, b) for K in ladder):
         raise ValueError("ladder levels must share one order k and one interval")
-    return [project(K, f) for K in ladder]
+    grams = [assemble_gram(K) for K in ladder]
+    offsets = np.cumsum([0] + [len(K.t) for K in ladder[:-1]]).tolist()
+    t = np.concatenate([K.t for K in ladder])
+    tol, base_order = default_moment_tol(f), max(k, 4) + 4
+    refined = refine_many(
+        [(_moment_pieces(K, f, base_order, o), tol) for K, o in zip(ladder, offsets)],
+        gauss_pair(f, basis=lambda x, s: node_blocks(t, k, x, s)))
+    return [Projection(K, solve_banded(gram, _moment_vector(K, done, o)), float(est), gram)
+            for K, gram, o, (done, est) in zip(ladder, grams, offsets, refined)]
 
 
 def kernel_values(G0: GramMatrix, K: KnotSequence, x, y) -> np.ndarray:

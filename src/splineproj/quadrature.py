@@ -6,10 +6,12 @@ measured by ``gauss_pair`` for every caller; their difference is the
 piece's error estimate.  The work list refines the worst piece first: by
 bisection until a fixed depth, then by doubling the rule order up to a cap.
 Only the pieces it refines become Python objects (``Piece``); when the
-first measurement already meets the tolerance, none do.  Bisection grades
-dyadically into endpoint singularities, which keeps the scheme generic (no
-singularity-specific rules); the final error estimate is returned so callers
-can verify the achieved tolerance a posteriori.
+first measurement already meets the tolerance, none do.  Each job's work
+list is a generator of the batches it needs measured, so ``refine_many``
+can run many jobs in lockstep, one evaluator call per rule order a round.
+Bisection grades dyadically into endpoint singularities, which keeps the
+scheme generic (no singularity-specific rules); the final error estimate is
+returned so callers can verify the achieved tolerance a posteriori.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import QuadratureNonConvergence
 
 __all__ = ["gauss_rule", "gauss_pair", "integrate_adaptive", "Piece", "Pieces",
-           "refine_pieces", "MAX_DEPTH", "MAX_ORDER"]
+           "refine_pieces", "refine_many", "MAX_DEPTH", "MAX_ORDER"]
 
 MAX_DEPTH = 40
 MAX_ORDER = 1024
@@ -93,9 +95,11 @@ class Pieces:
 
     ``payload`` is None or what the evaluator reads per piece (the span of a
     moment piece).  ``depth`` and ``order`` are one int for every piece, as
-    in the initial pieces and in each batch ``eval_pair`` measures, or one
-    per piece.  ``refine_pieces`` returns its pieces with ``value``, ``est``
-    and ``floor`` filled in.  Iterating gives each entry as a ``Piece``.
+    in the initial pieces and in each batch a work list asks measured, or
+    one per piece, as in the pieces ``refine_pieces`` returns with
+    ``value``, ``est`` and ``floor`` filled in.  A batch that
+    ``refine_many`` stacks from several jobs has one order and one depth per
+    piece.  Iterating gives each entry as a ``Piece``.
     """
 
     __slots__ = Piece.__slots__
@@ -132,38 +136,23 @@ class Pieces:
             yield Piece(*fields)
 
 
-def refine_pieces(pieces: Pieces, eval_pair, tol):
-    """Drive the work list until the summed error estimate is below ``tol``.
+def _work_list(pieces: Pieces, tol):
+    """The work list of one job, as a generator: it yields each ``Pieces``
+    batch it needs measured, is sent back ``(values, est, floor)`` arrays
+    for it, and returns ``(done, est)``.
 
-    ``eval_pair(batch)`` measures a ``Pieces`` batch that shares one depth
-    and rule order, and returns ``(values, est, magnitude)`` arrays: each
-    piece's value (a number or a vector), error estimate, and the size of
-    its quadrature sum, which sets the roundoff floor.  The initial pieces
-    go in consecutive batches of at most ``_BATCH``; the two halves of a
-    bisected piece go in one batch and an order-doubled piece alone.  The
+    Its first batch is all the initial pieces; after that the two halves of
+    a bisected piece go in one batch and an order-doubled piece alone.  The
     worst piece is taken by (-est, entry number), so ties go to the earliest
     entry: the initial pieces are entries ``0 .. n-1`` and are ranked once,
     in an index the loop walks down, beside a heap of the refined pieces.
-    Returns ``Pieces`` in the order unpopped initial pieces, live refined
-    pieces by entry, frozen pieces, and the total estimate; raises
-    QuadratureNonConvergence when the refinement budget is exhausted first,
-    or after a batch in which a piece's estimate is inf or NaN (an integrand
-    value that is not finite makes the estimate so), naming the first.
+    ``done`` holds the unpopped initial pieces, the live refined pieces by
+    entry, then the frozen pieces; QuadratureNonConvergence is raised when
+    the refinement budget is exhausted first.
     """
-    def evaluate(batch):
-        value, est, mag = eval_pair(batch)
-        bad = np.flatnonzero(~np.isfinite(est))
-        if bad.size:
-            i = bad[0]
-            raise QuadratureNonConvergence(
-                f"non-finite error estimate {est[i]} on "
-                f"[{batch.lo[i]:.17g}, {batch.hi[i]:.17g}]")
-        return value, est, 8e-16 * mag
-
     n = len(pieces)
-    measured = [evaluate(pieces[s: s + _BATCH]) for s in range(0, n, _BATCH)]
     init = Pieces(pieces.lo, pieces.hi, pieces.depth, pieces.order, pieces.payload,
-                  *(np.concatenate(c) for c in zip(*measured)))
+                  *(yield pieces))
     live_est = sum(init.est.tolist())
     if not live_est > tol:  # nothing to refine: no piece becomes an object
         return init, live_est
@@ -207,8 +196,8 @@ def refine_pieces(pieces: Pieces, eval_pair, tol):
                 live_est += p.est
                 continue
             payload = None if p.payload is None else [p.payload] * 2
-            value, est, floor = evaluate(
-                Pieces([p.lo, mid], [mid, p.hi], p.depth + 1, p.order, payload))
+            value, est, floor = yield Pieces([p.lo, mid], [mid, p.hi], p.depth + 1,
+                                             p.order, payload)
             for lo, hi, v, e, fl in zip((p.lo, mid), (mid, p.hi), value,
                                          est.tolist(), floor.tolist()):
                 live_est += e
@@ -216,7 +205,7 @@ def refine_pieces(pieces: Pieces, eval_pair, tol):
         elif 2 * p.order <= MAX_ORDER:
             p.order *= 2
             payload = None if p.payload is None else [p.payload]
-            value, est, floor = evaluate(Pieces([p.lo], [p.hi], p.depth, p.order, payload))
+            value, est, floor = yield Pieces([p.lo], [p.hi], p.depth, p.order, payload)
             p.value, p.est, p.floor = value[0], est[0].item(), floor[0].item()
             live_est += p.est
             push(p)
@@ -232,6 +221,87 @@ def refine_pieces(pieces: Pieces, eval_pair, tol):
         None if a is None else np.concatenate([a[keep], [getattr(p, name) for p in rest]])
         for name, a in zip(Pieces.__slots__, init.columns())))
     return done, live_est + frozen_est
+
+
+def _stack(batches):
+    """The pieces of ``batches``, which share one rule order and each one
+    depth, as one batch in which every piece keeps its own depth and payload."""
+    return Pieces(np.concatenate([b.lo for b in batches]),
+                  np.concatenate([b.hi for b in batches]),
+                  np.repeat([b.depth for b in batches], [len(b) for b in batches]),
+                  batches[0].order,
+                  None if batches[0].payload is None
+                  else np.concatenate([b.payload for b in batches]))
+
+
+def _measure(batch, eval_pair):
+    """``eval_pair`` over ``batch`` in consecutive slices of at most ``_BATCH``."""
+    if len(batch) <= _BATCH:
+        return eval_pair(batch)
+    return tuple(np.concatenate(c) for c in zip(*(
+        eval_pair(batch[s: s + _BATCH]) for s in range(0, len(batch), _BATCH))))
+
+
+def refine_many(jobs, eval_pair):
+    """Run the work lists of ``jobs``, a list of ``(pieces, tol)``, in
+    lockstep until each job's summed error estimate is below its ``tol``.
+
+    ``eval_pair(batch)`` measures a ``Pieces`` batch that shares one rule
+    order, and returns ``(values, est, magnitude)`` arrays: each piece's
+    value (a number or a vector), error estimate, and the size of its
+    quadrature sum, which sets the roundoff floor.  Each round takes every
+    live job's pending batch (see ``_work_list``), stacks the batches of one
+    rule order into one, each piece keeping its own depth and payload, and
+    measures it in slices of at most ``_BATCH``; a batch alone in its order
+    is measured as it is.  A piece's measurement does not depend on the batch
+    it is in, so every job takes the pieces it would take alone.  Returns
+    one ``(done, est)`` per job, in job order.  Raises
+    QuadratureNonConvergence when a job's refinement budget is exhausted,
+    or after a round in which a piece's estimate is inf or NaN (an integrand
+    value that is not finite makes the estimate so), naming the first such
+    piece of the first such job.
+    """
+    out = [None] * len(jobs)
+    lists = [_work_list(pieces, tol) for pieces, tol in jobs]
+    live = [(j, w, next(w)) for j, w in enumerate(lists)]
+    while live:
+        groups: dict[int, list] = {}
+        for entry in live:
+            groups.setdefault(entry[2].order, []).append(entry)
+        measured = {}
+        for members in groups.values():
+            batches = [batch for _, _, batch in members]
+            value, est, mag = _measure(
+                batches[0] if len(batches) == 1 else _stack(batches), eval_pair)
+            end = 0
+            for j, _, batch in members:
+                start, end = end, end + len(batch)
+                measured[j] = value[start:end], est[start:end], mag[start:end]
+        nxt = []
+        for j, w, batch in live:
+            value, est, mag = measured[j]
+            bad = np.flatnonzero(~np.isfinite(est))
+            if bad.size:
+                i = bad[0]
+                raise QuadratureNonConvergence(
+                    f"non-finite error estimate {est[i]} on "
+                    f"[{batch.lo[i]:.17g}, {batch.hi[i]:.17g}]")
+            try:
+                nxt.append((j, w, w.send((value, est, 8e-16 * mag))))
+            except StopIteration as stop:
+                out[j] = stop.value
+        live = nxt
+    return out
+
+
+def refine_pieces(pieces: Pieces, eval_pair, tol):
+    """Drive one job's work list until its summed error estimate is below
+    ``tol``: ``refine_many([(pieces, tol)], eval_pair)[0]``, so its initial
+    pieces go to ``eval_pair`` in consecutive batches of at most ``_BATCH``.
+    Returns ``(done, est)``, ``done`` with ``value``, ``est`` and ``floor``
+    filled in.
+    """
+    return refine_many([(pieces, tol)], eval_pair)[0]
 
 
 def _weighted_sums(w, f, blocks):

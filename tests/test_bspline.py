@@ -213,6 +213,6 @@ def test_blocks_equal_reference_recurrence(k):
         K = make_knot_sequence(breaks / breaks[-1], mults, k)
         x = np.concatenate([rng.uniform(K.a, K.b, 500), np.unique(K.t)])
         spans = K.span_indices(x)
-        got = _blocks_at_spans(K, x, spans)
+        got = _blocks_at_spans(K.t, K.k, x, spans)
         assert got.shape == (x.size, k) and got.flags["C_CONTIGUOUS"]
         assert got.tobytes() == reference_blocks_at_spans(K, x, spans).tobytes()

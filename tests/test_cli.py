@@ -277,23 +277,44 @@ def test_decay_and_lemma_details(tmp_path):
         f"K1 = {c['k1']:.4g}, K2 = {c['k2']:.4g}, K3 = {c['k3']:.4g}"
 
 
-@pytest.mark.parametrize("intervals, k", [(12, 2), (30, 2), (12, 3)])
-def test_lemma_with_vacuous_k2_passes(tmp_path, intervals, k):
-    # uniform intervals, every interior knot of multiplicity k but the
-    # middle one: the inverse is zero beyond offset k, so K2 bounds nothing
-    # and constants_finite reads K1 and K3 alone
+VACUOUS_MESHES = [(12, 2), (30, 2), (12, 3)]
+
+
+def zero_beyond_k_mesh(path, intervals, k):
+    """A knot file of uniform intervals, every interior knot of multiplicity
+    k but the middle one: the inverse Gram matrix is zero beyond offset k,
+    but not block-diagonal, since the middle knot couples two blocks."""
     mults = [k] * (intervals - 1)
     mults[(intervals - 1) // 2] = 1
     K = splineproj.make_knot_sequence(np.linspace(0, 1, intervals + 1), mults, k)
-    partition = tmp_path / "knots.txt"
-    partition.write_text(K.to_text())
-    assert main(["verify-lemma", "--k", str(k), "--partition", str(partition),
+    path.write_text(K.to_text())
+    return str(path)
+
+
+@pytest.mark.parametrize("intervals, k", VACUOUS_MESHES)
+def test_lemma_with_vacuous_k2_passes(tmp_path, intervals, k):
+    # K2 bounds nothing, and constants_finite reads K1 and K3 alone
+    partition = zero_beyond_k_mesh(tmp_path / "knots.txt", intervals, k)
+    assert main(["verify-lemma", "--k", str(k), "--partition", partition,
                  "-o", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "verify_lemma_report.json").read_text())
     c = rep["constants"]
     assert c["k2"] is None
     assert rep["checks"][0]["detail"] == \
         f"K1 = {c['k1']:.4g}, K2 = vacuous, K3 = {c['k3']:.4g}"
+
+
+@pytest.mark.parametrize("intervals, k", VACUOUS_MESHES)
+def test_decay_with_nothing_beyond_k_passes(tmp_path, intervals, k):
+    # no entry beyond offset k to fit a rate to: one PASS, not a failed fit
+    partition = zero_beyond_k_mesh(tmp_path / "knots.txt", intervals, k)
+    assert main(["verify-decay", "--k", str(k), "--partition", partition,
+                 "-o", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "verify_decay_report.json").read_text())
+    assert not rep["decay"]["diagonal"]
+    assert rep["checks"] == [{
+        "name": "decay_vacuous", "passed": True,
+        "detail": f"all entries beyond offset k = {k} are zero: no rate to fit"}]
 
 
 def test_converge_cli(tmp_path):
@@ -614,6 +635,30 @@ def test_exit_code_non_finite_quadrature(tmp_path, capsys, argv):
     # input and not a FAIL, and no RuntimeWarning on the way
     assert main(argv + ["-o", str(tmp_path)]) == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_ladder_nan_window_names_the_first_level(tmp_path, capsys, monkeypatch):
+    # f is NaN on [0.30, 0.34], where a Gauss node of every level's first
+    # measurement lands: the ladder's levels are measured together, and the
+    # error is the one moments raises on the first level alone
+    import splineproj.cli as cli
+    from splineproj import QuadratureNonConvergence, TestFunction, dyadic_ladder
+
+    f = TestFunction(lambda x: np.where(np.abs(x - 0.32) < 0.02, np.nan, np.sin(x)),
+                     name="nanwindow")
+    ladder = dyadic_ladder(2, range(1, 5))
+    with pytest.raises(QuadratureNonConvergence) as first:
+        splineproj.moments(ladder[0], f)
+    with pytest.raises(QuadratureNonConvergence) as lockstep:
+        splineproj.project_ladder(ladder, f)
+    assert str(lockstep.value) == str(first.value)
+    assert "non-finite error estimate" in str(first.value)
+    monkeypatch.setattr(cli, "parse_function", lambda spec: f)
+    out = tmp_path / "out"
+    assert main(["converge", "--k", "2", "--function", "nanwindow", "--levels", "4",
+                 "-o", str(out)]) == 3
+    assert f"numerical failure: {first.value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_prints_no_warning(tmp_path):

@@ -113,12 +113,22 @@ def test_projection_carries_the_gram_matrix_it_solves():
 
 
 def test_project_ladder_projects_each_level():
-    ladder = dyadic_ladder(3, range(1, 5))
-    f = parse_function("step:0.3")
-    pfs = project_ladder(ladder, f)
-    assert [pf.knots for pf in pfs] == ladder
-    for K, pf in zip(ladder, pfs):
-        assert np.array_equal(pf.coeffs, project(K, f).coeffs)
+    # the levels' moments are refined in lockstep, yet each projection is
+    # bitwise project's: sin, a jump and a kink off every break, and two
+    # singularities on breaks, abspow:0:-0.5 bisecting to depth 40 and
+    # doubling the rule order; k = 1..6, and one ladder of double knots
+    ladders = [dyadic_ladder(k, range(1, 9)) for k in range(1, 7)]
+    ladders.append(dyadic_ladder(3, range(1, 7), interior_multiplicity=2))
+    for ladder in ladders:
+        for name in ("sin", "step:0.3", "absdist:0.3", "abspow:0:-0.5",
+                     "abspow:0.5:-0.3"):
+            f = parse_function(name)
+            pfs = project_ladder(ladder, f)
+            assert [pf.knots for pf in pfs] == ladder
+            for K, pf in zip(ladder, pfs):
+                expect = project(K, f)
+                assert pf.coeffs.tobytes() == expect.coeffs.tobytes()
+                assert pf.rhs_error == expect.rhs_error
 
 
 def test_project_ladder_rejects_an_empty_ladder():

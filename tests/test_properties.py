@@ -419,7 +419,7 @@ def reference_moment_pair(K, f):
         for g in (p.order, 2 * p.order):
             x, w = reference_gauss_points(p.lo, p.hi, g)
             fx = f(x)
-            blocks = _blocks_at_spans(K, x, np.full(x.shape, span))
+            blocks = _blocks_at_spans(K.t, K.k, x, np.full(x.shape, span))
             vals.append((w * fx) @ blocks)
             mag = float(((w * np.abs(fx)) @ blocks).max())
         return vals[1], float(np.abs(vals[1] - vals[0]).max()), mag
@@ -753,16 +753,32 @@ def tied_evaluator(levels, freeze, log):
     return one_at_a_time(measure)
 
 
-def work_list_outcome(refine, widths, levels, freeze, tol):
+def tied_pieces(widths, job=None):
+    """The initial pieces of a tied-evaluator job, ``job`` the payload of each."""
     breaks = np.concatenate([[0.0], np.cumsum(widths)]).tolist()
     # a piece at floating-point resolution cannot be bisected
-    pieces = Pieces(breaks[:-1] + [0.5], breaks[1:] + [float(np.nextafter(0.5, 1.0))])
+    lo = breaks[:-1] + [0.5]
+    return Pieces(lo, breaks[1:] + [float(np.nextafter(0.5, 1.0))],
+                  payload=None if job is None else [job] * len(lo))
+
+
+def tied_outcome(done, est):
+    return [(p.lo, p.hi, p.depth, p.order, p.value, p.est, p.floor) for p in done], est
+
+
+def work_list_outcome(refine, widths, levels, freeze, tol):
     log = []
     try:
-        done, est = refine(pieces, tied_evaluator(levels, freeze, log), tol)
+        done, est = refine(tied_pieces(widths), tied_evaluator(levels, freeze, log), tol)
     except QuadratureNonConvergence as exc:
         return str(exc), log
-    return [(p.lo, p.hi, p.depth, p.order, p.value, p.est, p.floor) for p in done], est, log
+    return (*tied_outcome(done, est), log)
+
+
+TIED_WIDTHS = st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4]), min_size=1, max_size=40)
+TIED_LEVELS = st.lists(st.sampled_from([0.0, 1e-3, 1.0, 2.0]), min_size=1, max_size=5)
+TIED_FREEZE = st.sets(st.integers(0, 4), max_size=2)
+TIED_TOL = st.sampled_from([0.0, 1e-3, 0.1, 1.0])
 
 
 @settings(parent=PROPS, max_examples=200)
@@ -770,9 +786,7 @@ def work_list_outcome(refine, widths, levels, freeze, tol):
 # est with two refined pieces, and an initial piece that ties with the heap's
 # top is popped first: the lower entry number wins both times
 @example([1 / 4, 1 / 8], [1.0], set(), 0.1, 1, 64)
-@given(st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4]), min_size=1, max_size=40),
-       st.lists(st.sampled_from([0.0, 1e-3, 1.0, 2.0]), min_size=1, max_size=5),
-       st.sets(st.integers(0, 4), max_size=2), st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+@given(TIED_WIDTHS, TIED_LEVELS, TIED_FREEZE, TIED_TOL,
        st.integers(0, 4), st.sampled_from([8, 16, 64]))
 def test_heap_work_list_equals_linear_scan(widths, levels, freeze, tol, depth, order):
     with patch.object(quadrature, "MAX_DEPTH", depth), \
@@ -801,6 +815,82 @@ def test_heap_work_list_covers_every_branch():
     assert (0.5, float(np.nextafter(0.5, 1.0)), 2, 64) in [p[:4] for p in done]
     assert any(0 < p[5] <= p[6] for p in done)  # frozen at the roundoff floor
     assert any(p[2:4] == (2, 64) and p[5] > p[6] for p in done)  # frozen at the caps
+
+
+def recorded(eval_pair, calls):
+    """``eval_pair``, recording each batch as ``(order, lo, hi, depth)`` lists."""
+    def measure(batch):
+        calls.append((batch.order, batch.lo.tolist(), batch.hi.tolist(),
+                      np.broadcast_to(batch.depth, len(batch)).tolist()))
+        return eval_pair(batch)
+    return measure
+
+
+def by_payload(evaluators):
+    """One ``eval_pair`` for several jobs: each piece is measured alone by
+    the evaluator of the job its payload names."""
+    def eval_pair(batch):
+        return tuple(np.concatenate(c) for c in zip(*(
+            evaluators[j](batch[i: i + 1]) for i, j in enumerate(batch.payload.tolist()))))
+    return eval_pair
+
+
+@settings(parent=PROPS, max_examples=100)
+# two jobs that converge after batches at four rule orders, stacking pieces
+# of different depths in three rounds; and two that converge with pieces
+# frozen at the roundoff floor in both
+@example([([1 / 4], [2.0, 1e-3, 1.0], set(), 1e-3),
+          ([1 / 4, 1 / 16, 1 / 16, 1 / 8], [1e-3, 0.0, 2.0], set(), 1e-3)], 3, 64)
+@example([([1 / 16, 1 / 16, 1 / 16, 1 / 8], [1.0, 1e-3], {1, 4}, 0.1),
+          ([1 / 16, 1 / 8, 1 / 4], [1e-3, 2.0, 1.0], {0, 3}, 0.1)], 3, 64)
+@given(st.lists(st.tuples(TIED_WIDTHS, TIED_LEVELS, TIED_FREEZE, TIED_TOL),
+                min_size=1, max_size=4),
+       st.integers(0, 4), st.sampled_from([8, 16, 64]))
+def test_lockstep_jobs_equal_each_job_alone(jobs, depth, order):
+    # refine_many gives every job the outcome and the log of measured pieces
+    # that refine_pieces gives it alone, and round r measures the r-th batch
+    # of every job still running, one call per rule order
+    with patch.object(quadrature, "MAX_DEPTH", depth), \
+            patch.object(quadrature, "MAX_ORDER", order):
+        alone, rounds = [], []
+        for widths, levels, freeze, tol in jobs:
+            log, calls = [], []
+            try:
+                result = tied_outcome(*quadrature.refine_pieces(
+                    tied_pieces(widths),
+                    recorded(tied_evaluator(levels, freeze, log), calls), tol))
+            except QuadratureNonConvergence as exc:
+                result = str(exc)
+            alone.append((result, log))
+            rounds.append(calls)
+        logs = [[] for _ in jobs]
+        calls = []
+        evaluators = [tied_evaluator(levels, freeze, log)
+                      for (_, levels, freeze, _), log in zip(jobs, logs)]
+        try:
+            got = quadrature.refine_many(
+                [(tied_pieces(widths, j), tol) for j, (widths, _, _, tol) in enumerate(jobs)],
+                recorded(by_payload(evaluators), calls))
+        except QuadratureNonConvergence as exc:
+            # raised by the job that fails after the fewest rounds, the
+            # first such job on a tie
+            failed = [(len(r), j) for j, ((result, _), r) in enumerate(zip(alone, rounds))
+                      if isinstance(result, str)]
+            assert failed and str(exc) == alone[min(failed)[1]][0]
+            return
+    assert [tied_outcome(*r) for r in got] == [result for result, _ in alone]
+    assert logs == [log for _, log in alone]
+    expect = []
+    for r in range(max(map(len, rounds))):
+        stacked = {}
+        for job_calls in rounds:
+            if r < len(job_calls):
+                g, lo, hi, d = job_calls[r]
+                batch = stacked.setdefault(g, (g, [], [], []))
+                for into, part in zip(batch[1:], (lo, hi, d)):
+                    into += part
+        expect += stacked.values()
+    assert calls == expect
 
 
 def reference_modulus(f, k, delta, interval=(0.0, 1.0), grid=256):

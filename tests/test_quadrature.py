@@ -129,6 +129,25 @@ def test_refine_pieces_measures_batches(monkeypatch):
     assert est == 0.0 and len(done) == 601
 
 
+def test_refine_many_shares_one_call_per_rule_order(monkeypatch):
+    # three jobs, the second starting at twice the others' rule order, each
+    # doubling it until 32: every round measures each job's pending piece,
+    # in one call per rule order
+    calls = []
+
+    def eval_pair(batch):
+        calls.append((batch.order, batch.payload.tolist()))
+        est = np.full(len(batch), 1.0 if batch.order < 32 else 0.0)
+        return np.zeros(len(batch)), est, np.zeros(len(batch))
+
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+    jobs = [(Pieces([0.0], [1.0], order=g, payload=[j]), 0.5)
+            for j, g in enumerate((8, 16, 8))]
+    results = quadrature.refine_many(jobs, eval_pair)
+    assert calls == [(8, [0, 2]), (16, [1]), (16, [0, 2]), (32, [1]), (32, [0, 2])]
+    assert [(done.order.tolist(), est) for done, est in results] == [([32], 0.0)] * 3
+
+
 def load_tracing():
     """``perfbench/tracing.py``, the benchmark's traced-run wrappers."""
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
