@@ -20,8 +20,7 @@ from .bspline import (eval_basis_many, eval_spline_many, node_blocks,
 from .functions import TestFunction
 from .gram import GramMatrix, assemble_gram, solve_banded
 from .knots import KnotSequence
-from .quadrature import (Pieces, gauss_pair, integrate_adaptive, refine_many,
-                         refine_pieces)
+from .quadrature import Pieces, gauss_pair, integrate_adaptive, refine_many
 
 __all__ = ["Projection", "moments", "project", "project_ladder", "galerkin_residual",
            "kernel_constant_integral", "kernel_values", "kernel_from_basis", "l1_norm"]
@@ -55,23 +54,31 @@ class Projection:
         return eval_spline_many(self.knots, self.coeffs, x)
 
 
-def _moment_pieces(K: KnotSequence, f: TestFunction, base_order: int,
-                   offset: int = 0) -> Pieces:
-    """The initial pieces of ``K``'s moments: ``[a, b]`` cut at every break
-    and declared marker, each piece's payload its span plus ``offset``, the
-    start of ``K.t`` in the knot vector its basis blocks are read from."""
-    cuts = np.union1d(K.t, [m for m in f.markers if K.a < m < K.b])
-    return Pieces(cuts[:-1], cuts[1:], order=base_order,
-                  payload=K.span_indices(cuts[:-1]) + offset)
+def _ladder_moments(ladder, f: TestFunction, tol: float | None = None,
+                    base_order: int | None = None) -> list[tuple[np.ndarray, float]]:
+    """``moments(K, f, tol, base_order)`` for every level ``K`` of ``ladder``,
+    whose levels share one order, from one ``quadrature.refine_many`` call.
 
-
-def _moment_vector(K: KnotSequence, done: Pieces, offset: int = 0) -> np.ndarray:
-    """``b`` summed from the refined pieces of ``_moment_pieces(K, ...)``."""
-    # np.add.at adds in piece order, as a loop over the pieces would
-    first = done.payload - (offset + K.k - 1)
-    b = np.zeros(K.n)
-    np.add.at(b, first[:, None] + np.arange(K.k), done.value)
-    return b
+    Each level is one job: ``[a, b]`` cut at every break and declared
+    marker, each piece's payload its span plus the level's offset in the
+    levels' knot vectors end to end, from which the basis blocks are read.
+    The jobs are refined in lockstep, one evaluator call per rule order a
+    round, and each level takes the pieces it would take alone.
+    """
+    k = ladder[0].k
+    tol = default_moment_tol(f) if tol is None else tol
+    base_order = max(k, 4) + 4 if base_order is None else base_order
+    offsets = np.cumsum([0] + [len(K.t) for K in ladder[:-1]]).tolist()
+    t = np.concatenate([K.t for K in ladder])
+    cuts = [np.union1d(K.t, [m for m in f.markers if K.a < m < K.b]) for K in ladder]
+    jobs = [(Pieces(c[:-1], c[1:], order=base_order, payload=K.span_indices(c[:-1]) + o), tol)
+            for K, c, o in zip(ladder, cuts, offsets)]
+    refined = refine_many(jobs, gauss_pair(f, basis=lambda x, s: node_blocks(t, k, x, s)))
+    b = np.zeros(len(t))  # level K's moments are b[o: o + K.n], o its offset
+    for done, _ in refined:
+        # np.add.at adds in piece order, as a loop over the pieces would
+        np.add.at(b, (done.payload - (k - 1))[:, None] + np.arange(k), done.value)
+    return [(b[o: o + K.n], float(est)) for K, o, (_, est) in zip(ladder, offsets, refined)]
 
 
 def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
@@ -83,40 +90,31 @@ def moments(K: KnotSequence, f: TestFunction, tol: float | None = None,
     k-vector ``f * (local basis block)`` on it.  The returned estimate aggregates all
     pieces, so it covers every single moment.  It is an estimate, not a
     rigorous bound: on slowly converging singular tails it tracks the true
-    error to within a few percent.
+    error to within a few percent.  The one-level case of ``_ladder_moments``:
+    the direct quadrature on ``K`` alone, which ladder results compare against.
     """
-    if tol is None:
-        tol = default_moment_tol(f)
-    if base_order is None:
-        base_order = max(K.k, 4) + 4
-    done, est = refine_pieces(
-        _moment_pieces(K, f, base_order),
-        gauss_pair(f, basis=lambda x, s: node_blocks(K.t, K.k, x, s)), tol)
-    return _moment_vector(K, done), float(est)
+    return _ladder_moments([K], f, tol, base_order)[0]
 
 
 def project(K: KnotSequence, f: TestFunction) -> Projection:
-    """Orthogonal projection of ``f`` onto the spline space of ``K``.
+    """Orthogonal projection of ``f`` onto the spline space of ``K``: the
+    one-level case of ``project_ladder``.
 
     Fixes every spline in the space and reproduces polynomials of degree
     below the order exactly (up to quadrature and solve tolerances).
     """
-    gram = assemble_gram(K)
-    b, est = moments(K, f)
-    return Projection(K, solve_banded(gram, b), est, gram)
+    return project_ladder([K], f)[0]
 
 
 def project_ladder(ladder, f: TestFunction) -> list[Projection]:
-    """``project(K, f)`` for every level ``K`` of a mesh-refinement ladder;
-    ``ValueError`` on an empty ladder, or unless all levels share one order
-    and one interval.
+    """The projection of ``f`` onto every level ``K`` of a mesh-refinement
+    ladder; ``ValueError`` on an empty ladder, or unless all levels share
+    one order and one interval.
 
-    The levels' moments are refined in lockstep by one
-    ``quadrature.refine_many`` call, which measures every level's pending
-    pieces together, the basis blocks read from the levels' knot vectors
-    end to end.  Each level takes the pieces ``moments`` would take, so the
-    projections are bitwise ``project``'s.  When several levels fail, the
-    error raised may name another level than ``project`` level by level.
+    The levels' moments come from ``_ladder_moments``, refined in lockstep,
+    so each level's projection is bitwise that of the level alone.  When
+    several levels fail, the error raised may name another level than
+    ``project`` level by level.
     """
     if not ladder:
         raise ValueError("empty ladder: no level to project")
@@ -124,14 +122,8 @@ def project_ladder(ladder, f: TestFunction) -> list[Projection]:
     if any((K.k, K.a, K.b) != (k, a, b) for K in ladder):
         raise ValueError("ladder levels must share one order k and one interval")
     grams = [assemble_gram(K) for K in ladder]
-    offsets = np.cumsum([0] + [len(K.t) for K in ladder[:-1]]).tolist()
-    t = np.concatenate([K.t for K in ladder])
-    tol, base_order = default_moment_tol(f), max(k, 4) + 4
-    refined = refine_many(
-        [(_moment_pieces(K, f, base_order, o), tol) for K, o in zip(ladder, offsets)],
-        gauss_pair(f, basis=lambda x, s: node_blocks(t, k, x, s)))
-    return [Projection(K, solve_banded(gram, _moment_vector(K, done, o)), float(est), gram)
-            for K, gram, o, (done, est) in zip(ladder, grams, offsets, refined)]
+    return [Projection(K, solve_banded(gram, rhs), est, gram)
+            for K, gram, (rhs, est) in zip(ladder, grams, _ladder_moments(ladder, f))]
 
 
 def kernel_values(G0: GramMatrix, K: KnotSequence, x, y) -> np.ndarray:

@@ -8,7 +8,9 @@ bisection until a fixed depth, then by doubling the rule order up to a cap.
 Only the pieces it refines become Python objects (``Piece``); when the
 first measurement already meets the tolerance, none do.  Each job's work
 list is a generator of the batches it needs measured, so ``refine_many``
-can run many jobs in lockstep, one evaluator call per rule order a round.
+can run many jobs in lockstep, one evaluator call per rule order a round
+(``refine_pieces`` runs one, for ``integrate_adaptive``); ``_measure``
+raises as soon as a measured slice holds an estimate that is not finite.
 Bisection grades dyadically into endpoint singularities, which keeps the
 scheme generic (no singularity-specific rules); the final error estimate is
 returned so callers can verify the achieved tolerance a posteriori.
@@ -235,11 +237,20 @@ def _stack(batches):
 
 
 def _measure(batch, eval_pair):
-    """``eval_pair`` over ``batch`` in consecutive slices of at most ``_BATCH``."""
-    if len(batch) <= _BATCH:
-        return eval_pair(batch)
-    return tuple(np.concatenate(c) for c in zip(*(
-        eval_pair(batch[s: s + _BATCH]) for s in range(0, len(batch), _BATCH))))
+    """``eval_pair`` over ``batch`` in consecutive slices of at most ``_BATCH``;
+    QuadratureNonConvergence, naming the piece, at the first estimate that is
+    inf or NaN (as a value of the integrand that is not finite makes it)."""
+    measured = []
+    for s in range(0, len(batch), _BATCH):
+        part = batch if len(batch) <= _BATCH else batch[s: s + _BATCH]
+        value, est, mag = eval_pair(part)
+        bad = np.flatnonzero(~np.isfinite(est))
+        if bad.size:
+            i = bad[0]
+            raise QuadratureNonConvergence(
+                f"non-finite error estimate {est[i]} on [{part.lo[i]:.17g}, {part.hi[i]:.17g}]")
+        measured.append((value, est, mag))
+    return measured[0] if len(measured) == 1 else tuple(map(np.concatenate, zip(*measured)))
 
 
 def refine_many(jobs, eval_pair):
@@ -257,9 +268,9 @@ def refine_many(jobs, eval_pair):
     it is in, so every job takes the pieces it would take alone.  Returns
     one ``(done, est)`` per job, in job order.  Raises
     QuadratureNonConvergence when a job's refinement budget is exhausted,
-    or after a round in which a piece's estimate is inf or NaN (an integrand
-    value that is not finite makes the estimate so), naming the first such
-    piece of the first such job.
+    or from ``_measure`` on the first slice with an estimate that is inf or
+    NaN: a stacked batch holds its jobs in job order, and the rule orders
+    are measured in the order of their first job.
     """
     out = [None] * len(jobs)
     lists = [_work_list(pieces, tol) for pieces, tol in jobs]
@@ -276,18 +287,11 @@ def refine_many(jobs, eval_pair):
             end = 0
             for j, _, batch in members:
                 start, end = end, end + len(batch)
-                measured[j] = value[start:end], est[start:end], mag[start:end]
+                measured[j] = value[start:end], est[start:end], 8e-16 * mag[start:end]
         nxt = []
-        for j, w, batch in live:
-            value, est, mag = measured[j]
-            bad = np.flatnonzero(~np.isfinite(est))
-            if bad.size:
-                i = bad[0]
-                raise QuadratureNonConvergence(
-                    f"non-finite error estimate {est[i]} on "
-                    f"[{batch.lo[i]:.17g}, {batch.hi[i]:.17g}]")
+        for j, w, _ in live:
             try:
-                nxt.append((j, w, w.send((value, est, 8e-16 * mag))))
+                nxt.append((j, w, w.send(measured[j])))
             except StopIteration as stop:
                 out[j] = stop.value
         live = nxt
@@ -295,8 +299,9 @@ def refine_many(jobs, eval_pair):
 
 
 def refine_pieces(pieces: Pieces, eval_pair, tol):
-    """Drive one job's work list until its summed error estimate is below
-    ``tol``: ``refine_many([(pieces, tol)], eval_pair)[0]``, so its initial
+    """``integrate_adaptive``'s driver: one job's work list, run until its
+    summed error estimate is below ``tol``, as
+    ``refine_many([(pieces, tol)], eval_pair)[0]``, so its initial
     pieces go to ``eval_pair`` in consecutive batches of at most ``_BATCH``.
     Returns ``(done, est)``, ``done`` with ``value``, ``est`` and ``floor``
     filled in.
@@ -324,7 +329,7 @@ def gauss_pair(fn, basis=None):
         g = batch.order
         x, w = _map_rule(batch.lo, batch.hi, *_pair_rule(g))
         # a value of fn that is not finite makes the estimate so, which
-        # refine_pieces raises as a numerical failure: no warning on the way
+        # _measure raises as a numerical failure: no warning on the way
         with np.errstate(invalid="ignore"):
             fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
             blocks = None if basis is None else basis(x, batch.payload)

@@ -206,13 +206,14 @@ def test_nan_in_banded_solve_is_exit_3(tmp_path, capsys, monkeypatch, command):
 
     argv = [command, "--k", "4", "--partition", "random:60:1", "-o", str(tmp_path)]
     if command == "project":
-        moments = projection.moments
+        ladder_moments = projection._ladder_moments
 
-        def nan_moment(K, f, **kw):
-            b, est = moments(K, f, **kw)
-            b[K.n // 2] = np.nan
-            return b, est
-        monkeypatch.setattr(projection, "moments", nan_moment)
+        def nan_moment(ladder, f, *args):
+            out = ladder_moments(ladder, f, *args)
+            for K, (b, _) in zip(ladder, out):
+                b[K.n // 2] = np.nan
+            return out
+        monkeypatch.setattr(projection, "_ladder_moments", nan_moment)
         argv += ["--function", "sin"]
     else:
         def nan_entry(K):

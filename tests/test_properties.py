@@ -448,19 +448,20 @@ def one_at_a_time(measure):
 
 @contextmanager
 def engine(module, per_piece=None):
-    """Record the evaluator and the final pieces of ``module.refine_pieces``;
-    with ``per_piece``, measure every piece alone with it instead."""
-    real = quadrature.refine_pieces
+    """Record the evaluator and the final pieces of the one job that
+    ``module.refine_many`` runs; with ``per_piece``, measure every piece
+    alone with it instead."""
+    real = quadrature.refine_many
     seen = {}
 
-    def spy(pieces, eval_pair, *args, **kwargs):
+    def spy(jobs, eval_pair):
         seen["eval_pair"] = eval_pair
         if per_piece is not None:
             eval_pair = one_at_a_time(per_piece)
-        seen["done"], est = real(pieces, eval_pair, *args, **kwargs)
-        return seen["done"], est
+        [(seen["done"], est)] = real(jobs, eval_pair)
+        return [(seen["done"], est)]
 
-    with patch.object(module, "refine_pieces", spy):
+    with patch.object(module, "refine_many", spy):
         yield seen
 
 
@@ -651,14 +652,16 @@ class Stop(Exception):
 
 
 def first_pieces(module, run):
-    """The (lo, hi, payload) of the pieces ``run`` hands to ``refine_pieces``."""
+    """The (lo, hi, payload) of the pieces of the one job ``run`` hands to
+    ``module.refine_many``."""
     seen = []
 
-    def spy(pieces, eval_pair, tol):
+    def spy(jobs, eval_pair):
+        [(pieces, _)] = jobs
         seen.extend((p.lo, p.hi, p.payload) for p in pieces)
         raise Stop
 
-    with patch.object(module, "refine_pieces", spy), pytest.raises(Stop):
+    with patch.object(module, "refine_many", spy), pytest.raises(Stop):
         run()
     return seen
 

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from splineproj import (PartitionSpec, QuadratureNonConvergence, generate_partition,
-                        parse_function, projection, quadrature)
+from splineproj import (PartitionSpec, QuadratureNonConvergence, TestFunction,
+                        generate_partition, parse_function, projection, quadrature)
 from splineproj.quadrature import (
     Pieces,
     gauss_points,
@@ -129,6 +129,44 @@ def test_refine_pieces_measures_batches(monkeypatch):
     assert est == 0.0 and len(done) == 601
 
 
+def test_non_finite_estimate_stops_at_its_slice(monkeypatch):
+    # 600 initial pieces, a NaN estimate in the first slice of 256: the
+    # failure names that piece after one evaluator call, and the other two
+    # slices go unmeasured, in the work list and through moments alike
+    calls = []
+
+    def eval_pair(batch):
+        calls.append(len(batch))
+        est = np.where(batch.lo == 100.0, np.nan, 0.0)
+        return np.zeros(len(batch)), est, np.zeros(len(batch))
+
+    pieces = Pieces(np.arange(600.0), np.arange(1.0, 601.0))
+    with pytest.raises(QuadratureNonConvergence,
+                       match=r"^non-finite error estimate nan on \[100, 101\]$"):
+        refine_pieces(pieces, eval_pair, tol=0.5)
+    assert calls == [256]
+
+    real = projection.gauss_pair
+
+    def counted(*args, **kwargs):
+        eval_pair = real(*args, **kwargs)
+
+        def measure(batch):
+            calls.append(len(batch))
+            return eval_pair(batch)
+        return measure
+
+    monkeypatch.setattr(projection, "gauss_pair", counted)
+    K = generate_partition(PartitionSpec("uniform", 600), 4)
+    f = TestFunction(lambda x: np.where(x < 1e-4, np.nan, np.sin(x)))
+    del calls[:]
+    with pytest.raises(QuadratureNonConvergence) as exc:
+        projection.moments(K, f)
+    s = K.spans[0]
+    assert str(exc.value) == f"non-finite error estimate nan on [{K.t[s]:.17g}, {K.t[s + 1]:.17g}]"
+    assert calls == [256]
+
+
 def test_refine_many_shares_one_call_per_rule_order(monkeypatch):
     # three jobs, the second starting at twice the others' rule order, each
     # doubling it until 32: every round measures each job's pending piece,
@@ -158,12 +196,14 @@ def load_tracing():
 
 
 def test_refine_pieces_keeps_the_tracer_contract():
-    # the traced benchmark run wraps refine_pieces: it takes len(pieces),
-    # times a one-argument eval_pair passed second, and reads .depth and
-    # .order from every done piece into counters it writes as JSON
+    # the traced benchmark run wraps refine_pieces, integrate_adaptive's
+    # driver: it takes len(pieces), times a one-argument eval_pair passed
+    # second, and reads .depth and .order from every done piece into counters
+    # it writes as JSON; moments, traced too, refines through refine_many
     K = generate_partition(PartitionSpec("dyadic", 16), 3)
     f = parse_function("abspow:0:-0.5")
     runs = (lambda: projection.moments(K, f),
+            lambda: quadrature.integrate_adaptive(np.sin, 0.0, 1.0, markers=K.t),
             lambda: quadrature.integrate_adaptive(np.sin, 0.0, 1.0, markers=(0.5,)),
             lambda: projection.l1_norm(f, 0.0, 1.0))
     expect = [run() for run in runs]
@@ -177,6 +217,7 @@ def test_refine_pieces_keeps_the_tracer_contract():
     assert np.asarray(got[0][0]).tobytes() == np.asarray(expect[0][0]).tobytes()
     assert got[0][1:] == expect[0][1:] and got[1:] == expect[1:]
     metrics = tracer.layer_metrics()
+    assert metrics["projection.moments.calls"] == 1
     q = "quadrature.refine_pieces"
     assert metrics[f"{q}.calls"] == 3
     assert metrics[f"{q}.pieces_in"] == 16 + 2 + 1
