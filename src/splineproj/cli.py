@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, csvtext
 from .bspline import eval_basis_many
-from .errors import NonIntegrableMarker, SplineProjError
+from .errors import NonIntegrableMarker, RefinementFailure, SplineProjError
 from .functions import TestFunction, default_probes, parse_function
 from .gram import assemble_gram, invert_gram, solve_banded
 from .knots import KnotSequence, PartitionSpec, dyadic_ladder, generate_partition
@@ -242,28 +242,24 @@ def _atomic_write(path: str, chunks) -> None:
 def write_csv(path: str, header, rows) -> None:
     """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``.
 
-    Rows are formatted and written ``_CSV_ROWS`` at a time: each cell of a
-    slice gets a template row of ``csvtext.cell_templates`` and the slice is
-    written as one compress of the templates by their keep-masks.
+    Rows are formatted and written ``_CSV_ROWS`` at a time: each slice gets
+    its template rows from ``csvtext.table_templates``, narrow ones in a
+    column whose values in the slice all print as integers, and is written
+    as one compress of the templates by their keep-masks.
     """
     rows = np.asarray(rows, dtype=float)
-    ncols = rows.shape[1]
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        # one pair of template arrays, refilled slice by slice
-        shape = (min(_CSV_ROWS, rows.shape[0]), ncols, csvtext.WIDTH)
-        all_chars, all_keep = np.empty(shape, np.uint8), np.empty(shape, bool)
+        # one pair of template buffers, sized for a row of float templates
+        # and refilled slice by slice
+        size = min(_CSV_ROWS, rows.shape[0]) * rows.shape[1] * csvtext.WIDTH
+        all_chars, all_keep = np.empty(size, np.uint8), np.empty(size, bool)
         for s in range(0, rows.shape[0], _CSV_ROWS):
-            part = rows[s: s + _CSV_ROWS]
-            chars, keep = all_chars[: part.shape[0]], all_keep[: part.shape[0]]
-            for c in range(ncols):
-                csvtext.cell_templates(part[:, c], chars[:, c], keep[:, c])
-            chars[:, :, -1] = ord(",")
-            chars[:, -1, -1] = ord("\n")
+            chars, keep = csvtext.table_templates(rows[s: s + _CSV_ROWS], all_chars, all_keep)
             # compress builds an index array of 8 bytes per kept byte, so a
             # slice is compressed _COMPRESS_ROWS rows at a time
-            for r in range(0, part.shape[0], _COMPRESS_ROWS):
+            for r in range(0, chars.shape[0], _COMPRESS_ROWS):
                 yield np.compress(keep[r: r + _COMPRESS_ROWS].ravel(),
                                   chars[r: r + _COMPRESS_ROWS].ravel())
 
@@ -411,6 +407,8 @@ def run_project(cfg, K, f):
     xs = analysis.midpoints(*cfg.interval, opt(cfg, "eval_grid"))
     rows = np.column_stack([xs, f(xs), pf(xs)])
     resid = float(np.abs(galerkin_residual(pf, f)).max())
+    if not math.isfinite(resid):
+        raise RefinementFailure(f"Galerkin residual {resid} is not finite")
     l1 = l1_norm(f, *cfg.interval)
     checks = [("galerkin_orthogonality", resid <= 1e-8 * max(l1, 1e-30),
                f"max |<f - Pf, N_j>| = {resid:.3e}, ||f||_1 = {l1:.3e}")]

@@ -5,6 +5,19 @@ bytes and a keep-mask; the kept bytes of a row, in order, are ``"%.17g" % v`` an
 last byte is a separator slot.  ``np.compress(keep.ravel(), chars.ravel())``
 over many rows is their text, one after the other.
 
+A column whose values are all finite integers below ``10^16`` in magnitude
+prints each as its sign and digits, with no point and no exponent (``-0``
+for ``-0.0``).  ``cell_width`` finds such a column and gives it narrow rows,
+``integer_templates`` fills them: a sign slot, D right-aligned digits for
+the D digits of the largest magnitude and the separator slot, rounded up to
+8, 16 or 24 bytes, so that the 48-byte templates after them stay
+word-aligned.  ``table_templates`` lays each row of a table out as its
+columns' cells end to end, and ``cli.write_csv`` calls it per slice of 8192
+rows: an index column costs 8 bytes of template a cell up to 999,999, and
+the 48 bytes of ``cell_templates`` only in a slice where one of its values
+is not such an integer.  The ``i, j, value`` row of ``invert``'s table is
+8 + 8 + 48 = 64 bytes, not 144.
+
 The 17 significant digits are those of ``N = round(|v| 10^(16-E))``, the
 integer in ``[10^16, 10^17)`` for the decimal exponent ``E`` of ``|v|``.
 ``|v| = m 2^(e-53)`` with the frexp exponent ``e`` and an integer ``m <
@@ -139,6 +152,73 @@ def _special_rows():
     return _text_rows(["0", "-0", "inf", "-inf", "nan"])
 
 
+def cell_width(values):
+    """Bytes of each cell's template row: ``WIDTH``, or the width that
+    ``integer_templates`` fills when every value is a finite integer below
+    ``10^16`` in magnitude: a sign slot, as many digits as the largest
+    magnitude has and the separator, rounded up to whole 8-byte words."""
+    m = np.abs(values)
+    top = m.max(initial=0.0)
+    if not top < 1e16 or not (np.trunc(m) == m).all():
+        return WIDTH
+    return -(-(len(str(int(top))) + 2) // 8) * 8
+
+
+@functools.cache
+def _integer_words(width, digits, group):
+    """By ``c``: the words of a ``width``-byte row of ``integer_templates``
+    for values of ``digits`` digits, holding ``c`` as their digit group
+    ``group`` (4 digits, the lowest group 0; the top group has the rest) and
+    no other digit; the top group's rows also hold the sign slot's ``-``.
+    It has one row per value of the group only, as the tables stay cached."""
+    count = min(4, digits - 4 * group)
+    c = np.arange(10 ** count)
+    rows = np.zeros((c.size, width), np.uint8)
+    for j in range(count):
+        rows[:, width - 2 - 4 * group - j] = 48 + c // 10 ** j % 10
+    if 4 * group + 4 >= digits:
+        rows[:, width - 2 - digits] = ord("-")
+    return rows.view(np.uint64)
+
+
+@functools.cache
+def _integer_keep(width, digits):
+    """Keep-mask words of ``integer_templates`` by ``2 (count - 1) + sign
+    bit``, for values of ``count`` = 1 .. ``digits`` digits."""
+    count = np.arange(1, digits + 1)[:, None]
+    keep = np.zeros((digits, 2, width), bool)
+    keep[:, :, width - 1 - digits: width - 1] = (np.arange(digits, 0, -1) <= count)[:, None]
+    keep[:, 1, width - 2 - digits] = True
+    keep[..., width - 1] = True
+    return keep.reshape(-1, width).view(np.uint64)
+
+
+def integer_templates(values, chars, keep):
+    """``cell_templates`` of values that all print as integers, in rows of
+    ``cell_width(values)`` bytes: the digits right-aligned before the
+    separator slot, after one sign slot; the keep-mask drops the leading
+    zeros, the sign slot of a value without a sign bit and the unused bytes
+    before it.  For an integer ``|v| < 10^16``, ``"%.17g" % v`` is its sign
+    and digits, ``-0`` for ``-0.0``."""
+    v = np.asarray(values, dtype=float)
+    n = np.abs(v).astype(np.int64)
+    digits = len(str(int(n.max(initial=0))))
+    width = chars.shape[1]
+    groups = -(-digits // 4)
+    rest, low = n, []
+    for _ in range(groups - 1):
+        rest, c = np.divmod(rest, 10 ** 4)
+        low.append(c)
+    words = chars.view(np.uint64)
+    np.take(_integer_words(width, digits, groups - 1), rest, axis=0, out=words, mode="clip")
+    for group, c in enumerate(low):
+        words |= np.take(_integer_words(width, digits, group), c, axis=0)
+    count = np.searchsorted(10 ** np.arange(1, digits, dtype=np.int64), n, side="right")
+    count *= 2
+    count += np.signbit(v)
+    np.take(_integer_keep(width, digits), count, axis=0, out=keep.view(np.uint64), mode="clip")
+
+
 def cell_templates(values, chars, keep):
     """Fill ``chars`` and ``keep``, a uint8 and a bool array of shape
     ``(len(values), WIDTH)`` whose rows may be strided but whose bytes within
@@ -239,3 +319,23 @@ def cell_templates(values, chars, keep):
                         np.where(special == 0, 0, 2) + np.signbit(special))
         special_chars, special_keep = _special_rows()
         chars[rows], keep[rows] = special_chars[kind], special_keep[kind]
+
+
+def table_templates(rows, chars, keep):
+    """Template rows of the 2-D float array ``rows``, each laid out as its
+    columns' cells end to end, ``,`` in each separator slot but the last
+    and ``\n`` in that: the first bytes of the flat uint8 and bool buffers
+    ``chars`` and ``keep`` (``rows.size * WIDTH`` bytes hold any layout),
+    returned as two arrays of one row of bytes per row of ``rows``."""
+    widths = [cell_width(rows[:, c]) for c in range(rows.shape[1])]
+    shape = (rows.shape[0], sum(widths))
+    chars = chars[: shape[0] * shape[1]].reshape(shape)
+    keep = keep[: chars.size].reshape(shape)
+    end = 0
+    for c, width in enumerate(widths):
+        fill = cell_templates if width == WIDTH else integer_templates
+        fill(rows[:, c], chars[:, end: end + width], keep[:, end: end + width])
+        end += width
+        chars[:, end - 1] = ord(",")
+    chars[:, -1] = ord("\n")
+    return chars, keep

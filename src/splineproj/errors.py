@@ -47,7 +47,8 @@ class NotPositiveDefinite(SplineProjError, ArithmeticError):
 
 
 class RefinementFailure(SplineProjError, ArithmeticError):
-    """A solve's residual is above its target, or NaN; nothing is refined."""
+    """A solve's residual is above its target or NaN, or a projection's
+    Galerkin residual is not finite; nothing is refined."""
 
 
 class QuadratureNonConvergence(SplineProjError, ArithmeticError):

@@ -228,6 +228,26 @@ def test_nan_in_banded_solve_is_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not any(tmp_path.iterdir())
 
 
+def test_non_finite_galerkin_residual_is_exit_3(tmp_path, capsys, monkeypatch):
+    # NaN moments reach only galerkin_residual, the one caller of
+    # projection.moments: a numerical failure, not a failed check
+    from splineproj import projection
+
+    moments = projection.moments
+
+    def nan_moments(K, f, *args, **kwargs):
+        b, est = moments(K, f, *args, **kwargs)
+        return np.full_like(b, np.nan), est
+    monkeypatch.setattr(projection, "moments", nan_moments)
+    argv = ["project", "--k", "4", "--partition", "random:60:1", "--function", "sin",
+            "-o", str(tmp_path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "numerical failure: Galerkin residual nan is not finite" in err
+    assert "[FAIL]" not in out
+    assert not any(tmp_path.iterdir())
+
+
 def test_zero_kernel_is_exit_3(tmp_path, capsys, monkeypatch):
     # an inverse served as zero columns leaves no sampled kernel value above
     # the zero floor: a numerical failure, not an input error

@@ -120,3 +120,81 @@ def test_inverse_table_takes_no_fallback(tmp_path):
         % tuple(rows.ravel().tolist())
     with open(os.path.join(tmp_path, "inverse_full.csv"), "rb") as fh:
         assert fh.read() == expect.encode()
+
+
+def integer_formatted(values):
+    """The text of each value, through ``integer_templates`` in rows of
+    ``cell_width(values)`` bytes, whose unused bytes hold junk."""
+    values = np.asarray(values, dtype=float)
+    width = csvtext.cell_width(values)
+    assert width < csvtext.WIDTH and width % 8 == 0
+    chars = np.full((values.size, width), 0xAA, np.uint8)
+    keep = np.ones(chars.shape, bool)
+    csvtext.integer_templates(values, chars, keep)
+    chars[:, -1] = ord("\n")
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().splitlines()
+
+
+def integer_edges():
+    """0, -0, and +-(10^p - 1) and +-10^p for p = 0 .. 15."""
+    powers = 10.0 ** np.arange(16)
+    return np.concatenate([[0.0, -0.0], powers - 1, powers, 1 - powers, -powers])
+
+
+def test_integer_cells_at_every_digit_count():
+    values = integer_edges()
+    expect = ["%.17g" % v for v in values.tolist()]
+    assert expect[:2] == ["0", "-0"] and "-1000000000000000" in expect
+    # each value alone, so that the width follows its own digit count, and
+    # all in one column of the widest layout
+    assert [integer_formatted([v])[0] for v in values.tolist()] == expect
+    assert integer_formatted(values) == expect
+    assert [csvtext.cell_width([v]) for v in (0.0, -1e4, 999999.0, 1e6, 1e13, 1e14, 1e15)] \
+        == [8, 8, 8, 16, 16, 24, 24]
+
+
+@pytest.mark.parametrize("v", [1e16, -1e16, 0.5, np.nan, np.inf, -np.inf])
+def test_float_path_beyond_the_integer_rule(v):
+    # 10^16 and up print as integers too, but take the float templates
+    assert csvtext.cell_width([3.0, v]) == csvtext.WIDTH
+    assert formatted([3.0, v]) == ["3", "%.17g" % v]
+
+
+def write_and_read(tmp_path, rows):
+    path = os.path.join(tmp_path, "t.csv")
+    cli.write_csv(path, [f"c{j}" for j in range(rows.shape[1])], rows)
+    with open(path) as fh:
+        return fh.read().splitlines()[1:]
+
+
+@pytest.mark.parametrize("row", [8191, 8192, 8193])
+@pytest.mark.parametrize("odd", [0.5, np.nan, np.inf, 1e16])
+def test_one_non_integer_moves_only_its_slice(tmp_path, row, odd):
+    # an index column beside a float column, over three slices and a part
+    # slice; one cell that is not an integer below 10^16 puts its own slice's
+    # index column on the float templates, every other slice stays narrow
+    assert cli._CSV_ROWS == 8192
+    nrows = 3 * 8192 + 5
+    index = np.arange(nrows, dtype=float) - 20_000
+    index[row] = odd
+    rows = np.column_stack([index, np.random.default_rng(row).standard_normal(nrows)])
+    with patch.object(csvtext, "integer_templates",
+                      wraps=csvtext.integer_templates) as narrow:
+        got = write_and_read(tmp_path, rows)
+    assert got == ["%.17g,%.17g" % tuple(r) for r in rows.tolist()]
+    slices = [8192, 8192, 8192, 5]
+    del slices[row // 8192]
+    assert [call.args[0].size for call in narrow.call_args_list] == slices
+
+
+def test_integer_and_float_columns_side_by_side(tmp_path):
+    # integer columns of every width, -0.0 and a float column between them
+    edges = integer_edges()
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([edges, rng.standard_normal(edges.size) * 1e3,
+                            rng.permutation(edges), np.floor(edges / 7), edges[::-1] * 0.0])
+    with patch.object(csvtext, "integer_templates",
+                      wraps=csvtext.integer_templates) as narrow:
+        got = write_and_read(tmp_path, rows)
+    assert got == [",".join("%.17g" % v for v in r) for r in rows.tolist()]
+    assert narrow.call_count == 4

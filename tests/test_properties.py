@@ -96,12 +96,15 @@ SPECIAL = st.sampled_from([0, 1, -7, 123456789, 0.0, -0.0, np.inf, -np.inf,
                            np.nan, 1e-300, -1e-300, 5e-324])
 CELLS = st.one_of(SPECIAL, st.integers(-2**53, 2**53),
                   st.floats(allow_nan=True, allow_infinity=True))
+#: Cells of a column that takes the integer templates when all its cells do.
+INTEGERS = st.one_of(st.sampled_from([0.0, -0.0, 10**15, -(10**16 - 1)]),
+                     st.integers(-9999, 9999), st.integers(-(10**16 - 1), 10**16 - 1))
 
 
 @PROPS
-@given(st.integers(1, 4).flatmap(
-    lambda c: st.lists(st.lists(CELLS, min_size=c, max_size=c), max_size=6)
-    .map(lambda rows: (c, rows))))
+@given(st.lists(st.sampled_from([CELLS, INTEGERS]), min_size=1, max_size=4).flatmap(
+    lambda columns: st.lists(st.tuples(*columns), max_size=6)
+    .map(lambda rows: (len(columns), rows))))
 def test_write_csv_formats_every_cell(shape_rows):
     ncols, rows = shape_rows
     header = [f"c{j}" for j in range(ncols)]
@@ -1671,9 +1674,10 @@ def test_kernel_bound_evaluates_the_basis_once():
 
 def test_write_csv_holds_one_slice(tmp_path):
     # the i, j, value table of a 502 x 502 inverse: 252,004 rows formatted
-    # 8192 at a time into one pair of template arrays (2.25 MiB) and
-    # compressed 1024 rows at a time, not as one tuple of 756k Python floats
-    # (about 3 MiB; 4.7 MiB with a compress of each whole slice)
+    # 8192 at a time into one pair of template buffers sized for three float
+    # templates a row (2.25 MiB; i and j fill 8 bytes each of it, the value
+    # 48) and compressed 1024 rows at a time, not as one tuple of 756k Python
+    # floats; the peak is 2.96 MiB (4.7 MiB with a compress of each whole slice)
     n = 502
     i, j = np.divmod(np.arange(n * n), n)
     rows = np.column_stack([i, j, np.random.default_rng(0).standard_normal(n * n)])
