@@ -30,7 +30,7 @@ from .bspline import eval_basis_many, span_gauss_blocks
 from .errors import (DegenerateKernel, LengthMismatch, OutOfDomain,
                      QuadratureNonConvergence)
 from .functions import TestFunction
-from .gram import GramMatrix, inverse_rows
+from .gram import GramMatrix, _nonzero_width, inverse_rows
 from .knots import KnotSequence
 from .projection import kernel_from_basis, l1_norm, project_ladder
 from .quadrature import gauss_points, integrate_adaptive
@@ -69,13 +69,13 @@ def midpoints(a: float, b: float, m: int) -> np.ndarray:
     return a + (b - a) * (np.arange(m) + 0.5) / m
 
 
-def row_gaps(K: KnotSequence, j: int, e: int) -> np.ndarray:
+def row_gaps(K: KnotSequence, j: int, e: int, width: int) -> np.ndarray:
     """Largest-gap values for the rows ``i = j .. j+e-1``: entry
     ``[i - j, c - j]`` is ``h_ic``, the largest interval length in the
-    window ``h[i : c + k]``, for every column ``c >= i``; zero left of the
-    diagonal."""
-    h, k, n = K.h, K.k, K.n
-    gaps = np.empty((e, n - j))
+    window ``h[i : c + k]``, for the columns ``c = j .. j+width-1`` (``e <=
+    width <= n - j``); zero left of the diagonal."""
+    h, k = K.h, K.k
+    gaps = np.empty((e, width))
     # the first e columns: a running maximum along each row from
     # max h[i : i + k] on its diagonal
     block = np.where(np.tri(e, e, -1, dtype=bool), 0.0, h[j + k - 1: j + e + k - 1])
@@ -83,7 +83,7 @@ def row_gaps(K: KnotSequence, j: int, e: int) -> np.ndarray:
     np.maximum.accumulate(block, axis=1, out=gaps[:, :e])
     # further right, the maximum of h[i : j + e + k - 1], which ends each
     # row of the block, and of h[j + e + k - 1 : c + k], shared by the rows
-    np.maximum(gaps[:, e - 1: e], np.maximum.accumulate(h[j + e + k - 1: n + k - 1]),
+    np.maximum(gaps[:, e - 1: e], np.maximum.accumulate(h[j + e + k - 1: j + width + k - 1]),
                out=gaps[:, e:])
     return gaps
 
@@ -162,8 +162,10 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
 
     The inverse of ``G0`` is read as the row stream of ``inverse_rows`` and
     never held whole.  Each entry ``(i, c)`` of the upper triangle enters
-    the profiles at offset ``c - i``.  With fewer than ``3k`` basis
-    functions no rate is fitted and the report carries the profiles only.
+    the profiles at offset ``c - i``, up to each block's last nonzero
+    column: the entries right of it are zero and raise no maximum.  With
+    fewer than ``3k`` basis functions no rate is fitted and the report
+    carries the profiles only.
     When every entry beyond offset ``k - 1`` is exactly zero (order 1, or
     every interior knot of multiplicity k) there is no offset to fit on and
     the report is flagged diagonal.
@@ -182,15 +184,17 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     inverse_residual = 0.0
     for j, rows, block_residual in inverse_rows(G0):
         inverse_residual = max(inverse_residual, block_residual)
-        e, m = rows.shape[0], n - j
-        absa = np.abs(rows[:, j:])
+        # row_gaps builds at least the block's own e columns
+        e = rows.shape[0]
+        m = max(_nonzero_width(rows[:, j:]), e)
+        absa = np.abs(rows[:, j: j + m])
         # [r, c - j] holds the scaled entry (j + r, c); the last e columns
         # stay zero for the skewed view
         scaled = np.zeros((e, m + e))
         part = scaled[:, :m]
-        np.multiply(row_gaps(K, j, e), absa, out=part)
+        np.multiply(row_gaps(K, j, e, m), absa, out=part)
         _offset_maxima(scaled, m, prof_a)
-        np.maximum(kap[j: j + e, None], kap[j:], out=part)
+        np.maximum(kap[j: j + e, None], kap[j: j + m], out=part)
         part *= absa
         _offset_maxima(scaled, m, prof_b)
     prof_b /= k
@@ -324,17 +328,18 @@ class InverseBoundConstants:
 def _lemma_rows(R, i, c0, kap, logg, k):
     """``(log k1, log k2, k3, skipped)`` over a block of consecutive rows of
     the inverse: ``i`` holds the row indices as a column, ``R`` the rows'
-    absolute entries from column ``c0`` on, with those below ``ZERO_FLOOR``
-    set to zero; every entry left of ``c0`` is zero.  Each constant is
-    reduced along axis 1 with the elementwise operations of a scan row by
-    row over whole rows, in the same order, so it is bitwise that scan's.
+    absolute entries from column ``c0`` to column ``end - 1``, with those
+    below ``ZERO_FLOOR`` set to zero; every entry left of ``c0`` or from
+    ``end`` on is zero.  Each constant is reduced
+    along axis 1 with the elementwise operations of a scan row by row over
+    whole rows, in the same order, so it is bitwise that scan's.
     A constant with no entry is -inf (k1, k2) or 0 (k3)."""
     width = R.shape[1]
-    n = c0 + width
-    cols = np.arange(c0, n)
+    end = c0 + width
+    cols = np.arange(c0, end)
     with np.errstate(divide="ignore"):
         # k1: max |a_is| * max(kappa_i, kappa_s) / gamma^|i-s|
-        k1 = (np.log(R * np.maximum(kap[i], kap[c0:])) - np.abs(i - cols) * logg).max()
+        k1 = (np.log(R * np.maximum(kap[i], kap[c0:end])) - np.abs(i - cols) * logg).max()
         # suffix[:, m - c0] = max_{m'>=m} log |a_im'| - m' log gamma
         suffix = np.maximum.accumulate(
             (np.log(R) - cols * logg)[:, ::-1], axis=1)[:, ::-1]
@@ -343,11 +348,11 @@ def _lemma_rows(R, i, c0, kap, logg, k):
     # sum over mu in [ell-k+1, ell+k-2]); empty windows (k = 1) sum to 0.
     # Each window is summed term by term from the left: a difference of
     # prefix sums cancels once the window is below eps times the row's sum
-    ell = np.arange(i[0, 0] + k, n - 1)  # from the first row's i + k
+    ell = np.arange(i[0, 0] + k, end - 1)  # from the first row's i + k
     s = np.zeros((i.size, ell.size))
     for t in range(i[0, 0] + 1 - c0, i[0, 0] + 2 * k - 1 - c0):
         # one term of every window: column c0 + t for ell[0], one column
-        # further right for each later ell; windows past column n - 1 are short
+        # further right for each later ell; windows past column end - 1 are short
         part = R[:, t: t + ell.size]
         s[:, : part.shape[1]] += part
     ok = (s > 0) & (ell >= i + k)
@@ -373,8 +378,9 @@ def _lemma_rows(R, i, c0, kap, logg, k):
 def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBoundConstants:
     """The three constants from the row stream of ``inverse_rows``, reduced
     a block at a time by ``_lemma_rows`` from ``k - 1`` columns left of the
-    block's first row on: the stream holds zeros further left, and no
-    constant reads past the mirrored band there."""
+    block's first row to its last nonzero column: the stream holds zeros
+    further left, where no constant reads past the mirrored band, and a zero
+    further right raises no constant and skips no pair."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     n, k = K.n, K.k
@@ -385,7 +391,7 @@ def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBou
     skipped = []
     for j, rows, _ in inverse_rows(G0):
         c0 = max(j - (k - 1), 0)
-        R = np.abs(rows[:, c0:])
+        R = np.abs(rows[:, c0: j + _nonzero_width(rows[:, j:])])
         R[~(R > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
         k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None], c0,
                                         K.kappa, np.log(gamma), k)

@@ -42,8 +42,6 @@ SCHEMA_VERSION = 1
 MAX_INVERT_N = 2000
 #: Rows of a CSV table formatted at once by ``write_csv``.
 _CSV_ROWS = 8192
-#: Rows of a formatted slice that ``write_csv`` compresses to text at once.
-_COMPRESS_ROWS = 1024
 
 
 class ParseError(SplineProjError, ValueError):
@@ -245,7 +243,8 @@ def write_csv(path: str, header, rows) -> None:
     Rows are formatted and written ``_CSV_ROWS`` at a time: each slice gets
     its template rows from ``csvtext.table_templates``, narrow ones in a
     column whose values in the slice all print as integers, and is written
-    as one compress of the templates by their keep-masks.
+    as the template bytes with the dropped ones deleted: they are zeroed in
+    place, and CSV text holds no NUL byte.
     """
     rows = np.asarray(rows, dtype=float)
 
@@ -257,11 +256,8 @@ def write_csv(path: str, header, rows) -> None:
         all_chars, all_keep = np.empty(size, np.uint8), np.empty(size, bool)
         for s in range(0, rows.shape[0], _CSV_ROWS):
             chars, keep = csvtext.table_templates(rows[s: s + _CSV_ROWS], all_chars, all_keep)
-            # compress builds an index array of 8 bytes per kept byte, so a
-            # slice is compressed _COMPRESS_ROWS rows at a time
-            for r in range(0, chars.shape[0], _COMPRESS_ROWS):
-                yield np.compress(keep[r: r + _COMPRESS_ROWS].ravel(),
-                                  chars[r: r + _COMPRESS_ROWS].ravel())
+            np.multiply(chars, keep, out=chars)
+            yield chars.tobytes().translate(None, b"\0")
 
     _atomic_write(path, chunks())
 

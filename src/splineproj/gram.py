@@ -23,10 +23,13 @@ columns gives the columns asked for, which are also rows, the matrix being
 symmetric.  ``inverse_rows`` streams every row's upper triangle, bottom-up,
 by block back-substitution through the banded factor: each block of rows
 from the k - 1 rows below it, by one small solve against the block's
-triangle of U and one GEMM, in O(n) memory.  Its residual, two more GEMMs
-per block, still covers every entry of ``G0 A - I``.  ``invert_gram``
-forms the whole inverse from that stream, each block's upper triangle
-mirrored below it, so it is exactly symmetric.
+triangle of U and one GEMM, in O(n) memory.  Where the entries' decay
+underflows, the stream holds exact zeros, never a subnormal: each entry
+below the smallest normal double in magnitude is set to zero as its block
+is formed.  Its residual, two more GEMMs per block, still covers every
+entry of ``G0 A - I``.  ``invert_gram`` forms the whole inverse from that
+stream, each block's upper triangle mirrored below it, so it is exactly
+symmetric.
 
 Every solve is one pass through the cached factor and one residual gate,
 ``_gate``, with nothing refined: banded Cholesky is backward stable, so a
@@ -58,6 +61,9 @@ _ROWS = 32
 #: Windows the banded Cholesky lays out at once: 64 x 41 x 41 doubles (860
 #: kB) at k = 10.
 _WINDOWS = 64
+#: The smallest normal double: ``inverse_rows`` holds no entry below it in
+#: magnitude but exact zeros.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(eq=False)
@@ -217,13 +223,20 @@ def solve_banded(G0: GramMatrix, rhs) -> np.ndarray:
     assembly bug rather than an input problem, and RefinementFailure on a
     residual above the target: nothing is refined.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs)
+    if rhs.dtype.kind not in "biu":
+        rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != G0.n:
         raise LengthMismatch(f"rhs length {rhs.shape[0]} != dimension {G0.n}")
-    c = _cho_solve(G0.factor(), rhs.copy())
-    # a NaN in rhs makes the residual NaN, not the target
-    target = 1e-10 * np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)
-    _gate(G0.matvec(c) - rhs, target, "solve")
+    # one float copy of rhs, which the solve overwrites; the residual takes
+    # a boolean or integer rhs as it is, converted as in the copy.  A NaN in
+    # rhs makes the residual NaN, not the target
+    c = rhs.astype(float)
+    target = 1e-10 * np.abs(c[np.isfinite(c)]).max(initial=0.0)
+    _cho_solve(G0.factor(), c)
+    residual = G0.matvec(c)
+    residual -= rhs
+    _gate(residual, target, "solve")
     return c
 
 
@@ -360,6 +373,9 @@ def inverse_rows(G0: GramMatrix):
     the first one GEMM by the rows of N, and ``T A[N, N]`` the first p
     columns of its result.  The upper triangle of ``A[B, B]`` is kept; the
     band left of the diagonal is copied in from the upper triangle, exactly.
+    An entry of the first below the smallest normal double in magnitude is
+    set to zero: no later product reads a subnormal, and each block's last
+    nonzero column is where its underflow begins.
 
     ``residual`` is ``max |G0 A - I|`` over every entry of the block's rows
     of ``G0 A`` from the diagonal on, and of ``A G0 = (G0 A)^T`` right of
@@ -408,7 +424,8 @@ def _row_block(rows, urow, c, stop):
     by the block formulas of ``inverse_rows``.  Row r's diagonal sits at
     column ``c + r``, and the rows end at column ``stop``.  Right of the
     last nonzero column of the rows below, the new rows are zero, exactly,
-    and no product is formed there.  Then the band left of the diagonal is
+    and no product is formed there; left of it, an entry of magnitude below
+    ``_TINY`` becomes zero too.  Then the band left of the diagonal is
     copied in from the upper triangle, in the block and in the p rows below
     it."""
     m, p = urow.shape[0], urow.shape[1] - 1
@@ -423,7 +440,11 @@ def _row_block(rows, urow, c, stop):
     W, T = WT[:, :m], WT[:, m:]
     block, below = rows[:m], rows[m: m + p]
     hi = c + m + _nonzero_width(below[:, c + m: stop])
-    np.matmul(T, below[:, c + m: hi], out=block[:, c + m: hi])
+    far = block[:, c + m: hi]
+    np.matmul(T, below[:, c + m: hi], out=far)
+    # the underflow tail: every operation on a subnormal takes a microcode
+    # assist on x86, so it becomes an exact zero (a NaN fails the test)
+    np.copyto(far, 0.0, where=np.abs(far) < _TINY)
     block[:, hi: stop] = 0.0
     D = W @ W.T
     D += block[:, c + m: c + m + p] @ T.T

@@ -180,17 +180,22 @@ def make_knot_sequence(breaks, mults, k: int) -> KnotSequence:
         raise EmptyInterval("need at least two breakpoints")
     if np.any(np.diff(breaks) <= 0):
         raise NonMonotoneBreaks("breakpoints must be strictly increasing")
-    mults = [int(m) for m in mults]
-    if len(mults) != breaks.size - 2:
+    counts = np.asarray(mults)
+    if counts.ndim != 1 or counts.dtype.kind not in "biuf" or not np.isfinite(counts).all():
+        # anything else converts, or raises, as int() does
+        counts = np.array([int(m) for m in mults], dtype=object)
+    elif counts.dtype.kind == "f":
+        counts = np.trunc(counts)  # as int() truncates
+    if len(counts) != breaks.size - 2:
         raise LengthMismatch(
-            f"expected {breaks.size - 2} interior multiplicities, got {len(mults)}"
+            f"expected {breaks.size - 2} interior multiplicities, got {len(counts)}"
         )
-    if any(m < 1 or m > k for m in mults):
+    if ((counts < 1) | (counts > k)).any():
         raise MultiplicityOutOfRange(f"interior multiplicities must lie in [1, {k}]")
     t = np.concatenate(
         [
             np.repeat(breaks[0], k),
-            np.repeat(breaks[1:-1], mults),
+            np.repeat(breaks[1:-1], counts.astype(np.int64)),
             np.repeat(breaks[-1], k),
         ]
     )
@@ -265,7 +270,7 @@ def generate_partition(spec: PartitionSpec, k: int, interval=(0.0, 1.0)) -> Knot
         cum = np.concatenate([[0.0], np.cumsum(widths)])
         breaks = a + (b - a) * (cum / cum[-1])
         breaks[0], breaks[-1] = a, b
-    mults = (spec.interior_multiplicity,) * (len(breaks) - 2)
+    mults = np.full(len(breaks) - 2, spec.interior_multiplicity)
     return make_knot_sequence(breaks, mults, k)
 
 

@@ -40,12 +40,13 @@ def largest_gap(K, i, c):
 
 def test_row_gaps_match_largest_gap():
     K = generate_partition(PartitionSpec("random", 17, seed=0), 3)
-    for j, e in [(0, K.n), (0, 1), (5, 4), (K.n - 3, 3)]:
-        gaps = row_gaps(K, j, e)
-        assert gaps.shape == (e, K.n - j)
+    for j, e, width in [(0, K.n, K.n), (0, 1, K.n), (0, 1, 1), (5, 4, K.n - 5),
+                        (5, 4, 4), (5, 4, 9), (K.n - 3, 3, 3)]:
+        gaps = row_gaps(K, j, e, width)
+        assert gaps.shape == (e, width)
         for i in range(j, j + e):
             assert not gaps[i - j, : i - j].any()
-            for c in range(i, K.n):
+            for c in range(i, j + width):
                 assert gaps[i - j, c - j] == largest_gap(K, i, c)
 
 
@@ -90,7 +91,7 @@ def test_decay_geometric_bound_holds_entrywise():
     G0, K = gram_for(PartitionSpec("geometric", 99, ratio=4.0), 2)
     rep = decay_report(G0, K)
     assert rep.fitted and rep.gamma < 1
-    gaps = row_gaps(K, 0, K.n)
+    gaps = row_gaps(K, 0, K.n, K.n)
     A = dense_inverse(G0)
     for d in range(K.n):
         bound = rep.big_k * rep.gamma_cert ** d

@@ -167,6 +167,26 @@ def test_solve_hat_first_column():
     assert np.allclose(c, [1.0, 0.0], atol=1e-12)
 
 
+def test_solve_integer_columns_equal_float_columns(monkeypatch):
+    # kernel_from_basis solves against boolean identity columns: the
+    # solution and the residual the gate reads are bitwise those of the same
+    # columns as floats, and of integer ones
+    K = generate_partition(PartitionSpec("random", 120, seed=2), 3)
+    G = assemble_gram(K)
+    cols = np.equal.outer(np.arange(K.n), [0, 5, 60, K.n - 1])
+    residuals = []
+    real = gram._gate
+
+    def spy(R, target, what, where=""):
+        residuals.append((R.tobytes(), target))
+        return real(R, target, what, where)
+    monkeypatch.setattr(gram, "_gate", spy)
+    solved = [solve_banded(G, rhs).tobytes()
+              for rhs in (cols, cols.astype(float), cols.astype(np.int64))]
+    assert solved[0] == solved[1] == solved[2]
+    assert residuals[0] == residuals[1] == residuals[2]
+
+
 def test_solve_rejects_bad_rhs_length():
     K = make_knot_sequence([0, 1], [], 2)
     from splineproj import LengthMismatch

@@ -49,6 +49,47 @@ def test_make_knot_sequence_errors():
         make_knot_sequence([0, 0.5, 1], [], 2)
 
 
+@pytest.mark.parametrize("mults, as_ints", [
+    ([1, 2, 2], [1, 2, 2]), ((2.9, 1.0, 1.5), [2, 1, 1]), ([True, 2, 1], [1, 2, 1]),
+    (np.array([2, 1, 2], np.uint8), [2, 1, 2]), (np.array([1.99, 1.0, 2.0]), [1, 1, 2]),
+    (["1", "2", "2"], [1, 2, 2]), ((m for m in [2, 2, 1]), [2, 2, 1])])
+def test_multiplicities_truncate_as_int(mults, as_ints):
+    # numbers, strings and iterables give the knots of [int(m) for m in mults]
+    breaks = [0.0, 0.2, 0.5, 0.7, 1.0]
+    expect = np.repeat(breaks, [2] + as_ints + [2]).astype(float)
+    assert make_knot_sequence(breaks, mults, 2).t.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("mults, error, message", [
+    ([np.nan, 1], ValueError, "cannot convert float NaN to integer"),
+    ([1, np.inf], OverflowError, "cannot convert float infinity to integer"),
+    ([None, 1], TypeError, "int() argument must be"),
+    (["a", 1], ValueError, "invalid literal for int()"),
+    ([0.99, 1], MultiplicityOutOfRange, r"interior multiplicities must lie in \[1, 2\]"),
+    ([-0.5, 1], MultiplicityOutOfRange, r"must lie in \[1, 2\]"),
+    ([3.5, 1], MultiplicityOutOfRange, r"must lie in \[1, 2\]"),
+    ([10**30, 1], MultiplicityOutOfRange, r"must lie in \[1, 2\]"),
+    (np.array([1, 3], np.uint64), MultiplicityOutOfRange, r"must lie in \[1, 2\]"),
+    ([1], LengthMismatch, "expected 2 interior multiplicities, got 1"),
+    ([1, 1, 1], LengthMismatch, "expected 2 interior multiplicities, got 3"),
+])
+def test_multiplicity_errors_as_int(mults, error, message):
+    # the exceptions and messages of converting with int() one by one
+    with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
+        make_knot_sequence([0.0, 0.3, 0.6, 1.0], mults, 2)
+
+
+def test_partition_knots_repeat_each_break():
+    # generated partitions: every interior break repeated as often as asked
+    for mult, k in [(1, 1), (1, 4), (2, 3), (4, 4)]:
+        K = generate_partition(PartitionSpec("random", 4000, seed=3,
+                                             interior_multiplicity=mult), k)
+        breaks = np.unique(K.t)
+        assert breaks.size == 4001
+        expect = np.repeat(breaks, [k] + [mult] * 3999 + [k])
+        assert K.t.tobytes() == expect.tobytes()
+
+
 def test_knot_vector_validation():
     with pytest.raises(MultiplicityOutOfRange):
         KnotSequence(2, np.array([0, 0, 0, 1, 1]))  # endpoint run of 3 > k

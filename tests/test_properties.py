@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -41,7 +42,7 @@ from splineproj import (
     solve_banded,
     stability_constant,
 )
-from splineproj import analysis, cli, gram, projection, quadrature
+from splineproj import analysis, cli, csvtext, gram, projection, quadrature
 from splineproj.analysis import ZERO_FLOOR, decay_report, row_gaps
 from splineproj.bspline import _blocks_at_spans, eval_basis_many, span_gauss_blocks
 from splineproj.cli import ExperimentConfig, write_csv
@@ -252,7 +253,7 @@ def assert_scans_match_references(G, rows, K, gamma):
 @PROPS
 @given(knot_sequences(max_intervals=24), st.floats(0.3, 0.95))
 def test_certification_scans_equal_loop_references(K, gamma):
-    gaps = row_gaps(K, 0, K.n)
+    gaps = row_gaps(K, 0, K.n, K.n)
     for d in range(K.n):
         assert np.diagonal(gaps, d)[: K.n - d].tolist() == \
             [largest_gap(K, i, i + d) for i in range(K.n - d)]
@@ -1378,6 +1379,113 @@ def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
         assert "inverse residual" in str(stream()[-1])
 
 
+def underflowing_knots(k, multiplicities):
+    """A mesh whose inverse underflows: 600, 900 or 1200 random intervals
+    for k = 2, 3 or 4 (with seed 1 the subnormals show by 560, 850 and 1,200
+    intervals, and not yet at 1,100 for k = 4), or, with ``multiplicities``, 800 or 700 intervals with interior
+    multiplicities drawn from 1 .. k - 1 and two of multiplicity k, which
+    cut the inverse into three decoupled blocks, two of them long."""
+    if not multiplicities:
+        return generate_partition(PartitionSpec("random", 300 * k, seed=1), k)
+    m = 800 if k == 2 else 700
+    rng = np.random.default_rng(k)
+    mults = rng.integers(1, k, m - 1)
+    mults[[m // 10, m - 6]] = k
+    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
+    return make_knot_sequence(breaks / breaks[-1], mults, k)
+
+
+@pytest.mark.parametrize("multiplicities", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_stream_holds_no_subnormal(monkeypatch, k, multiplicities):
+    # the decay of the inverse ends in exact zeros, without the band of
+    # subnormals before them: each block is within the residual target, and
+    # differs from the stream without the flush by less than the smallest
+    # normal double.  The decay report and the lemma constants, which stop
+    # at each block's last nonzero column, equal the loop references over
+    # every column, and the reductions over every column
+    tiny = np.finfo(float).tiny
+    K = underflowing_knots(k, multiplicities)
+    G = assemble_gram(K)
+    A = np.zeros((K.n, K.n))
+    for j, rows, residual in gram.inverse_rows(G):
+        assert residual <= gram.RESIDUAL_TARGET
+        assert ((rows == 0.0) | (np.abs(rows) >= tiny)).all()
+        A[j: j + rows.shape[0]] = rows
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_TINY", 0.0)
+        unflushed = streamed_inverse(G)
+    subnormal = (unflushed != 0.0) & (np.abs(unflushed) < tiny)
+    assert subnormal.sum() > 1000
+    assert np.abs(A - unflushed).max() < tiny
+    rep = assert_decay_equals_reference(G, A, K)
+    assert rep.fitted
+    gamma = rep.gamma_cert
+    con = lemma_constants(G, K, gamma)
+    if K.n < 1000:
+        assert (con.k1, con.k2, con.k3, con.skipped) == \
+            reference_lemma_constants(A, K, gamma)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_nonzero_width", lambda a: a.shape[1])
+        assert dataclasses.asdict(lemma_constants(G, K, gamma)) == dataclasses.asdict(con)
+        full = decay_report(G, K)
+    assert pickle.dumps(full) == pickle.dumps(rep)
+
+
+def test_reductions_stop_at_last_nonzero_column(monkeypatch):
+    # row_gaps, both offset-maxima passes and _lemma_rows read each block
+    # up to its last nonzero column and no further, on an inverse whose
+    # decay underflows 560 or so columns right of the diagonal
+    K = generate_partition(PartitionSpec("random", 1500, seed=1), 2)
+    G = assemble_gram(K)
+    width, seen = {}, []
+    real_rows, real_gaps = analysis.inverse_rows, analysis.row_gaps
+    real_maxima, real_lemma = analysis._offset_maxima, analysis._lemma_rows
+
+    def rows(G0):
+        for j, block, residual in real_rows(G0):
+            width["end"] = j + gram._nonzero_width(block[:, j:])
+            width["j"] = j
+            yield j, block, residual
+
+    def gaps(K, j, e, m=None):
+        seen.append(("row_gaps", j + m, width["end"]))
+        return real_gaps(K, j, e, m)
+
+    def maxima(table, m, prof):
+        seen.append(("maxima", width["j"] + m, width["end"]))
+        assert table.shape[1] == m + table.shape[0]
+        return real_maxima(table, m, prof)
+
+    def lemma(R, i, c0, kap, logg, k):
+        seen.append(("lemma", c0 + R.shape[1], width["end"]))
+        return real_lemma(R, i, c0, kap, logg, k)
+    monkeypatch.setattr(analysis, "inverse_rows", rows)
+    monkeypatch.setattr(analysis, "row_gaps", gaps)
+    monkeypatch.setattr(analysis, "_offset_maxima", maxima)
+    monkeypatch.setattr(analysis, "_lemma_rows", lemma)
+    rep = decay_report(G, K)
+    lemma_constants(G, K, rep.gamma_cert)
+    blocks = -(-K.n // gram._ROWS)
+    assert [name for name, _, _ in seen] == \
+        ["row_gaps", "maxima", "maxima"] * blocks + ["lemma"] * blocks
+    assert all(end == last for _, end, last in seen)
+    # the blocks of the upper half end well before column n
+    assert sum(end < K.n for _, end, _ in seen) > len(seen) // 2
+
+
+def test_invert_gram_holds_no_subnormal():
+    # an inverse whose decay underflows: exact zeros past it, no subnormal,
+    # and the identity columns of solve_banded within roundoff
+    K = generate_partition(PartitionSpec("random", 1000, seed=1), 2)
+    G = assemble_gram(K)
+    A = invert_gram(G).entries
+    assert ((A == 0.0) | (np.abs(A) >= np.finfo(float).tiny)).all()
+    assert (A == 0.0).sum() > K.n ** 2 // 8
+    X = solve_banded(G, np.eye(K.n))
+    assert np.abs(A - X).max() <= 1e-12 * np.abs(X).max()
+
+
 @pytest.mark.parametrize("i, c", [(40, 90), (65, 62), (3, 60), (96, 96)],
                          ids=["far-upper", "mirrored-band", "top-block", "one-row-bottom-block"])
 def test_stream_residual_catches_one_wrong_entry(monkeypatch, i, c):
@@ -1676,12 +1784,23 @@ def test_write_csv_holds_one_slice(tmp_path):
     # the i, j, value table of a 502 x 502 inverse: 252,004 rows formatted
     # 8192 at a time into one pair of template buffers sized for three float
     # templates a row (2.25 MiB; i and j fill 8 bytes each of it, the value
-    # 48) and compressed 1024 rows at a time, not as one tuple of 756k Python
-    # floats; the peak is 2.96 MiB (4.7 MiB with a compress of each whole slice)
+    # 48), each slice's text one bytes object, not one tuple of 756k Python
+    # floats; the peak is 3.26 MiB once csvtext's cached tables exist.  The
+    # first call builds those tables, which stay: 0.26 MiB
     n = 502
     i, j = np.divmod(np.arange(n * n), n)
     rows = np.column_stack([i, j, np.random.default_rng(0).standard_normal(n * n)])
     path = os.path.join(tmp_path, "t.csv")
+    for table in (csvtext._scales, csvtext._layout, csvtext._special_rows,
+                  csvtext._integer_words, csvtext._integer_keep):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        write_csv(path, ("i", "j", "value"), rows)
+        cached = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cached <= 0.5 * 2**20
     with traced_peak() as peak:
         write_csv(path, ("i", "j", "value"), rows)
     assert peak[0] <= 3.5 * 2**20
