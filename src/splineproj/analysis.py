@@ -30,7 +30,7 @@ from .bspline import eval_basis_many, span_gauss_blocks
 from .errors import (DegenerateKernel, LengthMismatch, OutOfDomain,
                      QuadratureNonConvergence)
 from .functions import TestFunction
-from .gram import GramMatrix, _nonzero_width, inverse_rows
+from .gram import GramMatrix, inverse_rows
 from .knots import KnotSequence
 from .projection import kernel_from_basis, l1_norm, project_ladder
 from .quadrature import gauss_points, integrate_adaptive
@@ -162,10 +162,10 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
 
     The inverse of ``G0`` is read as the row stream of ``inverse_rows`` and
     never held whole.  Each entry ``(i, c)`` of the upper triangle enters
-    the profiles at offset ``c - i``, up to each block's last nonzero
-    column: the entries right of it are zero and raise no maximum.  With
-    fewer than ``3k`` basis functions no rate is fitted and the report
-    carries the profiles only.
+    the profiles at offset ``c - i``, up to the block's extent, where the
+    stream cuts its rows: the entries right of it are zero and raise no
+    maximum.  With fewer than ``3k`` basis functions no rate is fitted and
+    the report carries the profiles only.
     When every entry beyond offset ``k - 1`` is exactly zero (order 1, or
     every interior knot of multiplicity k) there is no offset to fit on and
     the report is flagged diagonal.
@@ -184,10 +184,8 @@ def decay_report(G0: GramMatrix, K: KnotSequence) -> DecayReport:
     inverse_residual = 0.0
     for j, rows, block_residual in inverse_rows(G0):
         inverse_residual = max(inverse_residual, block_residual)
-        # row_gaps builds at least the block's own e columns
-        e = rows.shape[0]
-        m = max(_nonzero_width(rows[:, j:]), e)
-        absa = np.abs(rows[:, j: j + m])
+        absa = np.abs(rows[:, j:])
+        e, m = absa.shape
         # [r, c - j] holds the scaled entry (j + r, c); the last e columns
         # stay zero for the skewed view
         scaled = np.zeros((e, m + e))
@@ -378,9 +376,10 @@ def _lemma_rows(R, i, c0, kap, logg, k):
 def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBoundConstants:
     """The three constants from the row stream of ``inverse_rows``, reduced
     a block at a time by ``_lemma_rows`` from ``k - 1`` columns left of the
-    block's first row to its last nonzero column: the stream holds zeros
-    further left, where no constant reads past the mirrored band, and a zero
-    further right raises no constant and skips no pair."""
+    block's first row to the block's extent, where the stream cuts its
+    rows: the stream holds zeros further left, where no constant reads past
+    the mirrored band, and a zero further right raises no constant and
+    skips no pair."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     n, k = K.n, K.k
@@ -391,7 +390,7 @@ def lemma_constants(G0: GramMatrix, K: KnotSequence, gamma: float) -> InverseBou
     skipped = []
     for j, rows, _ in inverse_rows(G0):
         c0 = max(j - (k - 1), 0)
-        R = np.abs(rows[:, c0: j + _nonzero_width(rows[:, j:])])
+        R = np.abs(rows[:, c0:])
         R[~(R > ZERO_FLOOR)] = 0.0  # NaN counts as zero too
         k1, k2, k3, pairs = _lemma_rows(R, np.arange(j, j + R.shape[0])[:, None], c0,
                                         K.kappa, np.log(gamma), k)

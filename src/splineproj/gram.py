@@ -26,10 +26,13 @@ from the k - 1 rows below it, by one small solve against the block's
 triangle of U and one GEMM, in O(n) memory.  Where the entries' decay
 underflows, the stream holds exact zeros, never a subnormal: each entry
 below the smallest normal double in magnitude is set to zero as its block
-is formed.  Its residual, two more GEMMs per block, still covers every
-entry of ``G0 A - I``.  ``invert_gram`` forms the whole inverse from that
-stream, each block's upper triangle mirrored below it, so it is exactly
-symmetric.
+is formed.  So each block's rows end at its extent, one past the last
+column where they can be nonzero: the stream works it out once per block,
+stops the products of the block above there, and yields the rows cut at
+it.  Its residual, two more GEMMs per block, still covers every entry of
+``G0 A - I``.  ``invert_gram`` forms the whole inverse from that stream,
+each block up to its extent in a zero array and its upper triangle
+mirrored below it, so it is exactly symmetric.
 
 Every solve is one pass through the cached factor and one residual gate,
 ``_gate``, with nothing refined: banded Cholesky is backward stable, so a
@@ -38,6 +41,7 @@ residual above its target signals a wrong factor or a NaN.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -329,21 +333,21 @@ def _substitute(coef: np.ndarray, B: np.ndarray) -> None:
 def invert_gram(G0: GramMatrix) -> InverseGram:
     """Dense inverse from ``inverse_rows``, one C-ordered n x n array.
 
-    Each streamed block's upper triangle, from the diagonal on, is written
-    into its rows, and its transpose into the columns below it, so the
-    inverse is exactly symmetric and the only n x n array held.
-    ``residual`` is the largest block residual, whose ``A G0`` half covers
-    ``G0 A - I`` below the diagonal; the stream raises RefinementFailure at
-    a block above ``RESIDUAL_TARGET``.
+    Each streamed block's upper triangle, from the diagonal to the block's
+    extent, is written into its rows of a zero array, and its transpose
+    into the columns below it, so the inverse is exactly symmetric and the
+    only n x n array held.  ``residual`` is the largest block residual,
+    whose ``A G0`` half covers ``G0 A - I`` below the diagonal; the stream
+    raises RefinementFailure at a block above ``RESIDUAL_TARGET``.
     """
     n = G0.n
-    A = np.empty((n, n))
+    A = np.zeros((n, n))
     residual = 0.0
     for j, rows, block_residual in inverse_rows(G0):
-        m = rows.shape[0]
+        m, end = rows.shape
         upper = rows[:, j:]
-        A[j: j + m, j:] = upper
-        A[j + m:, j: j + m] = upper[:, m:].T
+        A[j: j + m, j: end] = upper
+        A[j + m: end, j: j + m] = upper[:, m:].T
         # the block's own lower triangle, over the band and the zeros the
         # stream leaves left of it
         block, lower = A[j: j + m, j: j + m], np.tri(m, k=-1, dtype=bool)
@@ -356,10 +360,13 @@ def inverse_rows(G0: GramMatrix):
     """The inverse's rows, ``_ROWS`` at a time from the last block up.
 
     Yields ``(j, rows, residual)`` for the blocks ``j = ..., 64, 32, 0``:
-    ``rows[r]`` is row ``i = j + r`` of the inverse ``A``, an array of
-    length n that holds the upper triangle from column ``i`` on, the
-    ``p = k - 1`` entries left of the diagonal mirrored in, and zeros further
-    left.  ``rows`` is a view of a rolling buffer of ``_ROWS + 2p`` rows,
+    ``rows[r]`` is row ``i = j + r`` of the inverse ``A`` up to the
+    block's extent, one past the last column where any of its rows can be
+    nonzero (at most n, at least ``j + rows.shape[0]``); every entry of the
+    rows further right is zero.  A row holds the upper triangle from column
+    ``i`` on, the ``p = k - 1`` entries left of the diagonal mirrored in,
+    and zeros further left, and column indices are those of ``A``.
+    ``rows`` is a view of a rolling buffer of ``_ROWS + 2p`` rows,
     overwritten when the next block is asked for.
 
     With the cached factor ``G0 = U^T U``, ``U A = U^-T`` is lower triangular,
@@ -374,8 +381,8 @@ def inverse_rows(G0: GramMatrix):
     columns of its result.  The upper triangle of ``A[B, B]`` is kept; the
     band left of the diagonal is copied in from the upper triangle, exactly.
     An entry of the first below the smallest normal double in magnitude is
-    set to zero: no later product reads a subnormal, and each block's last
-    nonzero column is where its underflow begins.
+    set to zero: no later product reads a subnormal, and each block's
+    extent is where its underflow begins.
 
     ``residual`` is ``max |G0 A - I|`` over every entry of the block's rows
     of ``G0 A`` from the diagonal on, and of ``A G0 = (G0 A)^T`` right of
@@ -391,6 +398,11 @@ def inverse_rows(G0: GramMatrix):
     # rows and columns outside the matrix stay zero, and the columns run on
     # to the last whole tile of G0
     buf = np.zeros((_ROWS + 2 * p, _ROWS * tiles.shape[0] + 2 * p))
+    # extents, in buffer columns, of the blocks whose rows the buffer holds:
+    # the last one and ceil(2p / _ROWS) before it, the oldest the widest, as
+    # each block is zero past the extent of the one below it.  The seed
+    # n + p leaves the last block no columns right of it to form
+    extents = deque([n + p], maxlen=1 + -(-2 * p // _ROWS))
     done = n  # rows done .. n - 1 are computed
     for j in range(_ROWS * ((n - 1) // _ROWS), -1, -_ROWS):
         base = j - p
@@ -399,14 +411,14 @@ def inverse_rows(G0: GramMatrix):
             buf[_ROWS:] = buf[: 2 * p]
         lo = max(base, 0)
         if lo < done:
-            _row_block(buf[lo - base:], urow[lo: done], lo + p, n + p)
+            extents.append(_row_block(buf[lo - base:], urow[lo: done], lo + p, extents[-1]))
         done = lo
         if base < 0:
             buf[: -base] = 0.0
-        e = min(_ROWS, n - j)
-        residual = _gate(_block_residual(buf, tiles, j, e, p), RESIDUAL_TARGET,
+        e, end = min(_ROWS, n - j), extents[0]
+        residual = _gate(_block_residual(buf, tiles, j, e, p, end), RESIDUAL_TARGET,
                          "inverse", f" in rows {j}..{j + e - 1}")
-        yield j, buf[p: p + e, p: n + p], residual
+        yield j, buf[p: p + e, p: end], residual
 
 
 def _band(a, c, width, below=False):
@@ -418,16 +430,18 @@ def _band(a, c, width, below=False):
                       strides=(s0 + s1, s0 if below else s1))
 
 
-def _row_block(rows, urow, c, stop):
+def _row_block(rows, urow, c, hi):
     """The m rows of ``urow`` (``urow[r, d] = U_i,i+d`` for their rows i) as
     the first m rows of the buffer view ``rows``, from the p rows below them,
-    by the block formulas of ``inverse_rows``.  Row r's diagonal sits at
-    column ``c + r``, and the rows end at column ``stop``.  Right of the
-    last nonzero column of the rows below, the new rows are zero, exactly,
-    and no product is formed there; left of it, an entry of magnitude below
-    ``_TINY`` becomes zero too.  Then the band left of the diagonal is
-    copied in from the upper triangle, in the block and in the p rows below
-    it."""
+    by the block formulas of ``inverse_rows``; returns their extent.  Row
+    r's diagonal sits at column ``c + r``.  ``hi`` is the extent of the
+    block below, whose first p rows are the rows below and whose rows the
+    buffer rows of the new block still hold: all are zero from column
+    ``hi`` on, so only the columns left of it are formed and none is
+    cleared.  Right of the block, an entry of magnitude below ``_TINY``
+    becomes zero, and the extent is one past the last nonzero column there,
+    or ``c + m``.  Then the band left of the diagonal is copied in from the
+    upper triangle, in the block and in the p rows below it."""
     m, p = urow.shape[0], urow.shape[1] - 1
     # U's rows of the block as one dense m x (m + p) array: U_BB, then U_BN
     U = np.zeros((m, m + p))
@@ -439,17 +453,16 @@ def _row_block(rows, urow, c, stop):
     WT = np.linalg.solve(U[:, :m], rhs)
     W, T = WT[:, :m], WT[:, m:]
     block, below = rows[:m], rows[m: m + p]
-    hi = c + m + _nonzero_width(below[:, c + m: stop])
     far = block[:, c + m: hi]
     np.matmul(T, below[:, c + m: hi], out=far)
     # the underflow tail: every operation on a subnormal takes a microcode
     # assist on x86, so it becomes an exact zero (a NaN fails the test)
     np.copyto(far, 0.0, where=np.abs(far) < _TINY)
-    block[:, hi: stop] = 0.0
     D = W @ W.T
     D += block[:, c + m: c + m + p] @ T.T
     block[:, c: c + m] = np.triu(D)
     _band(rows[: m + p], c, p + 1, below=True)[:, 1:] = _band(rows[:m], c, p + 1)[:, 1:]
+    return c + m + _nonzero_width(far)
 
 
 def _gram_tiles(G0: GramMatrix) -> np.ndarray:
@@ -470,21 +483,19 @@ def _gram_tiles(G0: GramMatrix) -> np.ndarray:
     return tiles
 
 
-def _block_residual(buf, tiles, j, e, p):
+def _block_residual(buf, tiles, j, e, p, end):
     """``max |G0 A - I|`` over rows ``j .. j+e-1`` of ``G0 A`` from the
     diagonal on, and over the same rows of ``A G0`` right of the diagonal;
     ``buf`` holds rows ``j - p ..`` of ``A`` as ``inverse_rows`` lays them
-    out, and ``tiles`` is ``_gram_tiles(G0)``.  ``G0 A`` is one GEMM of
-    the block's band of G0 by the buffer's rows; ``A G0`` one batched
-    product of the block's rows, cut into tiles of ``_ROWS + 2p`` columns
-    that overlap by 2p, by the tiles of G0.  A NaN anywhere makes the
-    residual NaN.  Both products stop at the tile that reads the last
-    nonzero column of ``buf``: every entry they leave out is zero.  That
-    column is the last nonzero one of the 2p rows at the bottom of ``buf``,
-    since each block of rows is T times the rows below it and ``_row_block``
-    zeroes what lies right of them."""
+    out, zero from its column ``end`` on, and ``tiles`` is
+    ``_gram_tiles(G0)``.  ``G0 A`` is one GEMM of the block's band of G0 by
+    the buffer's rows; ``A G0`` one batched product of the block's rows,
+    cut into tiles of ``_ROWS + 2p`` columns that overlap by 2p, by the
+    tiles of G0.  A NaN anywhere makes the residual NaN.  Both products
+    stop at the tile that reads column ``end - 1``: every entry they leave
+    out is zero."""
     t = j // _ROWS
-    count = max(min(tiles.shape[0], (_nonzero_width(buf[_ROWS:]) - 1) // _ROWS + 1) - t, 1)
+    count = max(min(tiles.shape[0], (end - 1) // _ROWS + 1) - t, 1)
     ga = tiles[t, :, :e].T @ buf[:, j + p: _ROWS * (t + count) + p]
     ga[:, :e] = np.triu(ga[:, :e]) - np.eye(e)
     worst = np.abs(ga, out=ga).max()

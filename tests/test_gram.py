@@ -48,20 +48,25 @@ def dense_inverse(G):
 def streamed_inverse(G):
     """The rows ``gram.inverse_rows`` streams, as one n x n matrix: the upper
     triangle, the k - 1 mirrored entries left of the diagonal, and zeros
-    further left."""
+    further left.  Each block is zero-padded from its extent to column n;
+    the extent covers the block's diagonal and is at most n."""
     A = np.zeros((G.n, G.n))
     for j, rows, _ in gram.inverse_rows(G):
-        A[j: j + rows.shape[0]] = rows
+        e, end = rows.shape
+        assert j + e <= end <= G.n
+        A[j: j + e, :end] = rows
     return A
 
 
 @contextmanager
-def serve_inverse(A):
+def serve_inverse(A, cut=True):
     """Every consumer of the inverse gets the matrix ``A``, with residual 0,
     whatever Gram matrix it was given: the kernel's ``solve_banded``, whose
     right-hand side must be identity columns, serves those columns of ``A``,
     ``inverse_rows`` its rows as the stream lays them out (bottom-up blocks
-    of 32, zero left of the k - 1 entries left of the diagonal)."""
+    of 32, zero left of the k - 1 entries left of the diagonal), each block
+    cut, as the stream cuts it, at its last nonzero column (a NaN counts)
+    but not left of its diagonal, or with ``cut=False`` of length n."""
     def columns(G0, rhs):
         cols = rhs.argmax(axis=0)
         assert np.array_equal(rhs, np.eye(G0.n)[:, cols])
@@ -70,7 +75,12 @@ def serve_inverse(A):
     def rows(G0):
         banded = np.triu(A, 1 - G0.order)
         for j in range(32 * ((G0.n - 1) // 32), -1, -32):
-            yield j, banded[j: j + 32], 0.0
+            block = banded[j: j + 32]
+            end = G0.n
+            if cut:
+                nonzero = np.flatnonzero(block.any(axis=0))
+                end = max(nonzero[-1] + 1 if nonzero.size else 0, j + block.shape[0])
+            yield j, block[:, :end], 0.0
     with patch.object(analysis, "inverse_rows", rows), \
             patch.object(projection, "solve_banded", columns):
         yield
@@ -211,9 +221,10 @@ def test_corrupted_inverse_fails_loudly(monkeypatch):
     G = assemble_gram(K)
     real = gram_mod._row_block
 
-    def skewed(rows, urow, c, stop):
-        real(rows, urow, c, stop)
-        rows[0, stop - 1] *= 1.5  # corrupt one entry of the block's first row
+    def skewed(rows, urow, c, hi):
+        extent = real(rows, urow, c, hi)
+        rows[0, extent - 1] *= 1.5  # corrupt one entry of the block's first row
+        return extent
 
     monkeypatch.setattr(gram_mod, "_row_block", skewed)
     with pytest.raises(RefinementFailure, match="inverse residual"):

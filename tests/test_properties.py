@@ -201,6 +201,8 @@ def chained_decay_check(G0, K, gamma):
     powers = np.array([gamma ** d for d in range(n)])
     worst = 0.0
     for j, R, _ in analysis.inverse_rows(G0):
+        # the block zero-padded from its extent to column n
+        R = np.pad(R, ((0, 0), (0, n - R.shape[1])))
         # entries (i, c) with c >= j; d = c - i is negative below the diagonal
         i = np.arange(j, j + R.shape[0])[:, None]
         d = np.arange(j, n) - i
@@ -1081,8 +1083,10 @@ def test_blocked_inverse_equals_inverse_columns(n, k, seed, eps):
     E = A.entries
     blocks = [(j, rows.copy(), residual) for j, rows, residual in gram.inverse_rows(G)]
     for j, rows, _ in blocks:
+        end = rows.shape[1]
         for r, row in enumerate(rows):
-            assert E[j + r, j + r:].tobytes() == row[j + r:].tobytes()
+            assert E[j + r, j + r: end].tobytes() == row[j + r:].tobytes()
+        assert not E[j: j + rows.shape[0], end:].any()
     assert np.array_equal(E, E.T)
     assert A.residual == max(residual for _, _, residual in blocks)
     assert E.flags["C_CONTIGUOUS"]
@@ -1296,12 +1300,12 @@ def test_inverse_rows_equal_inverse_columns(n, k):
     X = solve_banded(G, np.eye(n))
     blocks = []
     for j, rows, residual in gram.inverse_rows(G):
-        assert rows.shape == (min(32, n - j), n)
-        blocks.append((j, rows.copy(), residual))
-    assert [j for j, _, _ in blocks] == list(range(0, n, 32))[::-1]
-    A = np.zeros((n, n))
-    for j, rows, _ in blocks:
-        A[j: j + rows.shape[0]] = rows
+        # cut at the block's extent, which covers its diagonal, at most n
+        assert rows.shape[0] == min(32, n - j)
+        assert j + rows.shape[0] <= rows.shape[1] <= n
+        blocks.append((j, residual))
+    assert [j for j, _ in blocks] == list(range(0, n, 32))[::-1]
+    A = streamed_inverse(G)
     # the upper triangle and k - 1 entries left of the diagonal, mirrored
     # exactly; zero further left
     band = np.triu(np.ones((n, n), bool), 1 - k)
@@ -1310,8 +1314,8 @@ def test_inverse_rows_equal_inverse_columns(n, k):
     assert np.array_equal(A[mirrored], A.T[mirrored])
     scale = np.abs(X).max()
     assert np.abs(A - np.where(band, X, 0.0)).max() <= 1e-12 * scale
-    assert_residuals_match(G, A, [r for _, _, r in blocks])
-    assert max(r for _, _, r in blocks) <= gram.RESIDUAL_TARGET
+    assert_residuals_match(G, A, [r for _, r in blocks])
+    assert max(r for _, r in blocks) <= gram.RESIDUAL_TARGET
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -1330,6 +1334,21 @@ def test_inverse_rows_block_diagonal(k):
     assert_residuals_match(G, A, [r for _, _, r in gram.inverse_rows(G)])
 
 
+def padded_stream(G):
+    """``(j, rows, residual)`` for each block of ``gram.inverse_rows(G)``,
+    the rows as bytes, zero-padded from the block's extent to column n; a
+    RefinementFailure that ends the stream ends the list as its message."""
+    out = []
+    try:
+        for j, rows, residual in gram.inverse_rows(G):
+            padded = np.zeros((rows.shape[0], G.n))
+            padded[:, : rows.shape[1]] = rows
+            out.append((j, padded.tobytes(), residual))
+    except RefinementFailure as exc:
+        out.append(str(exc))
+    return out
+
+
 @pytest.mark.parametrize("k, intervals, multiplicity, nan_at", [
     (2, 3000, 1, None), (3, 2000, 1, None), (4, 600, 4, None), (4, 600, 1, 300)])
 def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
@@ -1337,29 +1356,24 @@ def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
     # far from the diagonal the inverse underflows to exact zeros (2/3 and
     # 1/3 of the upper triangle at k = 2 and 3), or is zero between the
     # blocks that interior knots of multiplicity k decouple; each block's
-    # products stop at the last nonzero column, and the rows and residuals
-    # are bitwise those of products over every column, a NaN included
+    # products stop at the extent of the rows below it, and the rows, zero-
+    # padded to column n, and the residuals are bitwise those of products
+    # over every column, a NaN included
     K = generate_partition(PartitionSpec("random", intervals, seed=1,
                                          interior_multiplicity=multiplicity), k)
     G = assemble_gram(K)
     if nan_at is not None:
         G.band[nan_at - 1, 1] = np.nan
 
-    def stream():
-        out = []
-        try:
-            for j, rows, residual in gram.inverse_rows(G):
-                out.append((j, rows.tobytes(), residual))
-        except RefinementFailure as exc:
-            out.append(str(exc))
-        return out
-    stopped = stream()
+    stopped = padded_stream(G)
     with monkeypatch.context() as m:
         m.setattr(gram, "_nonzero_width", lambda a: a.shape[1])
-        assert stream() == stopped
+        assert padded_stream(G) == stopped
     if nan_at is not None:
         assert "residual nan above" in stopped[-1]
         return
+    widths = [rows.shape[1] for _, rows, _ in gram.inverse_rows(G)]
+    assert sum(end < K.n for end in widths) > len(widths) // 3
     A = streamed_inverse(G)
     assert (A[np.triu_indices(K.n)] == 0.0).mean() > 0.3
     if multiplicity == k:
@@ -1368,15 +1382,37 @@ def test_stream_products_stop_at_last_nonzero_column(monkeypatch, k, intervals,
     # block, which the block's G0 A reads, fails the stream
     real = gram._block_residual
 
-    def corrupted(buf, tiles, j, e, p):
+    def corrupted(buf, tiles, j, e, p, end):
         if j == gram._ROWS * (K.n // (2 * gram._ROWS)):
-            width = gram._nonzero_width(buf[gram._ROWS:])
-            below = np.flatnonzero(buf[gram._ROWS:, width - 1])
-            buf[gram._ROWS + below[-1], width - 1] += 1.0
-        return real(buf, tiles, j, e, p)
+            bottom = buf[gram._ROWS:]
+            width = np.flatnonzero(bottom.any(axis=0))[-1] + 1
+            below = np.flatnonzero(bottom[:, width - 1])
+            bottom[below[-1], width - 1] += 1.0
+        return real(buf, tiles, j, e, p, end)
     with monkeypatch.context() as m:
         m.setattr(gram, "_block_residual", corrupted)
-        assert "inverse residual" in str(stream()[-1])
+        assert "inverse residual" in str(padded_stream(G)[-1])
+
+
+@pytest.mark.parametrize("rows, k", [(2, 2), (2, 4), (4, 4)])
+def test_stream_extents_past_two_blocks(monkeypatch, rows, k):
+    # with blocks of fewer than 2(k - 1) rows the buffer holds rows of more
+    # than two blocks, the oldest the widest.  At 32 rows that takes k >= 18,
+    # where no mesh tried passes the residual gate, so the blocks shrink here.
+    # The rows, zero-padded to column n, and the residuals are bitwise those
+    # of products over every column, and the upper triangle that of the
+    # solved identity columns within roundoff
+    K = generate_partition(PartitionSpec("random", 1500, seed=1), k)
+    G = assemble_gram(K)
+    monkeypatch.setattr(gram, "_ROWS", rows)
+    stopped = padded_stream(G)
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_nonzero_width", lambda a: a.shape[1])
+        assert padded_stream(G) == stopped
+    A = streamed_inverse(G)
+    X = solve_banded(G, np.eye(K.n))
+    assert (A[np.triu_indices(K.n)] == 0.0).mean() > 0.05
+    assert np.abs(np.triu(A - X)).max() <= 1e-13 * np.abs(X).max()
 
 
 def underflowing_knots(k, multiplicities):
@@ -1401,17 +1437,15 @@ def test_stream_holds_no_subnormal(monkeypatch, k, multiplicities):
     # the decay of the inverse ends in exact zeros, without the band of
     # subnormals before them: each block is within the residual target, and
     # differs from the stream without the flush by less than the smallest
-    # normal double.  The decay report and the lemma constants, which stop
-    # at each block's last nonzero column, equal the loop references over
-    # every column, and the reductions over every column
+    # normal double.  The decay report and the lemma constants, which read
+    # each block up to its extent, equal the loop references over every
+    # column, and the reductions over rows of length n
     tiny = np.finfo(float).tiny
     K = underflowing_knots(k, multiplicities)
     G = assemble_gram(K)
-    A = np.zeros((K.n, K.n))
-    for j, rows, residual in gram.inverse_rows(G):
-        assert residual <= gram.RESIDUAL_TARGET
-        assert ((rows == 0.0) | (np.abs(rows) >= tiny)).all()
-        A[j: j + rows.shape[0]] = rows
+    assert max(r for _, _, r in gram.inverse_rows(G)) <= gram.RESIDUAL_TARGET
+    A = streamed_inverse(G)
+    assert ((A == 0.0) | (np.abs(A) >= tiny)).all()
     with monkeypatch.context() as m:
         m.setattr(gram, "_TINY", 0.0)
         unflushed = streamed_inverse(G)
@@ -1425,17 +1459,21 @@ def test_stream_holds_no_subnormal(monkeypatch, k, multiplicities):
     if K.n < 1000:
         assert (con.k1, con.k2, con.k3, con.skipped) == \
             reference_lemma_constants(A, K, gamma)
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_nonzero_width", lambda a: a.shape[1])
-        assert dataclasses.asdict(lemma_constants(G, K, gamma)) == dataclasses.asdict(con)
+    with serve_inverse(A, cut=False):
+        assert pickle.dumps(lemma_constants(G, K, gamma)) == pickle.dumps(con)
         full = decay_report(G, K)
+    # the served rows carry no residual of their own
+    assert full.inverse_residual == 0.0
+    full.inverse_residual = rep.inverse_residual
     assert pickle.dumps(full) == pickle.dumps(rep)
 
 
 def test_reductions_stop_at_last_nonzero_column(monkeypatch):
     # row_gaps, both offset-maxima passes and _lemma_rows read each block
-    # up to its last nonzero column and no further, on an inverse whose
-    # decay underflows 560 or so columns right of the diagonal
+    # exactly to its extent, rows.shape[1], on an inverse whose decay
+    # underflows 560 or so columns right of the diagonal.  The stream of
+    # rows of length n holds only zeros past each extent, and an extent ends
+    # fewer than 2 * 32 columns past its block's last nonzero column
     K = generate_partition(PartitionSpec("random", 1500, seed=1), 2)
     G = assemble_gram(K)
     width, seen = {}, []
@@ -1444,11 +1482,10 @@ def test_reductions_stop_at_last_nonzero_column(monkeypatch):
 
     def rows(G0):
         for j, block, residual in real_rows(G0):
-            width["end"] = j + gram._nonzero_width(block[:, j:])
-            width["j"] = j
+            width["end"], width["j"] = block.shape[1], j
             yield j, block, residual
 
-    def gaps(K, j, e, m=None):
+    def gaps(K, j, e, m):
         seen.append(("row_gaps", j + m, width["end"]))
         return real_gaps(K, j, e, m)
 
@@ -1472,6 +1509,14 @@ def test_reductions_stop_at_last_nonzero_column(monkeypatch):
     assert all(end == last for _, end, last in seen)
     # the blocks of the upper half end well before column n
     assert sum(end < K.n for _, end, _ in seen) > len(seen) // 2
+    cut = [(j, block.copy()) for j, block, _ in gram.inverse_rows(G)]
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_nonzero_width", lambda a: a.shape[1])
+        whole = [block.copy() for _, block, _ in gram.inverse_rows(G)]
+    for (j, block), row in zip(cut, whole):
+        end = block.shape[1]
+        assert np.array_equal(row[:, :end], block) and not row[:, end:].any()
+        assert end - (np.flatnonzero(block.any(axis=0))[-1] + 1) < 2 * gram._ROWS
 
 
 def test_invert_gram_holds_no_subnormal():
@@ -1498,10 +1543,10 @@ def test_stream_residual_catches_one_wrong_entry(monkeypatch, i, c):
     assert max(r for _, _, r in gram.inverse_rows(G)) <= gram.RESIDUAL_TARGET
     real = gram._block_residual
 
-    def corrupted(buf, tiles, j, e, p):
+    def corrupted(buf, tiles, j, e, p, end):
         if j <= i < j + e:
             buf[i - j + p, c + p] += 1.0
-        return real(buf, tiles, j, e, p)
+        return real(buf, tiles, j, e, p, end)
     monkeypatch.setattr(gram, "_block_residual", corrupted)
     with pytest.raises(RefinementFailure, match="inverse residual"):
         for _ in gram.inverse_rows(G):
@@ -1530,10 +1575,8 @@ def test_inverse_rows_on_extreme_meshes(k):
         rng = np.random.default_rng(1000 * k + seed)
         K = extreme_knots(rng, k)
         G = assemble_gram(K)
-        A = np.zeros((K.n, K.n))
-        for j, rows, residual in gram.inverse_rows(G):
-            assert residual <= gram.RESIDUAL_TARGET
-            A[j: j + rows.shape[0]] = rows
+        assert max(r for _, _, r in gram.inverse_rows(G)) <= gram.RESIDUAL_TARGET
+        A = streamed_inverse(G)
         band = np.triu(np.ones((K.n, K.n), bool), 1 - k)
         mirrored = band & ~np.triu(band)
         assert not A[~band].any()
