@@ -4,8 +4,9 @@ Every run resolves its inputs into an ExperimentConfig, embeds the resolved
 config in the JSON report (schema 1), and writes CSV tables next to it.
 Identical configs produce byte-identical CSV output; the JSON carries a
 timestamp and is not byte-stable.  Exit status: 0 all declared checks pass,
-1 a check failed, 2 bad input (an output directory that cannot be made or
-written included), 3 numerical failure.
+1 a check failed, 2 bad input (an input file that cannot be read and an
+output directory that cannot be made or written included), 3 numerical
+failure; ``report_failure`` alone maps an exception to its status.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import os
@@ -25,10 +27,10 @@ import numpy as np
 
 from . import analysis, csvtext
 from .bspline import eval_basis_many
-from .errors import NonIntegrableMarker, RefinementFailure, SplineProjError
+from .errors import RefinementFailure, SplineProjError
 from .functions import TestFunction, default_probes, parse_function
-from .gram import assemble_gram, invert_gram, solve_banded
-from .knots import KnotSequence, PartitionSpec, dyadic_ladder, generate_partition
+from .gram import RESIDUAL_TARGET, assemble_gram, invert_gram, solve_banded
+from .knots import KnotSequence, dyadic_ladder, generate_partition, parse_partition
 from .projection import (
     galerkin_residual,
     kernel_constant_integral,
@@ -40,8 +42,6 @@ from .projection import (
 SCHEMA_VERSION = 1
 #: Largest n for which ``invert`` forms and writes the dense inverse.
 MAX_INVERT_N = 2000
-#: Rows of a CSV table formatted at once by ``write_csv``.
-_CSV_ROWS = 8192
 
 
 class ParseError(SplineProjError, ValueError):
@@ -58,8 +58,6 @@ class ValidationError(SplineProjError, ValueError):
 
     def __init__(self, fieldname, constraint):
         super().__init__(f"config field {fieldname!r}: {constraint}")
-        self.fieldname = fieldname
-        self.constraint = constraint
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,8 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, position=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")
     return config_from_doc(doc)
@@ -121,7 +121,7 @@ def _is(val, typ) -> bool:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check each field against its constraint and the command's table entry."""
-    if cfg.command not in COMMANDS:
+    if not isinstance(cfg.command, str) or cfg.command not in COMMANDS:
         raise ValidationError("command",
                               f"must be one of {tuple(COMMANDS)}, got {cfg.command!r}")
     command = COMMANDS[cfg.command]
@@ -159,41 +159,37 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # input resolution
 # ---------------------------------------------------------------------------
 
-def resolve_partition(cfg: ExperimentConfig) -> KnotSequence:
-    """Partition from a spec string (``family:params``) or a knot file."""
-    text = cfg.partition
-    if text is None:
-        raise ValidationError("partition", "required for this command")
-    if os.path.exists(text):
-        with open(text) as fh:
-            K = KnotSequence.from_text(fh.read())
-        if K.k != cfg.k:
-            raise ValidationError(
-                "partition", f"knot file has order {K.k}, config says {cfg.k}")
-        if (K.a, K.b) != cfg.interval:
-            raise ValidationError(
-                "partition", f"knot file is on [{K.a!r}, {K.b!r}], "
-                f"config says {list(cfg.interval)!r}")
-        return K
-    fam, *fields = text.split(":")
-    # each family takes exactly its own fields: the count, then the ratio
-    # (geometric) or an optional seed (random)
-    arity = {"uniform": (1,), "dyadic": (1,), "geometric": (2,), "random": (1, 2)}
-    if fam not in arity:
-        raise ValidationError("partition", f"unknown family {fam!r}")
-    if len(fields) not in arity[fam]:
-        raise ValidationError("partition", f"bad spec {text!r}: wrong field count")
+def read_input(path: str, fieldname: str) -> str:
+    """Text of the input file at ``path``, read as UTF-8; a file that cannot
+    be opened or decoded is bad input in config field ``fieldname``, with
+    the OS's or the codec's message."""
     try:
-        if fam == "geometric":
-            spec = PartitionSpec(fam, int(fields[0]), ratio=float(fields[1]))
-        elif fam == "random":
-            seed = int(fields[1]) if len(fields) > 1 else cfg.seed
-            spec = PartitionSpec(fam, int(fields[0]), seed=seed)
-        else:
-            spec = PartitionSpec(fam, int(fields[0]))
-    except ValueError as exc:
-        raise ValidationError("partition", f"bad spec {text!r}: {exc}") from exc
-    return generate_partition(spec, cfg.k, cfg.interval)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(fieldname, str(exc)) from exc
+
+
+def resolve_partition(cfg: ExperimentConfig) -> KnotSequence:
+    """Partition from a knot file, or from a spec string in the grammar of
+    ``knots.parse_partition``, whose seed defaults to the config's."""
+    if cfg.partition is None:
+        raise ValidationError("partition", "required for this command")
+    if not os.path.exists(cfg.partition):
+        try:
+            spec = parse_partition(cfg.partition, seed=cfg.seed)
+        except ValueError as exc:
+            raise ValidationError("partition", str(exc)) from exc
+        return generate_partition(spec, cfg.k, cfg.interval)
+    K = KnotSequence.from_text(read_input(cfg.partition, "partition"))
+    if K.k != cfg.k:
+        raise ValidationError(
+            "partition", f"knot file has order {K.k}, config says {cfg.k}")
+    if (K.a, K.b) != cfg.interval:
+        raise ValidationError(
+            "partition", f"knot file is on [{K.a!r}, {K.b!r}], "
+            f"config says {list(cfg.interval)!r}")
+    return K
 
 
 def resolve_function(cfg: ExperimentConfig) -> TestFunction:
@@ -201,7 +197,7 @@ def resolve_function(cfg: ExperimentConfig) -> TestFunction:
         raise ValidationError("function", "required for this command")
     try:
         return parse_function(cfg.function)
-    except (ValueError, NonIntegrableMarker) as exc:
+    except ValueError as exc:
         raise ValidationError("function", str(exc)) from exc
 
 
@@ -238,28 +234,10 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write a 2-D rows-by-columns array; every cell is formatted ``%.17g``.
-
-    Rows are formatted and written ``_CSV_ROWS`` at a time: each slice gets
-    its template rows from ``csvtext.table_templates``, narrow ones in a
-    column whose values in the slice all print as integers, and is written
-    as the template bytes with the dropped ones deleted: they are zeroed in
-    place, and CSV text holds no NUL byte.
-    """
-    rows = np.asarray(rows, dtype=float)
-
-    def chunks():
-        yield (",".join(header) + "\n").encode()
-        # one pair of template buffers, sized for a row of float templates
-        # and refilled slice by slice
-        size = min(_CSV_ROWS, rows.shape[0]) * rows.shape[1] * csvtext.WIDTH
-        all_chars, all_keep = np.empty(size, np.uint8), np.empty(size, bool)
-        for s in range(0, rows.shape[0], _CSV_ROWS):
-            chars, keep = csvtext.table_templates(rows[s: s + _CSV_ROWS], all_chars, all_keep)
-            np.multiply(chars, keep, out=chars)
-            yield chars.tobytes().translate(None, b"\0")
-
-    _atomic_write(path, chunks())
+    """Write a 2-D rows-by-columns array under its header line; every cell
+    is formatted ``%.17g`` by ``csvtext.table_bytes``, a slice at a time."""
+    head = (",".join(header) + "\n").encode()
+    _atomic_write(path, itertools.chain([head], csvtext.table_bytes(rows)))
 
 
 def write_report(cfg: ExperimentConfig, payload: dict, checks) -> str:
@@ -360,7 +338,8 @@ def run_invert(cfg, K):
     table[:, :, 1] = np.arange(n)[None, :]
     table[:, :, 2] = A.entries
     checks = [
-        ("inverse_residual", A.residual <= 1e-9, f"max |G0 A - I| = {A.residual:.3e}"),
+        ("inverse_residual", A.residual <= RESIDUAL_TARGET,
+         f"max |G0 A - I| = {A.residual:.3e}"),
         ("inverse_symmetry", True, "the lower triangle is the upper one mirrored"),
     ]
     # norms of |a_ij| d_j, d = kappa / k.  G0 is totally positive (Karlin
@@ -598,6 +577,22 @@ COMMANDS = {
 }
 
 
+def report_failure(exc: Exception) -> int:
+    """Print the one stderr line of a run stopped by ``exc`` and return its
+    exit status: 3 for a numerical failure, 2 for bad input and for an
+    output that cannot be written.  ``read_input`` makes an input file's
+    ``OSError`` bad input, so an ``OSError`` here is one of writing.  Any
+    other exception is a bug, raised again with its traceback."""
+    # LinAlgError subclasses ValueError, so it is tested first
+    kinds = (((ArithmeticError, np.linalg.LinAlgError), 3, "numerical failure"),
+             (ValueError, 2, "input error"), (OSError, 2, "output error"))
+    for kind, status, label in kinds:
+        if isinstance(exc, kind):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return status
+    raise exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one experiment and return its exit status; files are written only
     once the handler has returned, so a failed run leaves them as they were."""
@@ -607,21 +602,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         values = [resolve[name](cfg) for name in command.inputs]
         payload, checks, tables = command.handler(cfg, *values)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so it is caught here first
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (SplineProjError, FileNotFoundError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         for name, (header, rows) in tables.items():
             write_csv(os.path.join(cfg.output_dir, name), header, rows)
         path = write_report(cfg, payload, checks)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        return report_failure(exc)
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     print(f"report: {path}")
@@ -684,8 +670,7 @@ def config_from_args(args) -> ExperimentConfig:
     if "config" in doc:
         if doc.keys() - {"command", "config"}:
             raise ValidationError("config", "no other flag is read with --config")
-        with open(doc["config"]) as fh:
-            cfg = parse_config(fh.read())
+        cfg = parse_config(read_input(doc["config"], "config"))
         if cfg.command != args.command:
             raise ValidationError("command",
                                   f"config says {cfg.command!r}, invoked {args.command!r}")
@@ -700,13 +685,10 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    return run_experiment(cfg)
+        return run_experiment(config_from_args(build_parser().parse_args(argv)))
+    except Exception as exc:
+        return report_failure(exc)
 
 
 if __name__ == "__main__":

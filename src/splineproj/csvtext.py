@@ -1,22 +1,24 @@
 """``%.17g`` text of float64 arrays without a Python call per value.
 
-``cell_templates(v, chars, keep)`` gives each value a fixed-width row of
-bytes and a keep-mask; the kept bytes of a row, in order, are ``"%.17g" % v`` and its
-last byte is a separator slot.  ``np.compress(keep.ravel(), chars.ravel())``
-over many rows is their text, one after the other.
+``table_bytes(rows)`` yields the CSV lines of a 2-D float array, ``_CSV_ROWS``
+rows at a time, as one bytes object a slice.  Each slice is laid out as
+template rows: every cell is a fixed-width run of bytes with a keep-mask,
+its columns' cells end to end, and the kept bytes of a cell, in order, are
+``"%.17g" % v`` and its separator, ``,`` or ``\n``.  The slice's text is
+the templates multiplied by their keep-mask, which zeroes the dropped
+bytes in place, with the NULs deleted: CSV text holds none.
 
-A column whose values are all finite integers below ``10^16`` in magnitude
+A float cell is a ``WIDTH``-byte row of ``cell_templates``.  A column whose
+values in the slice are all finite integers below ``10^16`` in magnitude
 prints each as its sign and digits, with no point and no exponent (``-0``
 for ``-0.0``).  ``cell_width`` finds such a column and gives it narrow rows,
 ``integer_templates`` fills them: a sign slot, D right-aligned digits for
 the D digits of the largest magnitude and the separator slot, rounded up to
 8, 16 or 24 bytes, so that the 48-byte templates after them stay
-word-aligned.  ``table_templates`` lays each row of a table out as its
-columns' cells end to end, and ``cli.write_csv`` calls it per slice of 8192
-rows: an index column costs 8 bytes of template a cell up to 999,999, and
-the 48 bytes of ``cell_templates`` only in a slice where one of its values
-is not such an integer.  The ``i, j, value`` row of ``invert``'s table is
-8 + 8 + 48 = 64 bytes, not 144.
+word-aligned.  An index column costs 8 bytes of template a cell up to
+999,999, and the 48 bytes of ``cell_templates`` only in a slice where one
+of its values is not such an integer.  The ``i, j, value`` row of
+``invert``'s table is 8 + 8 + 48 = 64 bytes, not 144.
 
 The 17 significant digits are those of ``N = round(|v| 10^(16-E))``, the
 integer in ``[10^16, 10^17)`` for the decimal exponent ``E`` of ``|v|``.
@@ -37,6 +39,8 @@ import functools
 
 import numpy as np
 
+#: Rows of a table formatted at once by ``table_bytes``.
+_CSV_ROWS = 8192
 #: Bytes of a template row: six 8-byte words.
 #: 0: unused | 1: sign | 2-6: "0.000" | 7: first digit |
 #: 8-39: ".d" for each of the other 16 digits |
@@ -321,21 +325,24 @@ def cell_templates(values, chars, keep):
         chars[rows], keep[rows] = special_chars[kind], special_keep[kind]
 
 
-def table_templates(rows, chars, keep):
-    """Template rows of the 2-D float array ``rows``, each laid out as its
-    columns' cells end to end, ``,`` in each separator slot but the last
-    and ``\n`` in that: the first bytes of the flat uint8 and bool buffers
-    ``chars`` and ``keep`` (``rows.size * WIDTH`` bytes hold any layout),
-    returned as two arrays of one row of bytes per row of ``rows``."""
-    widths = [cell_width(rows[:, c]) for c in range(rows.shape[1])]
-    shape = (rows.shape[0], sum(widths))
-    chars = chars[: shape[0] * shape[1]].reshape(shape)
-    keep = keep[: chars.size].reshape(shape)
-    end = 0
-    for c, width in enumerate(widths):
-        fill = cell_templates if width == WIDTH else integer_templates
-        fill(rows[:, c], chars[:, end: end + width], keep[:, end: end + width])
-        end += width
-        chars[:, end - 1] = ord(",")
-    chars[:, -1] = ord("\n")
-    return chars, keep
+def table_bytes(rows):
+    """The CSV lines of the rows-by-columns array ``rows``, one bytes object
+    per slice of ``_CSV_ROWS`` rows.  The slices are formatted into one pair
+    of template buffers, sized for a row of ``WIDTH``-byte cells and reused
+    slice after slice."""
+    rows = np.asarray(rows, dtype=float)
+    size = min(_CSV_ROWS, rows.shape[0]) * rows.shape[1] * WIDTH
+    all_chars, all_keep = np.empty(size, np.uint8), np.empty(size, bool)
+    for s in range(0, rows.shape[0], _CSV_ROWS):
+        part = rows[s: s + _CSV_ROWS]
+        widths = [cell_width(column) for column in part.T]
+        ends = np.cumsum(widths)
+        chars = all_chars[: len(part) * ends[-1]].reshape(len(part), ends[-1])
+        keep = all_keep[: chars.size].reshape(chars.shape)
+        for column, width, end in zip(part.T, widths, ends):
+            fill = cell_templates if width == WIDTH else integer_templates
+            fill(column, chars[:, end - width: end], keep[:, end - width: end])
+        chars[:, ends - 1] = ord(",")
+        chars[:, -1] = ord("\n")
+        np.multiply(chars, keep, out=chars)
+        yield chars.tobytes().translate(None, b"\0")

@@ -1,4 +1,4 @@
-"""Extended knot vectors, partition generators, and interval geometry.
+"""Extended knot vectors, the partition grammar and generators, and interval geometry.
 
 A knot sequence of order ``k`` on ``[a, b]`` is a nondecreasing vector of
 ``n + k`` reals, clamped so that each endpoint appears exactly ``k`` times
@@ -33,11 +33,14 @@ __all__ = [
     "KnotSequence",
     "PartitionSpec",
     "make_knot_sequence",
+    "parse_partition",
     "generate_partition",
     "dyadic_ladder",
 ]
 
-FAMILIES = ("uniform", "dyadic", "geometric", "random")
+#: Each partition family and the fields its spec takes after the interval
+#: count, as ``PartitionSpec`` field names and their types.
+FAMILIES = {"uniform": {}, "dyadic": {}, "geometric": {"ratio": float}, "random": {"seed": int}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +224,26 @@ class PartitionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown partition family {self.family!r}")
+
+
+def parse_partition(text: str, **defaults) -> PartitionSpec:
+    """Spec of the grammar ``family:count[:field]``: the interval count, then
+    the family's own field in ``FAMILIES``, the ratio (``geometric:16:2.0``)
+    or the seed (``random:16:7``).  A field left out takes its value from
+    ``defaults``; an unknown family, any other number of fields or a field
+    that does not convert is a ValueError."""
+    family, *values = text.split(":")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    types = {"n_intervals": int, **FAMILIES[family]}
+    missing = list(types)[len(values):]
+    if not 1 <= len(values) <= len(types) or not all(n in defaults for n in missing):
+        raise ValueError(f"bad spec {text!r}: wrong field count")
+    try:
+        given = {name: typ(v) for (name, typ), v in zip(types.items(), values)}
+    except ValueError as exc:
+        raise ValueError(f"bad spec {text!r}: {exc}") from exc
+    return PartitionSpec(family, **{n: defaults[n] for n in missing}, **given)
 
 
 def _geometric_breaks(a: float, b: float, m: int, q: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from splineproj.cli import (
     config_from_args,
     main,
     parse_config,
+    report_failure,
     run_experiment,
     serialize_config,
 )
@@ -858,6 +859,91 @@ def test_cli_knot_file_partition(tmp_path):
     assert main(["project", "--k", "3", "--function", "x", "--partition", str(kf),
                  "-o", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("nosuchfamily:4", "unknown family 'nosuchfamily'"),
+    ("uniform:8:junk", "bad spec 'uniform:8:junk': wrong field count"),
+    ("geometric:8", "bad spec 'geometric:8': wrong field count"),
+    ("uniform:abc", "bad spec 'uniform:abc': invalid literal for int() with base 10: 'abc'"),
+], ids=["family", "extra-field", "no-ratio", "count"])
+def test_partition_spec_error_lines(tmp_path, capsys, spec, why):
+    # the grammar's errors in knots reach stderr as errors of the field
+    out = tmp_path / "out"
+    assert main(["gram", "--k", "2", "--partition", spec, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: config field 'partition': {why}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, why", [
+    ("config-directory", "config field 'config': [Errno 21] Is a directory"),
+    ("config-not-utf8", "config field 'config': 'utf-8' codec can't decode byte 0xe9"),
+    ("config-nested-deep", "maximum recursion depth exceeded while decoding a JSON array"),
+    ("partition-directory", "config field 'partition': [Errno 21] Is a directory"),
+], ids=["config-directory", "config-not-utf8", "config-nested-deep",
+        "partition-directory"])
+def test_unreadable_input_file_is_exit_2(tmp_path, capsys, monkeypatch, case, why):
+    # an input file that cannot be opened, decoded or parsed is bad input:
+    # one input error line, no traceback, and no output directory, neither
+    # the one the file names nor the default one
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cfgfile = tmp_path / "exp.json"
+    head = f'{{"output_dir": {json.dumps(str(out))}, "command": "gram", "partition": '
+    argv = ["gram", "--config", str(cfgfile)]
+    if case == "config-directory":
+        argv = ["gram", "--config", str(folder)]
+    elif case == "partition-directory":
+        argv = ["gram", "--k", "2", "--partition", str(folder), "-o", str(out)]
+    elif case == "config-not-utf8":
+        cfgfile.write_bytes((head + '"uniform:8\xe9"}').encode("latin-1"))
+    else:
+        cfgfile.write_text(head + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {why}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_partition_directory_run_is_exit_2(tmp_path, capsys):
+    cfg = make_cfg(command="gram", partition=str(tmp_path), output_dir=str(tmp_path / "out"))
+    assert run_experiment(cfg) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: config field 'partition': [Errno 21] Is a directory")
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_of_another_type_is_input_error():
+    # a list is not hashable: checked as a value, not looked up
+    with pytest.raises(ValidationError, match="'command'"):
+        parse_config('{"command": ["gram"], "partition": "uniform:8"}')
+
+
+@pytest.mark.parametrize("exc, status, label", [
+    (ValidationError("k", "bad"), 2, "input error"),
+    (ParseError("bad", position=3), 2, "input error"),
+    (ValueError("bad"), 2, "input error"),
+    (splineproj.NonIntegrableMarker("bad"), 2, "input error"),
+    (splineproj.RefinementFailure("bad"), 3, "numerical failure"),
+    (ZeroDivisionError("bad"), 3, "numerical failure"),
+    (np.linalg.LinAlgError("bad"), 3, "numerical failure"),
+    (PermissionError(13, "Permission denied"), 2, "output error"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_report_failure_maps_each_kind(capsys, exc, status, label):
+    # the one map from an exception to an exit status and its stderr label
+    assert report_failure(exc) == status
+    assert capsys.readouterr().err == f"{label}: {exc}\n"
+
+
+def test_report_failure_raises_a_bug_again(capsys):
+    bug = TypeError("a bug")
+    with pytest.raises(TypeError) as exc:
+        report_failure(bug)
+    assert exc.value is bug
+    assert capsys.readouterr().err == ""
 
 
 def test_stability_cli(tmp_path):

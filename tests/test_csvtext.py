@@ -173,7 +173,7 @@ def test_one_non_integer_moves_only_its_slice(tmp_path, row, odd):
     # an index column beside a float column, over three slices and a part
     # slice; one cell that is not an integer below 10^16 puts its own slice's
     # index column on the float templates, every other slice stays narrow
-    assert cli._CSV_ROWS == 8192
+    assert csvtext._CSV_ROWS == 8192
     nrows = 3 * 8192 + 5
     index = np.arange(nrows, dtype=float) - 20_000
     index[row] = odd

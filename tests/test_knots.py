@@ -16,6 +16,7 @@ from splineproj import (
     generate_partition,
     make_knot_sequence,
 )
+from splineproj.knots import parse_partition
 
 
 def test_no_interior_knots():
@@ -135,6 +136,37 @@ def test_partition_errors():
         PartitionSpec("pseudo")
     with pytest.raises(ValueError):
         generate_partition(PartitionSpec("dyadic", 6), 2)  # not a power of two
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("uniform:8", PartitionSpec("uniform", 8)),
+    ("dyadic:16", PartitionSpec("dyadic", 16)),
+    ("geometric:16:2.5", PartitionSpec("geometric", 16, ratio=2.5)),
+    ("random:16:7", PartitionSpec("random", 16, seed=7)),
+    ("random:16", PartitionSpec("random", 16, seed=3)),
+])
+def test_parse_partition(text, spec):
+    # family:count[:field]; a random spec without its seed takes the default
+    assert parse_partition(text, seed=3) == spec
+
+
+@pytest.mark.parametrize("text, defaults, message", [
+    ("pseudo:8", {}, "unknown family 'pseudo'"),
+    ("", {}, "unknown family ''"),
+    ("uniform", {}, "bad spec 'uniform': wrong field count"),
+    ("uniform:8:junk", {"seed": 3}, "bad spec 'uniform:8:junk': wrong field count"),
+    ("geometric:8", {"seed": 3}, "bad spec 'geometric:8': wrong field count"),
+    ("random:8", {}, "bad spec 'random:8': wrong field count"),
+    ("random:8:3:junk", {"seed": 3}, "bad spec 'random:8:3:junk': wrong field count"),
+    ("uniform:abc", {}, "bad spec 'uniform:abc': invalid literal for int() with base 10: 'abc'"),
+    ("geometric:8:q", {}, "bad spec 'geometric:8:q': could not convert string to float: 'q'"),
+    ("random:8:1.5", {}, "bad spec 'random:8:1.5': invalid literal for int() with base 10: '1.5'"),
+])
+def test_parse_partition_errors(text, defaults, message):
+    # only a field of the family itself takes a default: the ratio has none
+    with pytest.raises(ValueError) as exc:
+        parse_partition(text, **defaults)
+    assert str(exc.value) == message
 
 
 def test_explicit_partition():

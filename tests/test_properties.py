@@ -1853,7 +1853,7 @@ def test_write_csv_holds_one_slice(tmp_path):
 
 @pytest.mark.parametrize("nrows", [0, 1, 8191, 8192, 8193])
 def test_write_csv_slices_equal_one_shot(tmp_path, nrows):
-    assert cli._CSV_ROWS == 8192
+    assert csvtext._CSV_ROWS == 8192
     rows = np.random.default_rng(nrows).standard_normal((nrows, 3)) * 1e5
     rows[::7, 1] = np.arange(rows[::7].shape[0])
     line = "%.17g,%.17g,%.17g\n"
